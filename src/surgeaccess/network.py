@@ -337,6 +337,31 @@ def closure_mask(
     return ClosureMask(provenance=closed)
 
 
+def closure_units(graph: RoadGraph, sited_nodes: np.ndarray) -> np.ndarray:
+    """Closure-unit id per edge, aligned with graph.edge_ids.
+
+    A closure unit is a maximal chain of edges joined through interior
+    nodes: nodes of degree 2 in the multigraph that host no site
+    (sited_nodes indexes graph.node_ids). A shortest path between two
+    non-interior nodes uses all of a unit's edges or none of them, so
+    travel times between sites depend only on which units have at least
+    one closed edge. Most units are single edges.
+    """
+    edge_count = len(graph.edge_ids)
+    ends = np.concatenate([graph._edge_u, graph._edge_v])
+    edge_at_end = np.tile(np.arange(edge_count), 2)
+    interior = np.bincount(ends, minlength=len(graph.node_ids)) == 2
+    interior[np.asarray(sited_nodes, dtype=np.int64)] = False
+    # Each interior node links its two edges; units are the linked components.
+    at_interior = interior[ends]
+    order = np.argsort(ends[at_interior], kind="stable")
+    pairs = edge_at_end[at_interior][order].reshape(-1, 2)
+    links = csr_matrix(
+        (np.ones(pairs.shape[0]), (pairs[:, 0], pairs[:, 1])), shape=(edge_count, edge_count)
+    )
+    return connected_components(links, directed=False)[1]
+
+
 class TravelTimeTable:
     """Sparse demand-to-supply free-flow minutes within the catchment.
 

@@ -31,7 +31,7 @@ import numpy as np
 from . import __version__
 from .access import DemandSite, SupplySite
 from .errors import InvalidInputError, InvalidSpecError, ValidationError
-from .fragility import default_table
+from .fragility import default_table  # noqa: F401  (public re-export)
 from .hazard import ExposureThresholds, SurgeField
 from .network import BRIDGE, HORIZONS, ROAD, BridgeRecord, Edge, Node, RoadGraph, build_graph
 from .simulate import ScenarioConfig, ScenarioResult
@@ -478,7 +478,7 @@ def write_results(result: ScenarioResult, bundle: DatasetBundle, out_dir: str | 
         "crs": bundle.crs,
         "datum": bundle.datum,
         "package_version": __version__,
-        "fragility_checksum": default_table().checksum(),
+        "fragility_checksum": result.fragility_checksum,
         "inputs": dict(sorted(bundle.input_hashes.items())),
         "summary": {
             horizon: {

@@ -6,7 +6,12 @@ and rescores accessibility on the surviving network. Draws are counter
 based: the uniform for (seed, sample, bridge) is a pure hash of those
 three values, so results never depend on iteration order, worker count,
 or platform RNG state, and reruns with the same seed are bit-identical.
-Samples with identical closed-edge sets reuse one network evaluation.
+
+Only bridges with a failure probability strictly between 0 and 1 are
+drawn; the rest fail always or never. Samples are keyed on closure units
+(see network.closure_units): samples whose closed edges touch the same
+units share one network evaluation, evaluated on the canonical closed
+set that takes every edge of each touched unit.
 """
 
 from __future__ import annotations
@@ -47,10 +52,14 @@ def sample_failures(
         raise InvalidInputError(f"sample index must be >= 0, got {sample_index}")
     out: dict[str, bool] = {}
     for bridge_id, p in failure_probability.items():
-        if not math.isfinite(p) or not 0.0 <= p <= 1.0:
-            raise InvalidInputError(f"bridge {bridge_id}: probability {p} outside [0, 1]")
+        _check_probability(bridge_id, p)
         out[bridge_id] = uniform_draw(master_seed, sample_index, bridge_id) < p
     return out
+
+
+def _check_probability(bridge_id: str, p: float) -> None:
+    if not math.isfinite(p) or not 0.0 <= p <= 1.0:
+        raise InvalidInputError(f"bridge {bridge_id}: probability {p} outside [0, 1]")
 
 
 def convergence_report(
@@ -155,6 +164,7 @@ class ScenarioResult:
     demand_ids: tuple[str, ...]
     failure_probability: dict[str, float]
     exposures: hazard.ExposureSet
+    fragility_checksum: str
     horizons: dict[str, HorizonResult] = field(default_factory=dict)
 
 
@@ -215,14 +225,6 @@ def _evaluate_distinct_masks(
     return dict(zip(ordered, vectors))
 
 
-def _merge_structural(base: Mapping[str, str], graph: network.RoadGraph, failed: Sequence[str]) -> dict[str, str]:
-    closed = dict(base)
-    for bridge_id in failed:
-        for eid in graph.edges_for_bridge(bridge_id):
-            closed[eid] = network.STRUCTURAL
-    return closed
-
-
 def _column_cov(sample_scores: np.ndarray) -> np.ndarray:
     """Per-demand coefficient of variation across samples.
 
@@ -249,10 +251,14 @@ def run_scenario(
     """Run the full Monte Carlo scenario for every configured horizon.
 
     Exposures and failure probabilities are deterministic per storm, so
-    they are computed once; only bridge failures are sampled. Samples
-    that produce the same closed-edge set share one network evaluation,
-    and the two horizons share that cache as well. Subgroups with zero
-    total weight are left out of the group averages.
+    they are computed once. Bridges with p = 1 join every sample's closed
+    set and bridges with p = 0 never do; only the rest are sampled, and
+    each sample is keyed on its pattern of failed at-risk bridges. Each
+    pattern maps, per horizon, to the set of closure units its closed
+    edges touch, and each distinct unit set is evaluated once, on all
+    edges of its units, shared across horizons. The resulting K x D
+    score table (K networks, D demands) is indexed per sample. Subgroups
+    with zero total weight are left out of the group averages.
     """
     if not demands:
         raise InvalidInputError("scenario needs at least one demand location")
@@ -271,6 +277,11 @@ def run_scenario(
         exp = exposures.bridges[rec.bridge_id]
         row = table.coefficients_for(rec.mass_ton_per_m)
         failure_probability[rec.bridge_id] = fragility.uplift_probability(row, exp.h_max, exp.z_c)
+    for bid, p in failure_probability.items():
+        _check_probability(bid, p)
+    # u < 0 never holds and u < 1 always does, so only 0 < p < 1 needs a draw.
+    at_risk = {bid: p for bid, p in failure_probability.items() if 0.0 < p < 1.0}
+    always = [bid for bid, p in failure_probability.items() if p == 1.0]
 
     no_failures = {bid: False for bid in failure_probability}
     base_masks = {
@@ -278,22 +289,39 @@ def run_scenario(
         for horizon in config.horizons
     }
 
-    # Pass one: per-sample closed-edge sets (cheap), collecting distinct keys.
-    sample_keys: dict[str, list[frozenset[str]]] = {h: [] for h in config.horizons}
-    distinct: set[frozenset[str]] = set()
+    # Pass one: per-sample pattern of failed at-risk bridges.
+    patterns: dict[tuple[bool, ...], int] = {}
+    sample_pattern = np.empty(config.samples, dtype=np.int64)
     for index in range(config.samples):
-        draw = sample_failures(failure_probability, config.seed, index)
-        failed = [bid for bid in failure_probability if draw[bid]]
-        for horizon in config.horizons:
-            key = frozenset(_merge_structural(base_masks[horizon].provenance, graph, failed))
-            sample_keys[horizon].append(key)
-            distinct.add(key)
+        draw = sample_failures(at_risk, config.seed, index)
+        sample_pattern[index] = patterns.setdefault(tuple(draw.values()), len(patterns))
 
-    # Pass two: one network evaluation per distinct closed-edge set.
+    # Pass two: patterns to closure-unit sets, one evaluation per distinct set.
     snapped = (network.snap_sites(graph, demands), network.snap_sites(graph, supplies))
+    unit_of = dict(zip(graph.edge_ids, network.closure_units(graph, np.concatenate(snapped)).tolist()))
+    unit_edges: dict[int, list[str]] = {}
+    for eid, unit in unit_of.items():
+        unit_edges.setdefault(unit, []).append(eid)
+
+    def units_of(edge_ids) -> frozenset[int]:
+        return frozenset(unit_of[eid] for eid in edge_ids)
+
+    risk_units = [units_of(graph.edges_for_bridge(bid)) for bid in at_risk]
+    fixed_units = units_of(eid for bid in always for eid in graph.edges_for_bridge(bid))
+    networks: dict[frozenset[int], int] = {}
+    sample_network: dict[str, np.ndarray] = {}
+    for horizon in config.horizons:
+        base = fixed_units | units_of(base_masks[horizon].provenance)
+        per_pattern = [
+            networks.setdefault(base.union(*(u for u, hit in zip(risk_units, pattern) if hit)), len(networks))
+            for pattern in patterns
+        ]
+        sample_network[horizon] = np.array(per_pattern, dtype=np.int64)[sample_pattern]
+    closed_sets = [frozenset(eid for unit in units for eid in unit_edges[unit]) for units in networks]
     cache = _evaluate_distinct_masks(
-        list(distinct), graph, demands, supplies, config.d0_minutes, snapped, config.workers
+        closed_sets, graph, demands, supplies, config.d0_minutes, snapped, config.workers
     )
+    score_table = np.stack([cache[key] for key in closed_sets])
 
     demand_ids = tuple(d.demand_id for d in demands)
     result = ScenarioResult(
@@ -304,6 +332,7 @@ def run_scenario(
         demand_ids=demand_ids,
         failure_probability=failure_probability,
         exposures=exposures,
+        fragility_checksum=table.checksum(),
     )
     population = {d.demand_id: d.population for d in demands}
     subgroup_weights = {
@@ -312,7 +341,7 @@ def run_scenario(
     }
 
     for horizon in config.horizons:
-        sample_scores = np.stack([cache[key] for key in sample_keys[horizon]])
+        sample_scores = score_table[sample_network[horizon]]
         mean_scores = sample_scores.mean(axis=0)
         cov = _column_cov(sample_scores)
         mean_access = access.AccessScores(

@@ -345,3 +345,76 @@ def test_snapped_shortcut_matches_fresh_snapping():
     a = network.travel_time_table(graph, None, demands, supplies, 40.0)
     b = network.travel_time_table(graph, None, demands, supplies, 40.0, snapped=snapped)
     assert a == b
+
+
+def chained_sited_graph(rng):
+    """random_sited_graph with series chains added: through, looped back and
+    dangling, with a demand or supply site on some chain interiors."""
+    graph, demands, supplies, _, _ = random_sited_graph(rng)
+    nodes = list(graph.nodes.values())
+    edges = list(graph.edges.values())
+    demands, supplies = list(demands), list(supplies)
+    for c in range(int(rng.integers(1, 6))):
+        start = graph.node_ids[int(rng.integers(0, len(graph.node_ids)))]
+        shape = rng.choice(["through", "loop", "dangling"])
+        prev = start
+        for j in range(int(rng.integers(1, 5))):
+            node = network.Node(f"c{c}p{j}", 20_000.0 + 100.0 * c, 100.0 * j)
+            nodes.append(node)
+            edges.append(road(f"c{c}e{j}", prev, node.node_id, float(rng.uniform(30.0, 900.0))))
+            prev = node.node_id
+            if rng.random() < 0.25:
+                demands.append(access.DemandSite(f"cd{c}{j}", node.x, node.y, float(rng.uniform(1, 9))))
+            elif rng.random() < 0.2:
+                supplies.append(access.SupplySite(f"cs{c}{j}", node.x, node.y, float(rng.uniform(1, 9))))
+        end = {"through": graph.node_ids[int(rng.integers(0, len(graph.node_ids)))], "loop": start}.get(shape)
+        if end is not None and end != prev:
+            edges.append(road(f"c{c}end", prev, end, float(rng.uniform(30.0, 900.0))))
+    return network.build_graph(nodes, edges, []), demands, supplies
+
+
+def test_closure_units_are_maximal_series_chains():
+    rng = np.random.default_rng(2024)
+    for _ in range(40):
+        graph, demands, supplies = chained_sited_graph(rng)
+        sited = np.concatenate([network.snap_sites(graph, demands), network.snap_sites(graph, supplies)])
+        units = dict(zip(graph.edge_ids, network.closure_units(graph, sited).tolist()))
+        incident: dict[str, list[str]] = {nid: [] for nid in graph.node_ids}
+        for eid in graph.edge_ids:
+            incident[graph.edges[eid].u].append(eid)
+            incident[graph.edges[eid].v].append(eid)
+        sited_ids = {graph.node_ids[i] for i in sited}
+        interior = {nid for nid, eids in incident.items() if len(eids) == 2 and nid not in sited_ids}
+        for nid in interior:  # a unit never stops at an interior node
+            assert units[incident[nid][0]] == units[incident[nid][1]]
+        ends: dict[int, int] = {}
+        for nid, eids in incident.items():
+            if nid not in interior:
+                for eid in eids:
+                    ends[units[eid]] = ends.get(units[eid], 0) + 1
+        # nor crosses a sited or junction node: at most its two ends touch one
+        assert max(ends.values()) <= 2
+        # every interior node merges exactly two units into one, so none is merged past it
+        assert len(set(units.values())) == len(graph.edge_ids) - len(interior)
+
+
+def test_canonical_unit_closure_scores_like_raw_closure():
+    rng = np.random.default_rng(77)
+    for _ in range(40):
+        graph, demands, supplies = chained_sited_graph(rng)
+        sited = np.concatenate([network.snap_sites(graph, demands), network.snap_sites(graph, supplies)])
+        units = dict(zip(graph.edge_ids, network.closure_units(graph, sited).tolist()))
+        d0 = float(rng.integers(5, 80))
+        for rate in (0.05, 0.2, 0.5):
+            raw = {eid for eid in graph.edge_ids if rng.random() < rate}
+            touched = {units[eid] for eid in raw}
+            canonical = {eid for eid in graph.edge_ids if units[eid] in touched}
+            tables = [
+                network.travel_time_table(
+                    graph, network.ClosureMask({eid: network.STRUCTURAL for eid in closed}), demands, supplies, d0
+                )
+                for closed in (raw, canonical)
+            ]
+            assert tables[0] == tables[1]
+            raw_scores, canonical_scores = (access.score_vector(t, supplies, demands) for t in tables)
+            assert np.array_equal(raw_scores, canonical_scores)

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 
 import pytest
 
-from surgeaccess import scenario_io, simulate
+from surgeaccess import fragility, scenario_io, simulate
 from surgeaccess.errors import InvalidSpecError, ValidationError
 
 
@@ -267,6 +268,20 @@ def test_write_results_round_trip(tmp_path):
     overall_rows = [g for g in back["groups"] if g["group"] == "overall"]
     assert {r["horizon"] for r in overall_rows} == {"short", "long"}
     assert float(overall_rows[0]["weight"]) == 300.0
+
+
+def test_manifest_records_the_table_the_run_used(tmp_path):
+    bundle = scenario_io.generate_twin_town(p_fail=0.5, samples=50)
+    default_rows = fragility.default_table().rows
+    custom = fragility.FragilityTable([dataclasses.replace(default_rows[0], a=0.3)] + list(default_rows[1:]))
+    assert custom.checksum() != fragility.default_table().checksum()
+    result = simulate.run_scenario(
+        bundle.config, bundle.graph, bundle.bridges, bundle.supplies, bundle.demands, custom
+    )
+    assert result.fragility_checksum == custom.checksum()
+    scenario_io.write_results(result, bundle, tmp_path / "out")
+    manifest = scenario_io.read_results(tmp_path / "out")["manifest"]
+    assert manifest["fragility_checksum"] == custom.checksum()
 
 
 def test_write_results_byte_identical_across_reruns(tmp_path):

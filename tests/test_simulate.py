@@ -7,7 +7,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from surgeaccess import hazard, scenario_io, simulate
+from surgeaccess import access, fragility, hazard, network, scenario_io, simulate
 from surgeaccess.errors import InvalidInputError
 
 
@@ -208,3 +208,106 @@ def test_run_scenario_input_errors():
         simulate.run_scenario(
             bundle.config, bundle.graph, [], bundle.supplies, bundle.demands
         )
+
+
+# Mass bands whose failure probability is the constant a: p = 0, 1, 0.25, 0.5, 0.75.
+CONSTANT_P_TABLE = fragility.FragilityTable(
+    [
+        fragility.FragilityRow(0.0, 5.0, 0.0, 0.0, 0.0),
+        fragility.FragilityRow(5.0, 10.0, 1.0, 0.0, 0.0),
+        fragility.FragilityRow(10.0, 15.0, 0.25, 0.0, 0.0),
+        fragility.FragilityRow(15.0, 20.0, 0.5, 0.0, 0.0),
+        fragility.FragilityRow(20.0, 35.0, 0.75, 0.0, 0.0),
+    ]
+)
+MASS_FOR_P = {0.0: 2.0, 1.0: 7.0, 0.25: 12.0, 0.5: 17.0, 0.75: 22.0}
+
+
+def river_town(samples=300):
+    """Two banks joined by bridge corridors: series chains of spans and
+    single spans, with p = 0, p = 1 and at-risk bridges mixed, a site on
+    one pier, a low deck and low roads that flood on the short horizon."""
+    nodes = [
+        network.Node(f"{bank}{i}", x, 1000.0 * i) for bank, x in (("w", 0.0), ("e", 3000.0)) for i in range(4)
+    ]
+    edges = []
+    for bank in "we":  # slow bank roads so the catchment cuts some pairs
+        for i in range(3):
+            h_r = 1.0 if (bank, i) in (("w", 1), ("e", 2)) else 5.0
+            u, v = f"{bank}{i}", f"{bank}{i + 1}"
+            edges.append(network.Edge(f"r-{u}", u, v, 1000.0, 1.0, network.ROAD, h_r=h_r))
+    corridors = (  # (west node, east node, span probabilities, deck elevation per span)
+        ("w0", "e0", (0.25, 0.5, 0.75), (10.0, 10.0, 10.0)),
+        ("w1", "e1", (0.0, 0.5), (10.0, 10.0)),
+        ("w2", "e2", (1.0, 0.25), (10.0, 1.0)),
+        ("w3", "e3", (0.5,), (10.0,)),
+        ("w3", "e2", (0.0,), (10.0,)),
+        ("w0", "e1", (1.0,), (10.0,)),
+        ("w1", "e0", (0.75, 0.25), (1.0, 10.0)),
+    )
+    bridges = []
+    for c, (west, east, probs, decks) in enumerate(corridors):
+        y0, y1 = float(west[1:]) * 1000.0, float(east[1:]) * 1000.0
+        prev = west
+        for k, (p, deck) in enumerate(zip(probs, decks)):
+            last = k == len(probs) - 1
+            t = (k + 1) / len(probs)
+            end = east if last else f"c{c}p{k}"
+            if not last:
+                nodes.append(network.Node(end, 3000.0 * t, y0 + (y1 - y0) * t + 7.0 * c))
+            bid = f"b{c}{k}"
+            bridges.append(network.BridgeRecord(bid, deck, MASS_FOR_P[p], 3000.0 * (t - 0.5 / len(probs)), y0))
+            span = 3000.0 / len(probs)
+            edges.append(network.Edge(f"s-{bid}", prev, end, span, 10.0, network.BRIDGE, bridge_id=bid))
+            prev = end
+    graph = network.build_graph(nodes, edges, bridges)
+    pier = graph.nodes["c1p0"]
+    demands = [
+        access.DemandSite(f"d{i}", 0.0, 1000.0 * i, 100.0 * (i + 1), {"g": 10.0 * i}) for i in range(4)
+    ] + [access.DemandSite("d-pier", pier.x, pier.y, 50.0)]
+    supplies = [access.SupplySite(f"s{i}", 3000.0, 1000.0 * i, 5.0 + i) for i in range(4)]
+    supplies.append(access.SupplySite("s-west", 0.0, 2000.0, 3.0))
+    surge = hazard.SurgeField([1500.0], [1500.0], [2.0], [0.0])
+    config = simulate.ScenarioConfig(storm="river", surge=surge, samples=samples, seed=5, d0_minutes=30.0)
+    return config, graph, bridges, supplies, demands
+
+
+def raw_key_sample_scores(result, config, graph, supplies, demands, horizon):
+    """Reference: every sample closes its raw edge set (closure_mask with
+    every bridge drawn), then travel_time_table and score_vector."""
+    snapped = (network.snap_sites(graph, demands), network.snap_sites(graph, supplies))
+    cache = {}
+    rows = []
+    for index in range(result.samples):
+        draw = simulate.sample_failures(result.failure_probability, config.seed, index)
+        mask = network.closure_mask(graph, result.exposures, config.thresholds, draw, horizon)
+        if mask.closed_edges not in cache:
+            table = network.travel_time_table(graph, mask, demands, supplies, config.d0_minutes, snapped=snapped)
+            cache[mask.closed_edges] = access.score_vector(table, supplies, demands) * access.SCORE_SCALE
+        rows.append(cache[mask.closed_edges])
+    return np.stack(rows)
+
+
+def test_unit_keys_match_raw_key_reference_on_mixed_bridges():
+    config, graph, bridges, supplies, demands = river_town()
+    result = simulate.run_scenario(config, graph, bridges, supplies, demands, CONSTANT_P_TABLE)
+    assert sorted(set(result.failure_probability.values())) == [0.0, 0.25, 0.5, 0.75, 1.0]
+    for horizon, hres in result.horizons.items():
+        reference = raw_key_sample_scores(result, config, graph, supplies, demands, horizon)
+        assert np.array_equal(hres.sample_scores, reference)
+        assert len(np.unique(reference, axis=0)) > 2  # the draws really vary the network
+    assert not np.array_equal(result.horizons["short"].sample_scores, result.horizons["long"].sample_scores)
+    pooled = simulate.run_scenario(
+        scenario_io.override_config(config, workers=2), graph, bridges, supplies, demands, CONSTANT_P_TABLE
+    )
+    for horizon, hres in result.horizons.items():
+        assert np.array_equal(pooled.horizons[horizon].sample_scores, hres.sample_scores)
+
+
+def test_unit_keys_match_raw_key_reference_on_storm2(storm2_bundle):
+    bundle = storm2_bundle
+    config = scenario_io.override_config(bundle.config, samples=100)
+    result = simulate.run_scenario(config, bundle.graph, bundle.bridges, bundle.supplies, bundle.demands)
+    for horizon, hres in result.horizons.items():
+        reference = raw_key_sample_scores(result, config, bundle.graph, bundle.supplies, bundle.demands, horizon)
+        assert np.array_equal(hres.sample_scores, reference)
