@@ -128,13 +128,7 @@ def ratio_vector(
     Supplies whose catchment holds zero population are inert: their ratio
     is reported as 0 here and they are dropped from the mapping form.
     """
-    d_idx, s_idx = _table_pairs(table, supplies, demands)
-    pop = np.array([d.population for d in demands], dtype=float)
-    cap = np.array([s.capacity for s in supplies], dtype=float)
-    denom = np.bincount(s_idx, weights=pop[d_idx], minlength=len(supplies))
-    ratio = np.zeros(len(supplies), dtype=float)
-    np.divide(cap, denom, out=ratio, where=denom > 0.0)
-    return ratio, denom
+    return two_step(*_table_pairs(table, supplies, demands), supplies, demands)[1:]
 
 
 def score_vector(
@@ -143,13 +137,23 @@ def score_vector(
     demands: Sequence[DemandSite],
 ) -> np.ndarray:
     """Unscaled accessibility score per demand, aligned to the demand list."""
-    d_idx, s_idx = _table_pairs(table, supplies, demands)
+    return two_step(*_table_pairs(table, supplies, demands), supplies, demands)[0]
+
+
+def two_step(
+    d_idx: np.ndarray, s_idx: np.ndarray, supplies: Sequence[SupplySite], demands: Sequence[DemandSite]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Binary 2SFCA from reachable (demand, supply) list-position pairs:
+    (unscaled score per demand, ratio per supply, reachable population
+    per supply). Pairs come sorted by demand, then supply, as row-major
+    np.nonzero of a demand x supply matrix yields them, so every sum
+    accumulates in one fixed order."""
     pop = np.array([d.population for d in demands], dtype=float)
     cap = np.array([s.capacity for s in supplies], dtype=float)
     denom = np.bincount(s_idx, weights=pop[d_idx], minlength=len(supplies))
     ratio = np.zeros(len(supplies), dtype=float)
     np.divide(cap, denom, out=ratio, where=denom > 0.0)
-    return np.bincount(d_idx, weights=ratio[s_idx], minlength=len(demands))
+    return np.bincount(d_idx, weights=ratio[s_idx], minlength=len(demands)), ratio, denom
 
 
 def supply_ratios(

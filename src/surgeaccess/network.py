@@ -6,10 +6,13 @@ at a bridge record that holds deck elevation and superstructure mass.
 Travel times are free-flow minutes; anything beyond the catchment radius
 d0 is treated as unreachable.
 
-Shortest paths run on a compressed-sparse matrix via scipy's Dijkstra.
-Parallel edges between the same node pair are collapsed to the fastest
-open one before routing, because sparse construction would otherwise sum
-their weights.
+Shortest paths run on a compressed-sparse matrix via scipy's Dijkstra,
+with closed edges given as a boolean per edge. Parallel edges between
+the same node pair are collapsed to the fastest open one before routing,
+because sparse construction would otherwise sum their weights. Binary
+2SFCA needs only which pairs lie within d0 (reachable); the minutes are
+kept only by travel_time_table. live_edges finds the edges that lie on
+no within-d0 path, whose closure cannot change reachability.
 """
 
 from __future__ import annotations
@@ -111,30 +114,28 @@ class RoadGraph:
                 self._edges_by_bridge[edge.bridge_id] = cur + (eid,)
 
         self.component_count = int(
-            connected_components(self._adjacency(frozenset()), directed=False, return_labels=False)
+            connected_components(self._adjacency(), directed=False, return_labels=False)
         )
 
-    def _adjacency(self, closed_edge_ids: frozenset[str]) -> csr_matrix:
-        """Upper-triangle sparse minutes matrix with closed edges removed."""
+    def _adjacency(self, closed: np.ndarray | None = None) -> csr_matrix:
+        """Upper-triangle sparse minutes matrix without the closed edges
+        (a boolean per edge, aligned with edge_ids; None closes none)."""
         n = len(self.node_ids)
-        if closed_edge_ids:
-            keep = np.array([eid not in closed_edge_ids for eid in self.edge_ids], dtype=bool)
-            u, v, w = self._edge_u[keep], self._edge_v[keep], self._edge_minutes[keep]
-        else:
-            u, v, w = self._edge_u, self._edge_v, self._edge_minutes
-        lo = np.minimum(u, v)
-        hi = np.maximum(u, v)
-        key = lo * n + hi
+        u, v, w = self._edge_u, self._edge_v, self._edge_minutes
+        if closed is not None:
+            u, v, w = u[~closed], v[~closed], w[~closed]
+        key = np.minimum(u, v) * n + np.maximum(u, v)
         order = np.argsort(key, kind="stable")
         key, w = key[order], w[order]
-        starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]]) if key.size else np.array([], dtype=np.int64)
-        if key.size:
-            w_min = np.minimum.reduceat(w, starts)
-            key_u = key[starts]
-        else:
-            w_min = w
-            key_u = key
-        return csr_matrix((w_min, (key_u // n, key_u % n)), shape=(n, n))
+        starts = np.flatnonzero(np.diff(key, prepend=-1))  # keys are >= 0
+        w_min = np.minimum.reduceat(w, starts) if key.size else w
+        return csr_matrix((w_min, (key[starts] // n, key[starts] % n)), shape=(n, n))
+
+    def edge_flags(self, edge_ids: Iterable[str]) -> np.ndarray:
+        """Boolean per edge, aligned with edge_ids, set for the named edges the graph holds."""
+        flags = np.zeros(len(self.edge_ids), dtype=bool)
+        flags[[self._edge_pos[eid] for eid in edge_ids if eid in self._edge_pos]] = True
+        return flags
 
     def edges_for_bridge(self, bridge_id: str) -> tuple[str, ...]:
         return self._edges_by_bridge.get(bridge_id, ())
@@ -282,12 +283,6 @@ class ClosureMask:
     def __len__(self) -> int:
         return len(self.provenance)
 
-    def __contains__(self, edge_id: str) -> bool:
-        return edge_id in self.provenance
-
-
-OPEN_MASK = ClosureMask(provenance={})
-
 
 def closure_mask(
     graph: RoadGraph,
@@ -402,14 +397,10 @@ class TravelTimeTable:
     def __len__(self) -> int:
         return int(self.minutes.shape[0])
 
-    def items(self):
-        """((demand_id, supply_id), minutes) pairs in deterministic order."""
-        for d, s, t in zip(self.demand_index, self.supply_index, self.minutes):
-            yield (self.demand_ids[d], self.supply_ids[s]), float(t)
-
     def get(self, demand_id: str, supply_id: str) -> float | None:
         if self._lookup is None:
-            self._lookup = {key: t for key, t in self.items()}
+            pairs = zip(self.demand_index, self.supply_index, self.minutes)
+            self._lookup = {(self.demand_ids[d], self.supply_ids[s]): float(t) for d, s, t in pairs}
         return self._lookup.get((demand_id, supply_id))
 
     def __eq__(self, other: object) -> bool:
@@ -443,50 +434,63 @@ def travel_time_table(
 ) -> TravelTimeTable:
     """All demand-supply travel times within d0 on the masked network.
 
-    Sites snap to their nearest node first. Dijkstra runs from whichever
-    side has fewer sites; the bound makes the search prune anything past
-    the catchment. Pass precomputed snap indices through `snapped` when
-    calling repeatedly on the same geometry.
+    Sites snap to their nearest node first; pass precomputed snap indices
+    through `snapped` when calling repeatedly on the same geometry.
     """
     if not (math.isfinite(d0_minutes) and d0_minutes > 0.0):
         raise InvalidInputError(f"d0 must be finite and > 0, got {d0_minutes}")
     demand_ids = tuple(str(d.demand_id) for d in demands)
     supply_ids = tuple(str(s.supply_id) for s in supplies)
-    if len(set(demand_ids)) != len(demand_ids):
-        raise InvalidInputError("duplicate demand ids")
-    if len(set(supply_ids)) != len(supply_ids):
-        raise InvalidInputError("duplicate supply ids")
+    for kind, ids in (("demand", demand_ids), ("supply", supply_ids)):
+        if len(set(ids)) != len(ids):
+            raise InvalidInputError(f"duplicate {kind} ids")
 
     if snapped is None:
-        demand_nodes = snap_sites(graph, demands)
-        supply_nodes = snap_sites(graph, supplies)
-    else:
-        demand_nodes, supply_nodes = snapped
-        demand_nodes = np.asarray(demand_nodes, dtype=np.int64)
-        supply_nodes = np.asarray(supply_nodes, dtype=np.int64)
-        if demand_nodes.shape != (len(demands),) or supply_nodes.shape != (len(supplies),):
-            raise InvalidInputError("snapped node arrays do not match the site lists")
+        snapped = (snap_sites(graph, demands), snap_sites(graph, supplies))
+    demand_nodes, supply_nodes = (np.asarray(nodes, dtype=np.int64) for nodes in snapped)
+    if demand_nodes.shape != (len(demands),) or supply_nodes.shape != (len(supplies),):
+        raise InvalidInputError("snapped node arrays do not match the site lists")
 
-    empty = (
-        np.array([], dtype=np.int64),
-        np.array([], dtype=np.int64),
-        np.array([], dtype=float),
-    )
-    if not demand_ids or not supply_ids:
-        return TravelTimeTable(demand_ids, supply_ids, *empty, d0_minutes)
-
-    adjacency = graph._adjacency(mask.closed_edges if mask is not None else frozenset())
-    if len(demand_ids) <= len(supply_ids):
-        src_nodes, dst_nodes = demand_nodes, supply_nodes
-    else:
-        src_nodes, dst_nodes = supply_nodes, demand_nodes
-    unique_src, src_row = np.unique(src_nodes, return_inverse=True)
-    dist = dijkstra(adjacency, directed=False, indices=unique_src, limit=d0_minutes)
-    pair_minutes = dist[np.ix_(src_row, dst_nodes)]
-    if len(demand_ids) > len(supply_ids):
-        pair_minutes = pair_minutes.T
+    closed = graph.edge_flags(mask.provenance) if mask is not None else None
+    pair_minutes = _site_minutes(graph, closed, demand_nodes, supply_nodes, d0_minutes)
     within = pair_minutes <= d0_minutes  # inf fails the comparison
-    d_idx, s_idx = np.nonzero(within)
-    return TravelTimeTable(
-        demand_ids, supply_ids, d_idx, s_idx, pair_minutes[within], d0_minutes
+    return TravelTimeTable(demand_ids, supply_ids, *np.nonzero(within), pair_minutes[within], d0_minutes)
+
+
+def reachable(graph: RoadGraph, closed, demand_nodes, supply_nodes, d0_minutes: float) -> np.ndarray:
+    """Demand x supply booleans, True where the supply lies within d0
+    minutes. Nodes are snapped site indices into graph.node_ids; closed
+    is a boolean per edge, as for RoadGraph._adjacency."""
+    return _site_minutes(graph, closed, demand_nodes, supply_nodes, d0_minutes) <= d0_minutes
+
+
+def _site_minutes(graph, closed, demand_nodes, supply_nodes, d0_minutes) -> np.ndarray:
+    """Demand x supply free-flow minutes, inf beyond d0.
+
+    Dijkstra runs once, from whichever side has fewer sites; the bound
+    makes the search prune anything past the catchment.
+    """
+    if not demand_nodes.size or not supply_nodes.size:
+        return np.full((demand_nodes.size, supply_nodes.size), np.inf)
+    transposed = demand_nodes.size > supply_nodes.size
+    src_nodes, dst_nodes = (supply_nodes, demand_nodes) if transposed else (demand_nodes, supply_nodes)
+    unique_src, src_row = np.unique(src_nodes, return_inverse=True)
+    dist = dijkstra(graph._adjacency(closed), directed=False, indices=unique_src, limit=d0_minutes)
+    pair_minutes = dist[np.ix_(src_row, dst_nodes)]
+    return pair_minutes.T if transposed else pair_minutes
+
+
+def live_edges(graph: RoadGraph, closed, demand_nodes, supply_nodes, d0_minutes: float) -> np.ndarray:
+    """Per edge: can it lie on a within-d0 path between sites?
+
+    One multi-source Dijkstra runs, from the side _site_minutes searches
+    from, on the network without the closed edges. An edge is live when
+    its nearer end plus its own minutes is within d0. Closing edges only
+    lengthens paths and float addition is monotone, so closing edges that
+    are not live, on top of `closed`, leaves reachable() as it is.
+    """
+    src_nodes = supply_nodes if demand_nodes.size > supply_nodes.size else demand_nodes
+    dist = dijkstra(
+        graph._adjacency(closed), directed=False, indices=np.unique(src_nodes), limit=d0_minutes, min_only=True
     )
+    return np.minimum(dist[graph._edge_u], dist[graph._edge_v]) + graph._edge_minutes <= d0_minutes

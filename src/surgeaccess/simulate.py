@@ -11,7 +11,10 @@ Only bridges with a failure probability strictly between 0 and 1 are
 drawn; the rest fail always or never. Samples are keyed on closure units
 (see network.closure_units): samples whose closed edges touch the same
 units share one network evaluation, evaluated on the canonical closed
-set that takes every edge of each touched unit.
+set that takes every edge of each touched unit. Units that lie on no
+within-d0 path on a horizon's base network are left out of its keys
+(see network.live_edges). Each network costs one bounded Dijkstra, and
+its scores come straight from the reachability matrix.
 """
 
 from __future__ import annotations
@@ -62,6 +65,15 @@ def _check_probability(bridge_id: str, p: float) -> None:
         raise InvalidInputError(f"bridge {bridge_id}: probability {p} outside [0, 1]")
 
 
+# Candidate rows convergence_report checks per step before it looks for a settled one.
+_CONVERGENCE_BLOCK = 256
+
+
+def _running_mean(trace: np.ndarray) -> np.ndarray:
+    """Cumulative mean down the rows of a 2-d per-sample array."""
+    return np.cumsum(trace, axis=0) / np.arange(1, trace.shape[0] + 1, dtype=float)[:, None]
+
+
 def convergence_report(
     trace: np.ndarray,
     window: int = 100,
@@ -73,7 +85,9 @@ def convergence_report(
     is fine). The estimate at n is converged when the trailing `window`
     running means span a range of at most tolerance * |current mean|
     (exactly zero range when the current mean is zero). Returns None if
-    the trace never settles or is shorter than the window.
+    the trace never settles or is shorter than the window. Candidate
+    rows are checked a block at a time, and the scan stops at the first
+    block that holds a settled row.
     """
     if window < 1:
         raise InvalidInputError(f"window must be >= 1, got {window}")
@@ -85,17 +99,18 @@ def convergence_report(
     if trace.ndim != 2 or trace.shape[0] == 0:
         raise InvalidInputError("trace must be a non-empty 1-d or 2-d array")
     n = trace.shape[0]
-    if n < window:
-        return None
-    running = np.cumsum(trace, axis=0) / np.arange(1, n + 1, dtype=float)[:, None]
-    windows = sliding_window_view(running, window, axis=0)  # (n-window+1, k, window)
-    spans = windows.max(axis=-1) - windows.min(axis=-1)
-    reference = np.abs(running[window - 1 :])
-    settled = np.where(reference > 0.0, spans <= tolerance * reference, spans == 0.0)
-    rows = np.flatnonzero(settled.all(axis=1))
-    if rows.size == 0:
-        return None
-    return int(rows[0]) + window
+    running = _running_mean(trace)
+    for start in range(0, n - window + 1, _CONVERGENCE_BLOCK):
+        stop = min(start + _CONVERGENCE_BLOCK, n - window + 1)
+        # Row r of this block is the window of running means ending at sample start + r + window.
+        windows = sliding_window_view(running[start : stop + window - 1], window, axis=0)
+        spans = windows.max(axis=-1) - windows.min(axis=-1)
+        reference = np.abs(running[start + window - 1 : stop + window - 1])
+        settled = np.where(reference > 0.0, spans <= tolerance * reference, spans == 0.0)
+        rows = np.flatnonzero(settled.all(axis=1))
+        if rows.size:
+            return start + int(rows[0]) + window
+    return None
 
 
 @dataclass(frozen=True)
@@ -137,7 +152,7 @@ class HorizonResult:
 
     Scores are scaled to capacity per 1,000 residents. sample_scores has
     one row per Monte Carlo sample and one column per demand site;
-    running_mean holds its cumulative means, the per-demand convergence
+    running_mean gives its cumulative means, the per-demand convergence
     trace. converged_at is the first sample count at which every
     demand's running mean has settled, or None.
     """
@@ -152,7 +167,10 @@ class HorizonResult:
     average_cov: float
     converged_at: int | None
     sample_scores: np.ndarray
-    running_mean: np.ndarray
+
+    @property
+    def running_mean(self) -> np.ndarray:
+        return _running_mean(self.sample_scores)
 
 
 @dataclass
@@ -168,61 +186,33 @@ class ScenarioResult:
     horizons: dict[str, HorizonResult] = field(default_factory=dict)
 
 
-# Worker context for parallel mask evaluation; set once per process.
+# Worker context for parallel network evaluation; set once per process.
 _WORKER_CTX: tuple | None = None
 
 
-def _init_worker(graph, demands, supplies, d0_minutes, snapped) -> None:
+def _init_worker(graph, snapped, supplies, demands, d0_minutes) -> None:
     global _WORKER_CTX
-    _WORKER_CTX = (graph, demands, supplies, d0_minutes, snapped)
+    _WORKER_CTX = (graph, snapped, supplies, demands, d0_minutes)
 
 
-def _scaled_scores_for_closed_set(
-    graph: network.RoadGraph,
-    closed_edge_ids: frozenset[str],
-    demands: Sequence[access.DemandSite],
-    supplies: Sequence[access.SupplySite],
-    d0_minutes: float,
-    snapped: tuple[np.ndarray, np.ndarray],
-) -> np.ndarray:
-    mask = network.ClosureMask(provenance={eid: network.STRUCTURAL for eid in sorted(closed_edge_ids)})
-    table = network.travel_time_table(graph, mask, demands, supplies, d0_minutes, snapped=snapped)
-    return access.score_vector(table, supplies, demands) * access.SCORE_SCALE
+def _network_scores(closed: np.ndarray, graph, snapped, supplies, demands, d0_minutes) -> np.ndarray:
+    """Scaled score per demand on the network without the closed edges."""
+    reach = network.reachable(graph, closed, *snapped, d0_minutes)
+    return access.two_step(*np.nonzero(reach), supplies, demands)[0] * access.SCORE_SCALE
 
 
-def _eval_in_worker(closed_edge_ids: frozenset[str]) -> np.ndarray:
-    graph, demands, supplies, d0_minutes, snapped = _WORKER_CTX
-    return _scaled_scores_for_closed_set(graph, closed_edge_ids, demands, supplies, d0_minutes, snapped)
+def _eval_in_worker(closed: np.ndarray) -> np.ndarray:
+    return _network_scores(closed, *_WORKER_CTX)
 
 
-def _evaluate_distinct_masks(
-    keys: list[frozenset[str]],
-    graph: network.RoadGraph,
-    demands: Sequence[access.DemandSite],
-    supplies: Sequence[access.SupplySite],
-    d0_minutes: float,
-    snapped: tuple[np.ndarray, np.ndarray],
-    workers: int,
-) -> dict[frozenset[str], np.ndarray]:
-    """Score vector per distinct closed-edge set.
-
-    Keys are evaluated in a fixed sorted order and each evaluation is a
-    pure function of its key, so the result is identical for any worker
-    count.
-    """
-    ordered = sorted(keys, key=lambda k: tuple(sorted(k)))
-    if workers <= 1 or len(ordered) < 2:
-        return {
-            key: _scaled_scores_for_closed_set(graph, key, demands, supplies, d0_minutes, snapped)
-            for key in ordered
-        }
-    with ProcessPoolExecutor(
-        max_workers=workers,
-        initializer=_init_worker,
-        initargs=(graph, demands, supplies, d0_minutes, snapped),
-    ) as pool:
-        vectors = list(pool.map(_eval_in_worker, ordered, chunksize=max(1, len(ordered) // (4 * workers))))
-    return dict(zip(ordered, vectors))
+def _evaluate_networks(closed_sets: list[np.ndarray], workers: int, context: tuple) -> list[np.ndarray]:
+    """Score vector per closed-edge array, in list order. Each is a pure
+    function of its array, so any worker count gives the same result."""
+    if workers <= 1 or len(closed_sets) < 2:
+        return [_network_scores(closed, *context) for closed in closed_sets]
+    with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=context) as pool:
+        chunksize = max(1, len(closed_sets) // (4 * workers))
+        return list(pool.map(_eval_in_worker, closed_sets, chunksize=chunksize))
 
 
 def _column_cov(sample_scores: np.ndarray) -> np.ndarray:
@@ -255,13 +245,19 @@ def run_scenario(
     set and bridges with p = 0 never do; only the rest are sampled, and
     each sample is keyed on its pattern of failed at-risk bridges. Each
     pattern maps, per horizon, to the set of closure units its closed
-    edges touch, and each distinct unit set is evaluated once, on all
-    edges of its units, shared across horizons. The resulting K x D
-    score table (K networks, D demands) is indexed per sample. Subgroups
-    with zero total weight are left out of the group averages.
+    edges touch, less the units no demand can reach within d0 on that
+    horizon's base network (see network.live_edges). Each distinct unit
+    set is evaluated once, on all edges of its units, shared across
+    horizons. The resulting K x D score table (K networks, D demands) is
+    indexed per sample. Subgroups with zero total weight are left out of
+    the group averages.
     """
     if not demands:
         raise InvalidInputError("scenario needs at least one demand location")
+    demand_ids = tuple(d.demand_id for d in demands)
+    for kind, ids in (("demand", demand_ids), ("supply", [s.supply_id for s in supplies])):
+        if len(set(ids)) != len(ids):
+            raise InvalidInputError(f"duplicate {kind} ids")
     if {b.bridge_id for b in bridges} != set(graph.bridges):
         raise InvalidInputError("bridge records do not match the graph's bridges")
     table = fragility_table if fragility_table is not None else fragility.default_table()
@@ -276,9 +272,8 @@ def run_scenario(
     for rec in bridge_rows:
         exp = exposures.bridges[rec.bridge_id]
         row = table.coefficients_for(rec.mass_ton_per_m)
-        failure_probability[rec.bridge_id] = fragility.uplift_probability(row, exp.h_max, exp.z_c)
-    for bid, p in failure_probability.items():
-        _check_probability(bid, p)
+        p = failure_probability[rec.bridge_id] = fragility.uplift_probability(row, exp.h_max, exp.z_c)
+        _check_probability(rec.bridge_id, p)
     # u < 0 never holds and u < 1 always does, so only 0 < p < 1 needs a draw.
     at_risk = {bid: p for bid, p in failure_probability.items() if 0.0 < p < 1.0}
     always = [bid for bid, p in failure_probability.items() if p == 1.0]
@@ -298,13 +293,10 @@ def run_scenario(
 
     # Pass two: patterns to closure-unit sets, one evaluation per distinct set.
     snapped = (network.snap_sites(graph, demands), network.snap_sites(graph, supplies))
-    unit_of = dict(zip(graph.edge_ids, network.closure_units(graph, np.concatenate(snapped)).tolist()))
-    unit_edges: dict[int, list[str]] = {}
-    for eid, unit in unit_of.items():
-        unit_edges.setdefault(unit, []).append(eid)
+    units = network.closure_units(graph, np.concatenate(snapped))
 
     def units_of(edge_ids) -> frozenset[int]:
-        return frozenset(unit_of[eid] for eid in edge_ids)
+        return frozenset(units[graph.edge_flags(edge_ids)].tolist())
 
     risk_units = [units_of(graph.edges_for_bridge(bid)) for bid in at_risk]
     fixed_units = units_of(eid for bid in always for eid in graph.edges_for_bridge(bid))
@@ -312,18 +304,19 @@ def run_scenario(
     sample_network: dict[str, np.ndarray] = {}
     for horizon in config.horizons:
         base = fixed_units | units_of(base_masks[horizon].provenance)
+        live = network.live_edges(graph, np.isin(units, sorted(base)), *snapped, config.d0_minutes)
+        live_units = frozenset(units[live].tolist())
         per_pattern = [
-            networks.setdefault(base.union(*(u for u, hit in zip(risk_units, pattern) if hit)), len(networks))
+            networks.setdefault(
+                base.union(*(u & live_units for u, hit in zip(risk_units, pattern) if hit)), len(networks)
+            )
             for pattern in patterns
         ]
         sample_network[horizon] = np.array(per_pattern, dtype=np.int64)[sample_pattern]
-    closed_sets = [frozenset(eid for unit in units for eid in unit_edges[unit]) for units in networks]
-    cache = _evaluate_distinct_masks(
-        closed_sets, graph, demands, supplies, config.d0_minutes, snapped, config.workers
-    )
-    score_table = np.stack([cache[key] for key in closed_sets])
+    closed_sets = [np.isin(units, sorted(key)) for key in networks]
+    context = (graph, snapped, supplies, demands, config.d0_minutes)
+    score_table = np.stack(_evaluate_networks(closed_sets, config.workers, context))
 
-    demand_ids = tuple(d.demand_id for d in demands)
     result = ScenarioResult(
         storm=config.storm,
         seed=config.seed,
@@ -353,7 +346,6 @@ def run_scenario(
             if sum(weights.values()) > 0.0:
                 group_averages[name] = access.weighted_average(mean_access, weights)
         # Convergence requires every demand's running mean to settle.
-        running_mean = np.cumsum(sample_scores, axis=0) / np.arange(1, config.samples + 1, dtype=float)[:, None]
         converged_at = convergence_report(sample_scores, config.convergence_window, config.convergence_tolerance)
         result.horizons[horizon] = HorizonResult(
             horizon=horizon,
@@ -366,6 +358,5 @@ def run_scenario(
             average_cov=float(cov.mean()),
             converged_at=converged_at,
             sample_scores=sample_scores,
-            running_mean=running_mean,
         )
     return result

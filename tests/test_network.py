@@ -418,3 +418,78 @@ def test_canonical_unit_closure_scores_like_raw_closure():
             assert tables[0] == tables[1]
             raw_scores, canonical_scores = (access.score_vector(t, supplies, demands) for t in tables)
             assert np.array_equal(raw_scores, canonical_scores)
+
+
+def test_reachable_matches_table_support_and_floyd_warshall():
+    rng = np.random.default_rng(5150)
+    transposed = at_limit = 0
+    for trial in range(60):
+        graph, demands, supplies, d_idx, s_idx = random_sited_graph(rng)
+        if trial % 2:  # swap roles so both search sides are covered
+            demands, supplies = (
+                [access.DemandSite(f"d{k}", s.x, s.y, 1.0) for k, s in enumerate(supplies)],
+                [access.SupplySite(f"s{k}", d.x, d.y, 1.0) for k, d in enumerate(demands)],
+            )
+            d_idx, s_idx = s_idx, d_idx
+        closed_ids = {eid for eid in graph.edge_ids if rng.random() < (0.0 if trial % 3 == 0 else 0.25)}
+        d0 = float(rng.integers(5, 80))
+        reach = network.reachable(graph, graph.edge_flags(closed_ids), np.array(d_idx), np.array(s_idx), d0)
+        table = network.travel_time_table(
+            graph, network.ClosureMask({eid: network.STRUCTURAL for eid in closed_ids}), demands, supplies, d0
+        )
+        support = np.zeros((len(demands), len(supplies)), dtype=bool)
+        support[table.demand_index, table.supply_index] = True
+        oracle = floyd_warshall_minutes(graph, frozenset(closed_ids))[np.ix_(d_idx, s_idx)]
+        assert reach.dtype == bool and reach.shape == (len(demands), len(supplies))
+        assert np.array_equal(reach, support)
+        assert np.array_equal(reach, oracle <= d0)
+        transposed += len(demands) > len(supplies)
+        at_limit += int(np.sum(oracle == d0))
+    assert transposed > 0 and at_limit > 0
+
+
+def test_reachable_boundary_and_empty_sides(monkeypatch):
+    graph = line_graph(3)  # two 1-minute hops
+    ends = np.array([0]), np.array([2])
+    assert network.reachable(graph, None, *ends, 2.0).tolist() == [[True]]
+    assert network.reachable(graph, None, *ends, 1.999).tolist() == [[False]]
+    closed = graph.edge_flags(["e01"])
+    assert network.reachable(graph, closed, *ends, 50.0).tolist() == [[False]]
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("no Dijkstra without sites on both sides")
+
+    monkeypatch.setattr(network, "dijkstra", no_search)
+    none = np.array([], dtype=np.int64)
+    assert network.reachable(graph, None, np.array([0, 1]), none, 5.0).shape == (2, 0)
+    assert network.reachable(graph, None, none, np.array([1]), 5.0).shape == (0, 1)
+
+
+def test_closing_dead_edges_leaves_reachability_unchanged():
+    rng = np.random.default_rng(8080)
+    dead_seen = 0
+    for trial in range(60):
+        graph, demands, supplies, d_idx, s_idx = random_sited_graph(rng)
+        d_nodes, s_nodes = np.array(d_idx), np.array(s_idx)
+        base = rng.random(len(graph.edge_ids)) < rng.choice([0.0, 0.1, 0.3])
+        d0 = float(rng.integers(3, 60))
+        live = network.live_edges(graph, base, d_nodes, s_nodes, d0)
+        dead = ~live & ~base
+        dead_seen += int(dead.sum())
+        want = network.reachable(graph, base, d_nodes, s_nodes, d0)
+        for _ in range(4):
+            closed = base | (dead & (rng.random(dead.size) < rng.choice([0.3, 1.0])))
+            assert np.array_equal(network.reachable(graph, closed, d_nodes, s_nodes, d0), want)
+        # any live edge whose closure changes reachability really is live
+        for e in np.flatnonzero(~base):
+            closed = base.copy()
+            closed[e] = True
+            if not np.array_equal(network.reachable(graph, closed, d_nodes, s_nodes, d0), want):
+                assert live[e]
+        # the multi-source search is the row minimum of the per-source one
+        adjacency = graph._adjacency(base)
+        sources = np.unique(np.concatenate([d_nodes, s_nodes]))
+        per_source = network.dijkstra(adjacency, directed=False, indices=sources, limit=d0)
+        multi = network.dijkstra(adjacency, directed=False, indices=sources, limit=d0, min_only=True)
+        assert np.array_equal(multi, per_source.min(axis=0))
+    assert dead_seen > 0

@@ -92,6 +92,31 @@ def test_convergence_matches_naive_scan_on_random_traces():
         assert simulate.convergence_report(trace) == naive_converged_at(trace)
 
 
+def spiked_zero_trace(last_spike, length, gap=50):
+    """Zero trace whose running mean is non-zero only at a spike every `gap`
+    rows up to last_spike; with gap < window it first settles at sample
+    count last_spike + window + 1."""
+    trace = np.zeros(length)
+    for k in range(last_spike, -1, -gap):
+        trace[k], trace[k + 1] = 1.0, -1.0
+    return trace
+
+
+def test_convergence_matches_naive_scan_around_block_boundaries():
+    block = simulate._CONVERGENCE_BLOCK
+    for window in (100, block + 44):
+        for boundary in (block, 2 * block):
+            for row in (boundary - 1, boundary, boundary + 1):  # first settled row
+                trace = spiked_zero_trace(row - 1, row + window + 150)
+                assert naive_converged_at(trace, window) == row + window
+                assert simulate.convergence_report(trace, window) == row + window
+                other = spiked_zero_trace(row // 2, len(trace))  # an earlier-settling column
+                assert simulate.convergence_report(np.stack([other, trace], axis=1), window) == row + window
+        never = spiked_zero_trace(3 * block, 3 * block + window // 2)  # last window always holds a spike
+        assert naive_converged_at(never, window) is None
+        assert simulate.convergence_report(never, window) is None
+
+
 def test_convergence_growing_trace_never_settles():
     assert simulate.convergence_report(np.arange(1000, dtype=float)) is None
 
