@@ -128,7 +128,7 @@ def ratio_vector(
     Supplies whose catchment holds zero population are inert: their ratio
     is reported as 0 here and they are dropped from the mapping form.
     """
-    return two_step(*_table_pairs(table, supplies, demands), supplies, demands)[1:]
+    return two_step(*_table_pairs(table, supplies, demands), *site_weights(demands, supplies))[1:]
 
 
 def score_vector(
@@ -137,23 +137,26 @@ def score_vector(
     demands: Sequence[DemandSite],
 ) -> np.ndarray:
     """Unscaled accessibility score per demand, aligned to the demand list."""
-    return two_step(*_table_pairs(table, supplies, demands), supplies, demands)[0]
+    return two_step(*_table_pairs(table, supplies, demands), *site_weights(demands, supplies))[0]
+
+
+def site_weights(demands: Sequence[DemandSite], supplies: Sequence[SupplySite]) -> tuple[np.ndarray, np.ndarray]:
+    """(population per demand, capacity per supply), the arrays two_step takes."""
+    return np.array([d.population for d in demands], dtype=float), np.array([s.capacity for s in supplies], dtype=float)
 
 
 def two_step(
-    d_idx: np.ndarray, s_idx: np.ndarray, supplies: Sequence[SupplySite], demands: Sequence[DemandSite]
+    d_idx: np.ndarray, s_idx: np.ndarray, pop: np.ndarray, cap: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Binary 2SFCA from reachable (demand, supply) list-position pairs:
-    (unscaled score per demand, ratio per supply, reachable population
-    per supply). Pairs come sorted by demand, then supply, as row-major
-    np.nonzero of a demand x supply matrix yields them, so every sum
-    accumulates in one fixed order."""
-    pop = np.array([d.population for d in demands], dtype=float)
-    cap = np.array([s.capacity for s in supplies], dtype=float)
-    denom = np.bincount(s_idx, weights=pop[d_idx], minlength=len(supplies))
-    ratio = np.zeros(len(supplies), dtype=float)
+    """Binary 2SFCA from reachable (demand, supply) list-position pairs
+    and the site_weights arrays: (unscaled score per demand, ratio per
+    supply, reachable population per supply). Pairs come sorted by
+    demand, then supply, as row-major np.nonzero of a demand x supply
+    matrix yields them, so every sum accumulates in one fixed order."""
+    denom = np.bincount(s_idx, weights=pop[d_idx], minlength=cap.size)
+    ratio = np.zeros(cap.size, dtype=float)
     np.divide(cap, denom, out=ratio, where=denom > 0.0)
-    return np.bincount(d_idx, weights=ratio[s_idx], minlength=len(demands)), ratio, denom
+    return np.bincount(d_idx, weights=ratio[s_idx], minlength=pop.size), ratio, denom
 
 
 def supply_ratios(

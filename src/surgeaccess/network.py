@@ -12,7 +12,9 @@ the same node pair are collapsed to the fastest open one before routing,
 because sparse construction would otherwise sum their weights. Binary
 2SFCA needs only which pairs lie within d0 (reachable); the minutes are
 kept only by travel_time_table. live_edges finds the edges that lie on
-no within-d0 path, whose closure cannot change reachability.
+no within-d0 path, whose closure cannot change reachability. Networks
+that differ only in which of a few closure units are open share the
+searches of PortalDistances, through those units' end nodes.
 """
 
 from __future__ import annotations
@@ -494,3 +496,68 @@ def live_edges(graph: RoadGraph, closed, demand_nodes, supply_nodes, d0_minutes:
         graph._adjacency(closed), directed=False, indices=np.unique(src_nodes), limit=d0_minutes, min_only=True
     )
     return np.minimum(dist[graph._edge_u], dist[graph._edge_v]) + graph._edge_minutes <= d0_minutes
+
+
+class PortalDistances:
+    """Searches shared by the networks that close some `toggled` closure
+    units (ids into units, the closure_units labels for these sites) on
+    top of the base network `closed` (a boolean per edge); units with a
+    base-closed edge never open. H is the base with every toggled unit
+    closed, and the portals are those units' end nodes. Dijkstra runs on H
+    for reachable() and from the portals out to d0 plus reachable()'s
+    margin, so no leg of a path within d0 is cut off. Pairs unreachable on
+    H that may be reachable with all toggled units open are contested."""
+
+    def __init__(self, graph: RoadGraph, closed, units, toggled, demand_nodes, supply_nodes, d0_minutes: float):
+        n = len(graph.node_ids)
+        self.units, self.sites, self.d0_minutes = units, (demand_nodes, supply_nodes), d0_minutes
+        self.toggled = np.setdiff1d(np.asarray(sorted(toggled), dtype=np.int64), units[closed])
+        self.closed = closed | np.isin(units, self.toggled)
+        # A chain's end nodes are the two nodes only one of its edges touches; a loop has none.
+        edges = np.flatnonzero(self.closed & ~closed)
+        ends = n * np.tile(units[edges], 2).astype(np.int64) + np.r_[graph._edge_u[edges], graph._edge_v[edges]]
+        ends, count = np.unique(ends, return_counts=True)
+        portals, chain_ends = np.unique(ends[count == 1] % n, return_inverse=True)
+        self.chain_ends, self.chain_units = chain_ends.reshape(-1, 2), ends[count == 1][::2] // n
+        self.chain_minutes = np.bincount(units[edges], weights=graph._edge_minutes[edges])[self.chain_units]
+
+        self.margin = 4 * n * np.finfo(float).eps * d0_minutes
+        self.reach = reachable(graph, self.closed, demand_nodes, supply_nodes, d0_minutes)
+        dist = dijkstra(graph._adjacency(self.closed), directed=False, indices=portals, limit=d0_minutes + self.margin)
+        self.via, self.between, to_supply = dist[:, demand_nodes].T, dist[:, portals], dist[:, supply_nodes]
+        nearest = np.full(self.reach.shape, np.inf)
+        all_open = self._via_open(np.ones(self.chain_units.size, dtype=bool))
+        for q in range(portals.size):
+            np.minimum(nearest, all_open[:, q, None] + to_supply[q], out=nearest)
+        self.rows, self.cols = np.nonzero(~self.reach & (nearest <= d0_minutes + self.margin))
+        self.to_supply = to_supply[:, self.cols]
+
+    def _via_open(self, chains: np.ndarray) -> np.ndarray:
+        """Demand x portal minutes on H with the selected chains open (Floyd-Warshall over the portals)."""
+        closure = self.between.copy()
+        ends = self.chain_ends[chains]
+        np.minimum.at(closure, (ends.ravel(), ends[:, ::-1].ravel()), np.repeat(self.chain_minutes[chains], 2))
+        for k in range(closure.shape[0]):
+            np.minimum(closure, closure[:, k, None] + closure[None, k, :], out=closure)
+        return np.min(self.via[:, :, None] + closure[None], axis=1, initial=np.inf)
+
+    def reachable(self, graph: RoadGraph, closed_units) -> np.ndarray:
+        """reachable() on H with the toggled units not in closed_units open.
+
+        A path between sites crosses an open unit end to end, so a contested
+        pair's length is the minimum over portals p, q of demand to p on H,
+        p to q through open chains and H, and q to supply on H. This sum and
+        Dijkstra's each add nonnegative minutes along a walk, every term
+        rounded at most 2n + 2 times (n nodes): each is within (2n + 2) *
+        eps / 2 of the exact length, relative to it, so near d0 they differ
+        by under 4 * n * eps * d0. Pairs farther than that margin from d0 are
+        decided from the sum; if any is not, the network falls back to
+        reachable(). Either way the matrix equals reachable()'s exactly."""
+        opened = self.toggled[~np.isin(self.toggled, list(closed_units))]
+        via = self._via_open(np.isin(self.chain_units, opened))
+        minutes = np.min(via.T[:, self.rows] + self.to_supply, axis=0, initial=np.inf)
+        if np.any(np.abs(minutes - self.d0_minutes) <= self.margin):
+            return reachable(graph, self.closed & ~np.isin(self.units, opened), *self.sites, self.d0_minutes)
+        reach = self.reach.copy()
+        reach[self.rows, self.cols] = minutes < self.d0_minutes
+        return reach

@@ -13,8 +13,8 @@ drawn; the rest fail always or never. Samples are keyed on closure units
 units share one network evaluation, evaluated on the canonical closed
 set that takes every edge of each touched unit. Units that lie on no
 within-d0 path on a horizon's base network are left out of its keys
-(see network.live_edges). Each network costs one bounded Dijkstra, and
-its scores come straight from the reachability matrix.
+(see network.live_edges). Each horizon costs three bounded Dijkstra
+searches, and each network a min-plus closure (network.PortalDistances).
 """
 
 from __future__ import annotations
@@ -34,9 +34,14 @@ from .errors import InvalidInputError
 
 def uniform_draw(master_seed: int, sample_index: int, bridge_id: str) -> float:
     """Deterministic uniform in [0, 1) keyed by seed, sample and bridge."""
-    payload = f"{master_seed}:{sample_index}:{bridge_id}".encode()
-    digest = hashlib.sha256(payload).digest()
-    return (int.from_bytes(digest[:8], "big") >> 11) * 2.0**-53
+    return _uniform(hashlib.sha256(f"{master_seed}:{sample_index}:".encode()), bridge_id)
+
+
+def _uniform(prefix, bridge_id: str) -> float:
+    """uniform_draw given the hash of its "seed:index:" prefix, which stays unchanged."""
+    digest = prefix.copy()
+    digest.update(bridge_id.encode())
+    return (int.from_bytes(digest.digest()[:8], "big") >> 11) * 2.0**-53
 
 
 def sample_failures(
@@ -53,10 +58,11 @@ def sample_failures(
     """
     if sample_index < 0:
         raise InvalidInputError(f"sample index must be >= 0, got {sample_index}")
+    prefix = hashlib.sha256(f"{master_seed}:{sample_index}:".encode())
     out: dict[str, bool] = {}
     for bridge_id, p in failure_probability.items():
         _check_probability(bridge_id, p)
-        out[bridge_id] = uniform_draw(master_seed, sample_index, bridge_id) < p
+        out[bridge_id] = _uniform(prefix, bridge_id) < p
     return out
 
 
@@ -74,6 +80,15 @@ def _running_mean(trace: np.ndarray) -> np.ndarray:
     return np.cumsum(trace, axis=0) / np.arange(1, trace.shape[0] + 1, dtype=float)[:, None]
 
 
+def _running_mean_blocks(trace: np.ndarray, size: int):
+    """_running_mean(trace) in blocks of `size` rows, each summed when asked for. Each block's cumsum
+    starts from the sum before it, so every column adds up in one cumsum's order, to the bit."""
+    sums = trace[:0]
+    for start in range(0, trace.shape[0], size):  # carry the last sum in as a first row, then drop it
+        sums = np.cumsum(np.concatenate([sums[-1:], trace[start : start + size]]), axis=0)[min(start, 1) :]
+        yield sums / np.arange(start + 1, start + sums.shape[0] + 1, dtype=float)[:, None]
+
+
 def convergence_report(
     trace: np.ndarray,
     window: int = 100,
@@ -86,8 +101,8 @@ def convergence_report(
     running means span a range of at most tolerance * |current mean|
     (exactly zero range when the current mean is zero). Returns None if
     the trace never settles or is shorter than the window. Candidate
-    rows are checked a block at a time, and the scan stops at the first
-    block that holds a settled row.
+    rows are checked a block at a time, and neither the scan nor the
+    running means go past the first block that holds a settled row.
     """
     if window < 1:
         raise InvalidInputError(f"window must be >= 1, got {window}")
@@ -98,18 +113,19 @@ def convergence_report(
         trace = trace[:, None]
     if trace.ndim != 2 or trace.shape[0] == 0:
         raise InvalidInputError("trace must be a non-empty 1-d or 2-d array")
-    n = trace.shape[0]
-    running = _running_mean(trace)
-    for start in range(0, n - window + 1, _CONVERGENCE_BLOCK):
-        stop = min(start + _CONVERGENCE_BLOCK, n - window + 1)
-        # Row r of this block is the window of running means ending at sample start + r + window.
-        windows = sliding_window_view(running[start : stop + window - 1], window, axis=0)
+    running = trace[:0]  # running means of the block and the window - 1 samples before it
+    for index, block in enumerate(_running_mean_blocks(trace, _CONVERGENCE_BLOCK)):
+        running = np.concatenate([running[max(0, running.shape[0] - window + 1) :], block])
+        if running.shape[0] < window:
+            continue
+        # Row r is the window of running means ending at row r + window - 1 of `running`.
+        windows = sliding_window_view(running, window, axis=0)
         spans = windows.max(axis=-1) - windows.min(axis=-1)
-        reference = np.abs(running[start + window - 1 : stop + window - 1])
+        reference = np.abs(running[window - 1 :])
         settled = np.where(reference > 0.0, spans <= tolerance * reference, spans == 0.0)
         rows = np.flatnonzero(settled.all(axis=1))
         if rows.size:
-            return start + int(rows[0]) + window
+            return index * _CONVERGENCE_BLOCK + block.shape[0] - running.shape[0] + int(rows[0]) + window
     return None
 
 
@@ -190,29 +206,29 @@ class ScenarioResult:
 _WORKER_CTX: tuple | None = None
 
 
-def _init_worker(graph, snapped, supplies, demands, d0_minutes) -> None:
+def _init_worker(*context) -> None:
     global _WORKER_CTX
-    _WORKER_CTX = (graph, snapped, supplies, demands, d0_minutes)
+    _WORKER_CTX = context
 
 
-def _network_scores(closed: np.ndarray, graph, snapped, supplies, demands, d0_minutes) -> np.ndarray:
-    """Scaled score per demand on the network without the closed edges."""
-    reach = network.reachable(graph, closed, *snapped, d0_minutes)
-    return access.two_step(*np.nonzero(reach), supplies, demands)[0] * access.SCORE_SCALE
+def _network_scores(horizon, key, graph, portals, pop, cap) -> np.ndarray:
+    """Scaled score per demand on the network of one horizon's closure-unit key."""
+    reach = portals[horizon].reachable(graph, key)
+    return access.two_step(*np.nonzero(reach), pop, cap)[0] * access.SCORE_SCALE
 
 
-def _eval_in_worker(closed: np.ndarray) -> np.ndarray:
-    return _network_scores(closed, *_WORKER_CTX)
+def _eval_in_worker(item) -> np.ndarray:
+    return _network_scores(*item, *_WORKER_CTX)
 
 
-def _evaluate_networks(closed_sets: list[np.ndarray], workers: int, context: tuple) -> list[np.ndarray]:
-    """Score vector per closed-edge array, in list order. Each is a pure
-    function of its array, so any worker count gives the same result."""
-    if workers <= 1 or len(closed_sets) < 2:
-        return [_network_scores(closed, *context) for closed in closed_sets]
+def _evaluate_networks(items: list, workers: int, context: tuple) -> list[np.ndarray]:
+    """Score vector per (horizon, key) item, in list order. Each is a pure
+    function of its item, so any worker count gives the same result."""
+    if workers <= 1 or len(items) < 2:
+        return [_network_scores(*item, *context) for item in items]
     with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=context) as pool:
-        chunksize = max(1, len(closed_sets) // (4 * workers))
-        return list(pool.map(_eval_in_worker, closed_sets, chunksize=chunksize))
+        chunksize = max(1, len(items) // (4 * workers))
+        return list(pool.map(_eval_in_worker, items, chunksize=chunksize))
 
 
 def _column_cov(sample_scores: np.ndarray) -> np.ndarray:
@@ -247,10 +263,10 @@ def run_scenario(
     pattern maps, per horizon, to the set of closure units its closed
     edges touch, less the units no demand can reach within d0 on that
     horizon's base network (see network.live_edges). Each distinct unit
-    set is evaluated once, on all edges of its units, shared across
-    horizons. The resulting K x D score table (K networks, D demands) is
-    indexed per sample. Subgroups with zero total weight are left out of
-    the group averages.
+    set is evaluated once, from the network.PortalDistances of the first
+    horizon that keys it. The resulting K x D score table (K networks,
+    D demands) is indexed per sample. Subgroups with zero total weight
+    are left out of the group averages.
     """
     if not demands:
         raise InvalidInputError("scenario needs at least one demand location")
@@ -300,22 +316,26 @@ def run_scenario(
 
     risk_units = [units_of(graph.edges_for_bridge(bid)) for bid in at_risk]
     fixed_units = units_of(eid for bid in always for eid in graph.edges_for_bridge(bid))
-    networks: dict[frozenset[int], int] = {}
+    networks: dict[frozenset[int], tuple[int, str]] = {}
+    portals: dict[str, network.PortalDistances] = {}
     sample_network: dict[str, np.ndarray] = {}
     for horizon in config.horizons:
         base = fixed_units | units_of(base_masks[horizon].provenance)
-        live = network.live_edges(graph, np.isin(units, sorted(base)), *snapped, config.d0_minutes)
-        live_units = frozenset(units[live].tolist())
+        base_closed = np.isin(units, sorted(base))
+        live_units = frozenset(units[network.live_edges(graph, base_closed, *snapped, config.d0_minutes)].tolist())
+        live_risk = [u & live_units for u in risk_units]
+        toggled = frozenset().union(*live_risk) - base
+        portals[horizon] = network.PortalDistances(graph, base_closed, units, toggled, *snapped, config.d0_minutes)
         per_pattern = [
             networks.setdefault(
-                base.union(*(u & live_units for u, hit in zip(risk_units, pattern) if hit)), len(networks)
-            )
+                base.union(*(u for u, hit in zip(live_risk, pattern) if hit)), (len(networks), horizon)
+            )[0]
             for pattern in patterns
         ]
         sample_network[horizon] = np.array(per_pattern, dtype=np.int64)[sample_pattern]
-    closed_sets = [np.isin(units, sorted(key)) for key in networks]
-    context = (graph, snapped, supplies, demands, config.d0_minutes)
-    score_table = np.stack(_evaluate_networks(closed_sets, config.workers, context))
+    items = [(horizon, key) for key, (_, horizon) in networks.items()]
+    context = (graph, portals, *access.site_weights(demands, supplies))
+    score_table = np.stack(_evaluate_networks(items, config.workers, context))
 
     result = ScenarioResult(
         storm=config.storm,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -493,3 +495,124 @@ def test_closing_dead_edges_leaves_reachability_unchanged():
         multi = network.dijkstra(adjacency, directed=False, indices=sources, limit=d0, min_only=True)
         assert np.array_equal(multi, per_source.min(axis=0))
     assert dead_seen > 0
+
+
+def portal_graph(rng):
+    """chained_sited_graph plus parallel copies of a few edges, as
+    (graph, snapped demand nodes, snapped supply nodes, closure units)."""
+    graph, demands, supplies = chained_sited_graph(rng)
+    edges = list(graph.edges.values())
+    for k in range(int(rng.integers(1, 4))):
+        twin = edges[int(rng.integers(0, len(edges)))]
+        edges.append(road(f"p{k}", twin.u, twin.v, float(rng.uniform(30.0, 900.0))))
+    graph = network.build_graph(graph.nodes.values(), edges, [])
+    d_nodes, s_nodes = network.snap_sites(graph, demands), network.snap_sites(graph, supplies)
+    return graph, d_nodes, s_nodes, network.closure_units(graph, np.concatenate([d_nodes, s_nodes]))
+
+
+def unit_kind(graph, units, unit):
+    """loop (no end nodes), dangling (an end node of degree 1), parallel (a
+    single edge with a twin between the same nodes) or chain."""
+    eids = [eid for eid, u in zip(graph.edge_ids, units) if u == unit]
+    touches: dict[str, int] = {}
+    degree: dict[str, int] = {}
+    for eid in graph.edge_ids:
+        for nid in (graph.edges[eid].u, graph.edges[eid].v):
+            degree[nid] = degree.get(nid, 0) + 1
+            touches[nid] = touches.get(nid, 0) + (eid in eids)
+    ends = [nid for nid, k in touches.items() if k % 2]
+    if not ends:
+        return "loop"
+    if any(degree[nid] == 1 for nid in ends):
+        return "dangling"
+    pair = {graph.edges[eids[0]].u, graph.edges[eids[0]].v}
+    twins = [eid for eid in graph.edge_ids if {graph.edges[eid].u, graph.edges[eid].v} == pair]
+    return "parallel" if len(eids) == 1 and len(twins) > 1 else "chain"
+
+
+def test_portals_matches_reachable_for_every_toggled_subset():
+    rng = np.random.default_rng(31337)
+    kinds = {"loop": 0, "dangling": 0, "parallel": 0, "chain": 0}
+    transposed = changed = 0
+    for trial in range(100):
+        graph, d_nodes, s_nodes, units = portal_graph(rng)
+        base = rng.random(len(graph.edge_ids)) < rng.choice([0.0, 0.1, 0.3])
+        by_kind: dict[str, list[int]] = {}
+        for unit in np.unique(units).tolist():
+            by_kind.setdefault(unit_kind(graph, units, unit), []).append(unit)
+        toggled = set()
+        for _ in range(int(rng.integers(1, 5))):  # favour the rare kinds
+            pool = by_kind[rng.choice(sorted(by_kind))]
+            toggled.add(pool[int(rng.integers(0, len(pool)))])
+        for unit in toggled:
+            kinds[unit_kind(graph, units, unit)] += 1
+        long_units = np.flatnonzero(np.bincount(units) >= 3)
+        if long_units.size and rng.random() < 0.5:  # an edge closed in the base keeps its unit closed
+            unit = int(rng.choice(long_units))
+            toggled.add(unit)
+            base[np.flatnonzero(units == unit)[1]] = True
+        d0 = float(rng.uniform(3.0, 60.0))
+        portals = network.PortalDistances(graph, base, units, toggled, d_nodes, s_nodes, d0)
+        on_h = network.reachable(graph, base | np.isin(units, sorted(toggled)), d_nodes, s_nodes, d0)
+        for size in range(len(toggled) + 1):
+            for subset in itertools.combinations(sorted(toggled), size):
+                want = network.reachable(graph, base | np.isin(units, subset), d_nodes, s_nodes, d0)
+                got = portals.reachable(graph, set(subset))
+                assert got.dtype == bool and np.array_equal(got, want)
+                changed += not np.array_equal(want, on_h)
+        transposed += d_nodes.size > s_nodes.size
+    assert min(kinds.values()) > 0 and transposed > 0 and changed > 0
+
+
+def test_portals_falls_back_inside_the_margin(monkeypatch):
+    # n0 -a- n1 -b- n2 -c- n3 -d- n4 with spurs that make n1 and n2 junctions;
+    # b is the toggled unit, and c-d one unit through the interior node n3.
+    minutes = {"a": 0.5, "b": 0.1, "c": 0.8, "d": 0.4}
+    nodes = mk_nodes([(0, 0), (100, 0), (200, 0), (300, 0), (400, 0), (100, 100), (200, 100)])
+    edges = [road(e, f"n{i:02d}", f"n{i + 1:02d}", 60.0 * m) for i, (e, m) in enumerate(minutes.items())]
+    edges += [road("s1", "n01", "n05", 6000.0), road("s2", "n02", "n06", 6000.0)]
+    graph = network.build_graph(nodes, edges, [])
+    a, b, c, d = minutes.values()
+    dijkstra_sum, portal_sum = ((a + b) + c) + d, (a + b) + (c + d)
+    d0 = float(np.nextafter(dijkstra_sum, np.inf))
+    assert dijkstra_sum < d0 < portal_sum  # the two groupings round to either side of d0
+    d_nodes, s_nodes = np.array([0]), np.array([4])
+    units = network.closure_units(graph, np.array([0, 4]))
+    toggled = {int(units[graph.edge_ids.index("b")])}
+    base = np.zeros(len(graph.edge_ids), dtype=bool)
+    portals = network.PortalDistances(graph, base, units, toggled, d_nodes, s_nodes, d0)
+    far = network.PortalDistances(graph, base, units, toggled, d_nodes, s_nodes, dijkstra_sum + 0.1)
+    calls = []
+    exact = network.reachable
+
+    def spy(*args):
+        calls.append(args)
+        return exact(*args)
+
+    monkeypatch.setattr(network, "reachable", spy)
+    got = portals.reachable(graph, set())
+    assert len(calls) == 1
+    assert got.tolist() == exact(graph, base, d_nodes, s_nodes, d0).tolist() == [[True]]
+    assert portals.reachable(graph, toggled).tolist() == [[False]]
+    assert len(calls) == 1  # with b closed no pair is contested near d0
+    assert far.reachable(graph, set()).tolist() == [[True]]
+    assert len(calls) == 1
+
+
+def test_portals_search_past_d0_for_legs_summed_the_other_way():
+    # n0 -0.3- n1 -0.2- n2 -0.1- n3 -(too short to register)- n4, with a spur at n3.
+    # Dijkstra from the demand at n0 sums 0.3 + 0.2 + 0.1 = 0.6 = d0, but the
+    # portal search from n3 sums the same leg as 0.1 + 0.2 + 0.3, one ulp above.
+    nodes = mk_nodes([(0, 0), (100, 0), (200, 0), (300, 0), (400, 0), (300, 100)])
+    lengths = (18.0, 12.0, 6.0, 3e-15)
+    edges = [road(f"e{i}", f"n{i:02d}", f"n{i + 1:02d}", m) for i, m in enumerate(lengths)]
+    graph = network.build_graph(nodes, edges + [road("spur", "n03", "n05", 6000.0)], [])
+    d0 = ((0.3 + 0.2) + 0.1) + graph.edges["e3"].minutes
+    assert d0 == 0.6 < (0.1 + 0.2) + 0.3
+    d_nodes, s_nodes = np.array([0]), np.array([4])
+    units = network.closure_units(graph, np.array([0, 4]))
+    base = np.zeros(len(graph.edge_ids), dtype=bool)
+    toggled = {int(units[graph.edge_ids.index("e3")])}
+    portals = network.PortalDistances(graph, base, units, toggled, d_nodes, s_nodes, d0)
+    got = portals.reachable(graph, set())
+    assert got.tolist() == network.reachable(graph, base, d_nodes, s_nodes, d0).tolist() == [[True]]

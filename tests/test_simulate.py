@@ -40,6 +40,17 @@ def test_uniform_draw_range_and_determinism():
     assert simulate.uniform_draw(1, 0, "c") != simulate.uniform_draw(1, 0, "b")
 
 
+def test_sample_failures_matches_per_bridge_draws():
+    rng = np.random.default_rng(404)
+    alphabet = list("abcxyz019-_:é桥")
+    for _ in range(50):
+        ids = {"".join(rng.choice(alphabet, size=int(rng.integers(0, 12)))) for _ in range(int(rng.integers(1, 30)))}
+        probs = {bid: float(rng.choice([0.0, 1.0, rng.random()])) for bid in ids}
+        seed, index = int(rng.integers(0, 2**62)), int(rng.integers(0, 10**6))
+        want = {bid: simulate.uniform_draw(seed, index, bid) < p for bid, p in probs.items()}
+        assert list(simulate.sample_failures(probs, seed, index).items()) == list(want.items())
+
+
 def test_sample_failures_exact_at_endpoints():
     probs = {"never": 0.0, "always": 1.0}
     for index in range(50):
@@ -115,6 +126,28 @@ def test_convergence_matches_naive_scan_around_block_boundaries():
         never = spiked_zero_trace(3 * block, 3 * block + window // 2)  # last window always holds a spike
         assert naive_converged_at(never, window) is None
         assert simulate.convergence_report(never, window) is None
+
+
+def test_convergence_matches_naive_scan_around_running_mean_blocks():
+    block = simulate._CONVERGENCE_BLOCK
+    for window in (100, block + 44):
+        for settle in (block, block + 1, block + 2, 2 * block, 2 * block + 1, 2 * block + 2):
+            if settle <= window:
+                continue
+            trace = spiked_zero_trace(settle - window - 1, settle + 150)
+            assert naive_converged_at(trace, window) == settle
+            assert simulate.convergence_report(trace, window) == settle
+
+
+def test_running_mean_blocks_match_running_mean_bit_for_bit():
+    rng = np.random.default_rng(2718)
+    for trial in range(20):
+        size = simulate._CONVERGENCE_BLOCK if trial % 2 else int(rng.integers(1, 300))
+        rows = int(rng.integers(3 * size + 1, 4 * size + 300))
+        trace = rng.normal(rng.uniform(-5.0, 50.0), rng.uniform(0.01, 30.0), size=(rows, int(rng.integers(1, 6))))
+        blocks = list(simulate._running_mean_blocks(trace, size))
+        assert len(blocks) > 3
+        assert np.concatenate(blocks).tobytes() == simulate._running_mean(trace).tobytes()
 
 
 def test_convergence_growing_trace_never_settles():
