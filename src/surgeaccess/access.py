@@ -2,9 +2,10 @@
 
 Step one assigns each supply site a ratio of its capacity to the total
 population that can reach it within the catchment. Step two sums those
-ratios over the supplies each demand location can reach. Scores are kept
-as raw ratios internally and scaled to capacity per 1,000 residents for
-reporting.
+ratios over the supplies each demand location can reach. Both steps sum
+densely over the boolean demand x supply reachability matrix, in list
+order (see two_step). Scores are kept as raw ratios internally and
+scaled to capacity per 1,000 residents for reporting.
 """
 
 from __future__ import annotations
@@ -82,40 +83,25 @@ class AccessScores:
     d0_minutes: float
 
 
-def _aligned_index(ids: Sequence[str], kind: str) -> dict[str, int]:
+def _table_reach(table: TravelTimeTable, supplies: Sequence[SupplySite], demands: Sequence[DemandSite]) -> np.ndarray:
+    """The table's demand x supply reachability, aligned to the given lists."""
+    reach = np.zeros((len(demands), len(supplies)), dtype=bool)
+    rows = _positions(table.demand_ids, [d.demand_id for d in demands], "demand")
+    cols = _positions(table.supply_ids, [s.supply_id for s in supplies], "supply")
+    reach[rows[table.demand_index], cols[table.supply_index]] = True
+    return reach
+
+
+def _positions(table_ids: Sequence[str], ids: Sequence[str], kind: str) -> np.ndarray:
+    """Position in ids of each table id; ids must be distinct and hold every table id."""
     index: dict[str, int] = {}
     for pos, sid in enumerate(ids):
-        if sid in index:
+        if index.setdefault(sid, pos) != pos:
             raise InvalidInputError(f"duplicate {kind} id {sid}")
-        index[sid] = pos
-    return index
-
-
-def _table_pairs(
-    table: TravelTimeTable,
-    supplies: Sequence[SupplySite],
-    demands: Sequence[DemandSite],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Reachable (demand, supply) index pairs aligned to the given lists.
-
-    Pairs come back sorted by demand position then supply position so
-    downstream accumulation order is deterministic.
-    """
-    d_index = _aligned_index([d.demand_id for d in demands], "demand")
-    s_index = _aligned_index([s.supply_id for s in supplies], "supply")
-    for did in table.demand_ids:
-        if did not in d_index:
-            raise InvalidInputError(f"table demand {did} missing from demand list")
-    for sid in table.supply_ids:
-        if sid not in s_index:
-            raise InvalidInputError(f"table supply {sid} missing from supply list")
-
-    remap_d = np.array([d_index[did] for did in table.demand_ids], dtype=np.int64)
-    remap_s = np.array([s_index[sid] for sid in table.supply_ids], dtype=np.int64)
-    d_idx = remap_d[table.demand_index]
-    s_idx = remap_s[table.supply_index]
-    order = np.lexsort((s_idx, d_idx))
-    return d_idx[order], s_idx[order]
+    for tid in table_ids:
+        if tid not in index:
+            raise InvalidInputError(f"table {kind} {tid} missing from {kind} list")
+    return np.array([index[tid] for tid in table_ids], dtype=np.int64)
 
 
 def ratio_vector(
@@ -128,7 +114,7 @@ def ratio_vector(
     Supplies whose catchment holds zero population are inert: their ratio
     is reported as 0 here and they are dropped from the mapping form.
     """
-    return two_step(*_table_pairs(table, supplies, demands), *site_weights(demands, supplies))[1:]
+    return two_step(_table_reach(table, supplies, demands), *site_weights(demands, supplies))[1:]
 
 
 def score_vector(
@@ -137,7 +123,7 @@ def score_vector(
     demands: Sequence[DemandSite],
 ) -> np.ndarray:
     """Unscaled accessibility score per demand, aligned to the demand list."""
-    return two_step(*_table_pairs(table, supplies, demands), *site_weights(demands, supplies))[0]
+    return two_step(_table_reach(table, supplies, demands), *site_weights(demands, supplies))[0]
 
 
 def site_weights(demands: Sequence[DemandSite], supplies: Sequence[SupplySite]) -> tuple[np.ndarray, np.ndarray]:
@@ -145,18 +131,27 @@ def site_weights(demands: Sequence[DemandSite], supplies: Sequence[SupplySite]) 
     return np.array([d.population for d in demands], dtype=float), np.array([s.capacity for s in supplies], dtype=float)
 
 
-def two_step(
-    d_idx: np.ndarray, s_idx: np.ndarray, pop: np.ndarray, cap: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Binary 2SFCA from reachable (demand, supply) list-position pairs
+def two_step(reach: np.ndarray, pop: np.ndarray, cap: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Binary 2SFCA on the boolean demand x supply reachability matrix
     and the site_weights arrays: (unscaled score per demand, ratio per
-    supply, reachable population per supply). Pairs come sorted by
-    demand, then supply, as row-major np.nonzero of a demand x supply
-    matrix yields them, so every sum accumulates in one fixed order."""
-    denom = np.bincount(s_idx, weights=pop[d_idx], minlength=cap.size)
+    supply, reachable population per supply). Each sum adds its terms in
+    list order (demands for a supply, supplies for a demand), whatever the
+    matrix's memory layout. With one demand or one supply a sum runs down
+    a lone column, which numpy would add pairwise, so _column_sums adds
+    it with cumsum instead."""
+    denom = _column_sums(pop, reach)
     ratio = np.zeros(cap.size, dtype=float)
     np.divide(cap, denom, out=ratio, where=denom > 0.0)
-    return np.bincount(d_idx, weights=ratio[s_idx], minlength=pop.size), ratio, denom
+    return _column_sums(ratio, reach.T), ratio, denom
+
+
+def _column_sums(weights: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """weights @ mask, adding the rows in order: numpy adds an axis-0 sum
+    of a C-ordered array row by row, and cumsum a lone column."""
+    terms = np.multiply(weights[:, None], mask, order="C")
+    if terms.shape[1] == 1 and terms.shape[0] > 1:
+        return np.cumsum(terms, axis=0)[-1]
+    return terms.sum(axis=0)
 
 
 def supply_ratios(

@@ -103,28 +103,8 @@ class SurgeField:
         )
 
     def nearest_index(self, qx: np.ndarray, qy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Nearest sample index and squared distance for each query point.
-
-        Exact brute-force search, chunked to bound memory. np.argmin picks
-        the first minimum, which is the lowest sample index by construction.
-        """
-        qx = np.asarray(qx, dtype=float)
-        qy = np.asarray(qy, dtype=float)
-        if qx.shape != qy.shape or qx.ndim != 1:
-            raise InvalidInputError("query coordinates must be 1-d arrays of equal length")
-        if not (np.all(np.isfinite(qx)) and np.all(np.isfinite(qy))):
-            raise InvalidInputError("query coordinates must be finite")
-        m = qx.shape[0]
-        idx = np.empty(m, dtype=np.int64)
-        d2 = np.empty(m, dtype=float)
-        chunk = max(1, 2_000_000 // max(len(self), 1))
-        for start in range(0, m, chunk):
-            end = min(start + chunk, m)
-            dist2 = (qx[start:end, None] - self.x[None, :]) ** 2 + (qy[start:end, None] - self.y[None, :]) ** 2
-            best = np.argmin(dist2, axis=1)
-            idx[start:end] = best
-            d2[start:end] = dist2[np.arange(end - start), best]
-        return idx, d2
+        """Nearest sample index and squared distance for each query point."""
+        return nearest_points(self.x, self.y, qx, qy)
 
     def values_at(self, qx: np.ndarray, qy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(h_st, h_s) at each query point; no surge outside coverage."""
@@ -163,6 +143,29 @@ class SurgeField:
             cols["x"], cols["y"], cols["h_st"], cols["h_s"],
             datum_label=datum_label, coverage_radius_m=coverage_radius_m,
         )
+
+
+def nearest_points(px: np.ndarray, py: np.ndarray, qx: np.ndarray, qy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index of the nearest point (px, py) and its squared distance, per query point.
+
+    Exact brute-force search, chunked to bound memory. np.argmin picks
+    the first minimum, so ties go to the lowest point index.
+    """
+    qx = np.asarray(qx, dtype=float)
+    qy = np.asarray(qy, dtype=float)
+    if qx.shape != qy.shape or qx.ndim != 1:
+        raise InvalidInputError("query coordinates must be 1-d arrays of equal length")
+    if not (np.all(np.isfinite(qx)) and np.all(np.isfinite(qy))):
+        raise InvalidInputError("query coordinates must be finite")
+    idx = np.empty(qx.shape[0], dtype=np.int64)
+    d2 = np.empty(qx.shape[0], dtype=float)
+    chunk = max(1, 2_000_000 // max(px.shape[0], 1))
+    for start in range(0, qx.shape[0], chunk):
+        end = min(start + chunk, qx.shape[0])
+        dist2 = (qx[start:end, None] - px[None, :]) ** 2 + (qy[start:end, None] - py[None, :]) ** 2
+        idx[start:end] = np.argmin(dist2, axis=1)
+        d2[start:end] = dist2[np.arange(end - start), idx[start:end]]
+    return idx, d2
 
 
 def sample_field_at(field: SurgeField, location: tuple[float, float]) -> tuple[float, float]:

@@ -143,24 +143,8 @@ class RoadGraph:
         return self._edges_by_bridge.get(bridge_id, ())
 
     def nearest_nodes(self, xs: Sequence[float] | np.ndarray, ys: Sequence[float] | np.ndarray) -> np.ndarray:
-        """Index (into node_ids) of the nearest node per query point.
-
-        Ties resolve to the lowest node id because node arrays are sorted
-        by id and argmin keeps the first minimum.
-        """
-        xs = np.asarray(xs, dtype=float)
-        ys = np.asarray(ys, dtype=float)
-        if xs.shape != ys.shape or xs.ndim != 1:
-            raise InvalidInputError("query coordinates must be 1-d arrays of equal length")
-        if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
-            raise InvalidInputError("query coordinates must be finite")
-        out = np.empty(xs.shape[0], dtype=np.int64)
-        chunk = max(1, 2_000_000 // max(len(self.node_ids), 1))
-        for start in range(0, xs.shape[0], chunk):
-            end = min(start + chunk, xs.shape[0])
-            d2 = (xs[start:end, None] - self._node_x[None, :]) ** 2 + (ys[start:end, None] - self._node_y[None, :]) ** 2
-            out[start:end] = np.argmin(d2, axis=1)
-        return out
+        """Index (into node_ids) of the nearest node per query point; ties go to the lowest node id."""
+        return hazard.nearest_points(self._node_x, self._node_y, xs, ys)[0]
 
     def bridge_sites(self) -> list[tuple[str, float, float, float]]:
         """(bridge_id, deck_elevation_m, x, y) rows, sorted by id."""

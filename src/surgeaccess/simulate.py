@@ -23,6 +23,7 @@ import hashlib
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -211,10 +212,9 @@ def _init_worker(*context) -> None:
     _WORKER_CTX = context
 
 
-def _network_scores(horizon, key, graph, portals, pop, cap) -> np.ndarray:
-    """Scaled score per demand on the network of one horizon's closure-unit key."""
-    reach = portals[horizon].reachable(graph, key)
-    return access.two_step(*np.nonzero(reach), pop, cap)[0] * access.SCORE_SCALE
+def _network_scores(horizon, closed, graph, portals, pop, cap) -> np.ndarray:
+    """Scaled score per demand on one horizon's base network with the toggled units `closed` closed."""
+    return access.two_step(portals[horizon].reachable(graph, closed), pop, cap)[0] * access.SCORE_SCALE
 
 
 def _eval_in_worker(item) -> np.ndarray:
@@ -260,13 +260,14 @@ def run_scenario(
     they are computed once. Bridges with p = 1 join every sample's closed
     set and bridges with p = 0 never do; only the rest are sampled, and
     each sample is keyed on its pattern of failed at-risk bridges. Each
-    pattern maps, per horizon, to the set of closure units its closed
-    edges touch, less the units no demand can reach within d0 on that
-    horizon's base network (see network.live_edges). Each distinct unit
-    set is evaluated once, from the network.PortalDistances of the first
-    horizon that keys it. The resulting K x D score table (K networks,
-    D demands) is indexed per sample. Subgroups with zero total weight
-    are left out of the group averages.
+    pattern maps, per horizon, to the closure units its closed edges
+    touch beyond the horizon's base set, less the units no demand can
+    reach within d0 on the base network (see network.live_edges). Each
+    distinct (base set, closed units) key is evaluated once, from the
+    network.PortalDistances of the first horizon that keys it. The
+    resulting K x D score table (K networks, D demands) is indexed per
+    sample. Subgroups with zero total weight are left out of the group
+    averages.
     """
     if not demands:
         raise InvalidInputError("scenario needs at least one demand location")
@@ -316,24 +317,22 @@ def run_scenario(
 
     risk_units = [units_of(graph.edges_for_bridge(bid)) for bid in at_risk]
     fixed_units = units_of(eid for bid in always for eid in graph.edges_for_bridge(bid))
-    networks: dict[frozenset[int], tuple[int, str]] = {}
+    networks: dict[tuple[frozenset[int], frozenset[int]], tuple[int, str]] = {}
     portals: dict[str, network.PortalDistances] = {}
     sample_network: dict[str, np.ndarray] = {}
     for horizon in config.horizons:
         base = fixed_units | units_of(base_masks[horizon].provenance)
         base_closed = np.isin(units, sorted(base))
         live_units = frozenset(units[network.live_edges(graph, base_closed, *snapped, config.d0_minutes)].tolist())
-        live_risk = [u & live_units for u in risk_units]
-        toggled = frozenset().union(*live_risk) - base
+        live_risk = [(u & live_units) - base for u in risk_units]
+        toggled = frozenset().union(*live_risk)
         portals[horizon] = network.PortalDistances(graph, base_closed, units, toggled, *snapped, config.d0_minutes)
         per_pattern = [
-            networks.setdefault(
-                base.union(*(u for u, hit in zip(live_risk, pattern) if hit)), (len(networks), horizon)
-            )[0]
+            networks.setdefault((base, frozenset().union(*compress(live_risk, pattern))), (len(networks), horizon))[0]
             for pattern in patterns
         ]
         sample_network[horizon] = np.array(per_pattern, dtype=np.int64)[sample_pattern]
-    items = [(horizon, key) for key, (_, horizon) in networks.items()]
+    items = [(horizon, closed) for (_, closed), (_, horizon) in networks.items()]
     context = (graph, portals, *access.site_weights(demands, supplies))
     score_table = np.stack(_evaluate_networks(items, config.workers, context))
 

@@ -97,6 +97,43 @@ def test_matches_naive_oracle_exactly():
         assert got == expected
 
 
+def sequential_two_step(reach, pop, cap):
+    """Binary 2SFCA in plain Python, every sum added term by term in list order."""
+    n_d, n_s = reach.shape
+    denom = []
+    for j in range(n_s):
+        total = 0.0
+        for i in range(n_d):
+            if reach[i, j]:
+                total += float(pop[i])
+        denom.append(total)
+    ratio = [float(cap[j]) / denom[j] if denom[j] > 0.0 else 0.0 for j in range(n_s)]
+    scores = []
+    for i in range(n_d):
+        total = 0.0
+        for j in range(n_s):
+            if reach[i, j]:
+                total += ratio[j]
+        scores.append(total)
+    return np.array(scores, dtype=float), np.array(ratio, dtype=float), np.array(denom, dtype=float)
+
+
+def test_two_step_matches_sequential_oracle_byte_for_byte():
+    rng = np.random.default_rng(6)
+    shapes = [(1, 200), (1, 9), (200, 1), (9, 1), (1, 1), (0, 7), (7, 0), (0, 1), (1, 0)]
+    shapes += [(int(rng.integers(1, 60)), int(rng.integers(1, 60))) for _ in range(120)]
+    for n_d, n_s in shapes:
+        # Non-integer weights, some zero, so any change of summation order shows in the bits.
+        pop = rng.uniform(0.0, 900.0, n_d) * (rng.random(n_d) > 0.1)
+        cap = rng.uniform(0.0, 60.0, n_s) * (rng.random(n_s) > 0.1)
+        reach = rng.random((n_d, n_s)) < rng.uniform(0.05, 1.0)
+        for layout in (reach, np.asfortranarray(reach)):
+            got = access.two_step(layout, pop, cap)
+            want = sequential_two_step(reach, pop, cap)
+            for g, w in zip(got, want):
+                assert g.shape == w.shape and g.tobytes() == w.tobytes(), (n_d, n_s)
+
+
 def test_inert_supply_is_omitted():
     supplies = [access.SupplySite("j1", 0, 0, 10.0), access.SupplySite("j2", 0, 0, 5.0)]
     demands = [

@@ -68,6 +68,41 @@ def test_nearest_tie_breaks_to_lowest_index():
     assert d2[0] == 2500.0
 
 
+def _naive_nearest(px, py, qx, qy):
+    """Per query: the first index holding the least squared distance, and that distance."""
+    idx, d2 = [], []
+    for x, y in zip(qx, qy):
+        dist2 = (x - px) ** 2 + (y - py) ** 2
+        idx.append(int(np.flatnonzero(dist2 == dist2.min())[0]))
+        d2.append(dist2[idx[-1]])
+    return np.array(idx), np.array(d2)
+
+
+def test_nearest_points_matches_naive_argmin():
+    rng = np.random.default_rng(11)
+    # 4,000 grid points in shuffled order: a chunk is 500 queries, so 1,700 queries span four chunks.
+    gx, gy = np.meshgrid(np.arange(80) * 25.0, np.arange(50) * 25.0)
+    order = rng.permutation(gx.size)
+    px, py = gx.ravel()[order], gy.ravel()[order]
+    # Queries on the half-spacing lattice sit exactly between 2 or 4 points; the rest fall anywhere, some off the grid.
+    qx = np.r_[rng.integers(-4, 164, 850) * 12.5, rng.uniform(-500.0, 2500.0, 850)]
+    qy = np.r_[rng.integers(-4, 104, 850) * 12.5, rng.uniform(-500.0, 1700.0, 850)]
+    idx, d2 = hazard.nearest_points(px, py, qx, qy)
+    want_idx, want_d2 = _naive_nearest(px, py, qx, qy)
+    assert np.array_equal(idx, want_idx)
+    assert d2.tobytes() == want_d2.tobytes()
+    ties = [np.count_nonzero((x - px) ** 2 + (y - py) ** 2 == d) > 1 for x, y, d in zip(qx, qy, d2)]
+    assert sum(ties) > 300  # the tie rule is exercised, not assumed
+
+    one = hazard.nearest_points(np.array([3.0]), np.array([-4.0]), qx[:5], qy[:5])
+    assert one[0].tolist() == [0] * 5
+    assert one[1].tobytes() == _naive_nearest(np.array([3.0]), np.array([-4.0]), qx[:5], qy[:5])[1].tobytes()
+    with pytest.raises(InvalidInputError, match="equal length"):
+        hazard.nearest_points(px, py, qx, qy[:-1])
+    with pytest.raises(InvalidInputError, match="finite"):
+        hazard.nearest_points(px, py, np.array([np.nan]), np.array([0.0]))
+
+
 def test_coverage_radius_zeroes_surge_outside():
     field = small_field(coverage_radius_m=50.0)
     assert hazard.sample_field_at(field, (0.0, 49.0)) == (2.0, 0.5)
