@@ -145,21 +145,92 @@ class SurgeField:
         )
 
 
+# Elements in one search's temporary arrays, bounding its memory.
+_SEARCH_BUDGET = 2_000_000
+
+# The 3 x 3 block of grid cells around a query's cell.
+_BLOCK_X, _BLOCK_Y = np.repeat([-1, 0, 1], 3), np.tile([-1, 0, 1], 3)
+
+
 def nearest_points(px: np.ndarray, py: np.ndarray, qx: np.ndarray, qy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Index of the nearest point (px, py) and its squared distance, per query point.
 
-    Exact brute-force search, chunked to bound memory. np.argmin picks
-    the first minimum, so ties go to the lowest point index.
+    Exact cell-grid search (Bentley & Friedman 1979). Points fall into
+    square cells about extent / sqrt(n) wide, and each query's candidates
+    are the points in the 3 x 3 cells around its own, taken in chunks of
+    queries that hold at most _SEARCH_BUDGET candidates (a query with more
+    gets a chunk of its own). Points and queries take their cells from one
+    floor expression, monotone in the coordinate, so a point outside the
+    block lies a cell width or more from the query, short of it only by
+    the rounding of x - x0, far below 1e-9 of a cell. A query whose best
+    d2 is below cell**2 * (1 - 1e-9) therefore has its answer in the
+    block; any other query (one outside the grid, or with empty cells
+    around it) goes to the brute-force search. d2 is computed as the brute
+    force computes it, and ties go to the lowest point index among the
+    candidates at the least d2, so the result equals the brute force's bit
+    for bit.
     """
+    px = np.asarray(px, dtype=float)
+    py = np.asarray(py, dtype=float)
     qx = np.asarray(qx, dtype=float)
     qy = np.asarray(qy, dtype=float)
     if qx.shape != qy.shape or qx.ndim != 1:
         raise InvalidInputError("query coordinates must be 1-d arrays of equal length")
     if not (np.all(np.isfinite(qx)) and np.all(np.isfinite(qy))):
         raise InvalidInputError("query coordinates must be finite")
+    n = px.shape[0]
+    x0, y0 = px.min(), py.min()
+    extent = max(px.max() - x0, py.max() - y0)
+    cell = extent / math.sqrt(n) if extent > 0.0 else 1.0  # coincident points share one cell
+
+    # Two empty rings of cells pad the grid. A query beyond them is clipped
+    # into the inner ring; every point lies a cell or more from it, so it
+    # fails the bound below.
+    pcx = np.floor((px - x0) / cell).astype(np.int64) + 2
+    pcy = np.floor((py - y0) / cell).astype(np.int64) + 2
+    nx, ny = int(pcx.max()) + 3, int(pcy.max()) + 3
+    point_cell = pcx * ny + pcy
+    order = np.argsort(point_cell, kind="stable")
+    cell_start = np.searchsorted(point_cell[order], np.arange(nx * ny + 1))
+    qcx = np.clip(np.floor((qx - x0) / cell) + 2, 1, nx - 2).astype(np.int64)
+    qcy = np.clip(np.floor((qy - y0) / cell) + 2, 1, ny - 2).astype(np.int64)
+    block = (qcx[:, None] + _BLOCK_X) * ny + qcy[:, None] + _BLOCK_Y
+    first = cell_start[block]
+    count = cell_start[block + 1] - first
+    total = count.sum(axis=1)
+
+    idx = np.zeros(qx.shape[0], dtype=np.int64)
+    d2 = np.full(qx.shape[0], np.inf)
+    queries = np.flatnonzero(total)
+    ends = np.cumsum(total[queries])
+    start = 0
+    while start < queries.size:
+        offset = ends[start] - total[queries[start]]
+        stop = max(start + 1, int(np.searchsorted(ends, offset + _SEARCH_BUDGET, side="right")))
+        chunk = queries[start:stop]
+        lengths, firsts = count[chunk].ravel(), first[chunk].ravel()
+        span = total[chunk]
+        # Candidates of each query as one flat run, cell after cell.
+        cand = order[np.repeat(firsts - (np.cumsum(lengths) - lengths), lengths) + np.arange(span.sum())]
+        owner = np.repeat(chunk, span)
+        dist2 = (qx[owner] - px[cand]) ** 2 + (qy[owner] - py[cand]) ** 2
+        runs = np.cumsum(span) - span
+        d2[chunk] = np.minimum.reduceat(dist2, runs)
+        idx[chunk] = np.minimum.reduceat(np.where(dist2 == np.repeat(d2[chunk], span), cand, n), runs)
+        start = stop
+
+    fallback = np.flatnonzero(~(d2 < cell * cell * (1.0 - 1e-9)))
+    idx[fallback], d2[fallback] = _nearest_brute_force(px, py, qx[fallback], qy[fallback])
+    return idx, d2
+
+
+def _nearest_brute_force(px, py, qx, qy) -> tuple[np.ndarray, np.ndarray]:
+    """nearest_points by comparing every query with every point, chunked to
+    bound memory. np.argmin picks the first minimum, so ties go to the
+    lowest point index."""
     idx = np.empty(qx.shape[0], dtype=np.int64)
     d2 = np.empty(qx.shape[0], dtype=float)
-    chunk = max(1, 2_000_000 // max(px.shape[0], 1))
+    chunk = max(1, _SEARCH_BUDGET // max(px.shape[0], 1))
     for start in range(0, qx.shape[0], chunk):
         end = min(start + chunk, qx.shape[0])
         dist2 = (qx[start:end, None] - px[None, :]) ** 2 + (qy[start:end, None] - py[None, :]) ** 2

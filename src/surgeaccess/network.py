@@ -14,7 +14,9 @@ because sparse construction would otherwise sum their weights. Binary
 kept only by travel_time_table. live_edges finds the edges that lie on
 no within-d0 path, whose closure cannot change reachability. Networks
 that differ only in which of a few closure units are open share the
-searches of PortalDistances, through those units' end nodes.
+searches of PortalDistances, through those units' end nodes; each
+network then takes, per contested pair, the least of the few portal
+legs that lie within d0 with every unit open.
 """
 
 from __future__ import annotations
@@ -490,7 +492,15 @@ class PortalDistances:
     closed, and the portals are those units' end nodes. Dijkstra runs on H
     for reachable() and from the portals out to d0 plus reachable()'s
     margin, so no leg of a path within d0 is cut off. Pairs unreachable on
-    H that may be reachable with all toggled units open are contested."""
+    H that may be reachable with all toggled units open are contested.
+
+    Leg q of a contested pair is its demand's minutes to portal q through
+    the open chains and H, plus portal q's minutes to its supply on H.
+    Only the legs within d0 plus the margin with every toggled unit open
+    are kept: opening fewer units only lengthens a leg, since float + and
+    min are monotone, so a dropped leg exceeds d0 plus the margin on every
+    network and can neither decide a pair nor send it to the fallback.
+    Every contested pair keeps the leg that made it contested."""
 
     def __init__(self, graph: RoadGraph, closed, units, toggled, demand_nodes, supply_nodes, d0_minutes: float):
         n = len(graph.node_ids)
@@ -513,8 +523,20 @@ class PortalDistances:
         all_open = self._via_open(np.ones(self.chain_units.size, dtype=bool))
         for q in range(portals.size):
             np.minimum(nearest, all_open[:, q, None] + to_supply[q], out=nearest)
-        self.rows, self.cols = np.nonzero(~self.reach & (nearest <= d0_minutes + self.margin))
-        self.to_supply = to_supply[:, self.cols]
+        rows, cols = np.nonzero(~self.reach & (nearest <= d0_minutes + self.margin))
+        keep = all_open[rows] + to_supply[:, cols].T <= d0_minutes + self.margin
+        count = np.count_nonzero(keep, axis=1)
+        order = np.argsort(-count, kind="stable")  # pairs with the most legs first
+        self.rows, self.cols, count = rows[order], cols[order], count[order]
+        kept = np.argsort(~keep[order], axis=1, kind="stable")  # each pair's kept portals first
+        # legs[k]: the k-th kept leg of every pair that has one (a prefix of the
+        # pairs), as a flat index into a demand x portal array and the leg's
+        # portal-to-supply minutes.
+        self.legs = []
+        for k in range(count[0] if count.size else 0):
+            pairs = np.count_nonzero(count > k)
+            q = kept[:pairs, k]
+            self.legs.append((self.rows[:pairs] * portals.size + q, to_supply[q, self.cols[:pairs]]))
 
     def _via_open(self, chains: np.ndarray) -> np.ndarray:
         """Demand x portal minutes on H with the selected chains open (Floyd-Warshall over the portals)."""
@@ -524,6 +546,15 @@ class PortalDistances:
         for k in range(closure.shape[0]):
             np.minimum(closure, closure[:, k, None] + closure[None, k, :], out=closure)
         return np.min(self.via[:, :, None] + closure[None], axis=1, initial=np.inf)
+
+    def _minutes(self, via: np.ndarray) -> np.ndarray:
+        """Minutes per contested pair (rows, cols): its least kept leg, given
+        the demand x portal minutes via of one network."""
+        via = via.ravel()
+        minutes = np.full(self.rows.size, np.inf)
+        for flat, leg in self.legs:
+            np.minimum(minutes[: flat.size], via[flat] + leg, out=minutes[: flat.size])
+        return minutes
 
     def reachable(self, graph: RoadGraph, closed_units) -> np.ndarray:
         """reachable() on H with the toggled units not in closed_units open.
@@ -536,10 +567,13 @@ class PortalDistances:
         eps / 2 of the exact length, relative to it, so near d0 they differ
         by under 4 * n * eps * d0. Pairs farther than that margin from d0 are
         decided from the sum; if any is not, the network falls back to
-        reachable(). Either way the matrix equals reachable()'s exactly."""
+        reachable(). Either way the matrix equals reachable()'s exactly.
+        The sum runs over the kept legs only: where the minimum over all
+        legs is within d0 plus the margin, a kept leg attains it, and where
+        it is not, the kept minimum is not either, so neither the matrix nor
+        the fallback changes."""
         opened = self.toggled[~np.isin(self.toggled, list(closed_units))]
-        via = self._via_open(np.isin(self.chain_units, opened))
-        minutes = np.min(via.T[:, self.rows] + self.to_supply, axis=0, initial=np.inf)
+        minutes = self._minutes(self._via_open(np.isin(self.chain_units, opened)))
         if np.any(np.abs(minutes - self.d0_minutes) <= self.margin):
             return reachable(graph, self.closed & ~np.isin(self.units, opened), *self.sites, self.d0_minutes)
         reach = self.reach.copy()

@@ -94,6 +94,47 @@ def test_nearest_points_matches_naive_argmin():
     ties = [np.count_nonzero((x - px) ** 2 + (y - py) ** 2 == d) > 1 for x, y, d in zip(qx, qy, d2)]
     assert sum(ties) > 300  # the tie rule is exercised, not assumed
 
+    # The cell grid's edge cases. Each pair is (points, queries) as x and y arrays.
+    cases = []
+    # A cluster that fills one cell plus a far outlier: about 3,000 candidates per query, so 2,000 queries span three chunks.
+    cx, cy = np.meshgrid(np.arange(60) * 0.25, np.arange(50) * 0.25)
+    order = rng.permutation(cx.size + 1)
+    cases.append((
+        (np.r_[cx.ravel(), 5e4][order], np.r_[cy.ravel(), 5e4][order]),
+        (np.r_[rng.integers(-2, 120, 1000) * 0.125, rng.uniform(-1.0, 16.0, 1000)],
+         np.r_[rng.integers(-2, 100, 1000) * 0.125, rng.uniform(-1.0, 14.0, 1000)]),
+    ))
+    # Queries far outside the hull, which only the brute force answers.
+    far = rng.choice([-1.0, 1.0], (2, 40)) * rng.uniform(3e3, 1e7, (2, 40))
+    cases.append(((px, py), (far[0], far[1])))
+    # Collinear points: zero extent across the line.
+    line = rng.permutation(400) * 5.0
+    cases.append((
+        (line, np.full(400, 3.0)),
+        (np.r_[rng.integers(-10, 810, 300) * 2.5, rng.uniform(-100.0, 2100.0, 300)],
+         np.r_[np.full(300, 3.0), rng.uniform(-50.0, 50.0, 300)]),
+    ))
+    # 100 points with an extent of 100, so cells are exactly 10 wide and every point sits on a cell corner.
+    bx, by = np.meshgrid(np.arange(10) * 10.0, np.arange(10) * 10.0)
+    bx, by = bx.ravel(), by.ravel()
+    bx[-1] = by[-1] = 100.0
+    order = rng.permutation(100)
+    cases.append(((bx[order], by[order]), (rng.integers(-4, 25, 800) * 5.0, rng.integers(-4, 25, 800) * 5.0)))
+    # UTM-like coordinates: the grid and lattice queries of the first case, 3e6 m east and 4e6 m north.
+    cases.append(((px + 3e6, py + 4e6), (qx + 3e6, qy + 4e6)))
+    # Found by search: x - x0 rounds so that point 0, two cells right of the query, lies under one
+    # cell width from it and ties point 1 in the block, both a hair below cell**2.
+    x0, x1 = -335.8654171988905, 242.76284337118403
+    cases.append((
+        (np.r_[105.33449525600057, -71.14546972595585, x0, x1, np.linspace(x0, x1, 39)], np.r_[np.zeros(4), np.full(39, 400.0)]),
+        (np.array([17.09451276502236]), np.array([0.0])),
+    ))
+    for (cpx, cpy), (cqx, cqy) in cases:
+        idx, d2 = hazard.nearest_points(cpx, cpy, cqx, cqy)
+        want_idx, want_d2 = _naive_nearest(cpx, cpy, cqx, cqy)
+        assert np.array_equal(idx, want_idx)
+        assert d2.tobytes() == want_d2.tobytes()
+
     one = hazard.nearest_points(np.array([3.0]), np.array([-4.0]), qx[:5], qy[:5])
     assert one[0].tolist() == [0] * 5
     assert one[1].tobytes() == _naive_nearest(np.array([3.0]), np.array([-4.0]), qx[:5], qy[:5])[1].tobytes()
@@ -110,6 +151,22 @@ def test_coverage_radius_zeroes_surge_outside():
     assert hazard.sample_field_at(field, (0.0, 51.0)) == hazard.NO_SURGE
     # without a radius the nearest sample applies at any distance
     assert hazard.sample_field_at(small_field(), (0.0, 1e6)) == (2.0, 0.5)
+
+    # On a field large enough for the cell grid, against the naive nearest sample.
+    rng = np.random.default_rng(5)
+    gx, gy = np.meshgrid(np.arange(30) * 40.0, np.arange(20) * 40.0)
+    order = rng.permutation(gx.size)
+    x, y = gx.ravel()[order], gy.ravel()[order]
+    field = hazard.SurgeField(x, y, np.arange(x.size) + 1.0, np.arange(x.size) * 0.5, coverage_radius_m=15.0)
+    # Queries anywhere, off the grid, and exactly at the radius from a sample (inside, by the <= rule).
+    qx = np.r_[rng.uniform(-200.0, 1400.0, 600), x[:50] + 15.0, x[50:100]]
+    qy = np.r_[rng.uniform(-200.0, 1000.0, 600), y[:50], y[50:100] - 15.0]
+    idx, d2 = _naive_nearest(x, y, qx, qy)
+    inside = d2 <= 15.0**2
+    h_st, h_s = field.values_at(qx, qy)
+    assert np.array_equal(h_st, np.where(inside, field.h_st[idx], hazard.NO_SURGE[0]))
+    assert np.array_equal(h_s, np.where(inside, field.h_s[idx], hazard.NO_SURGE[1]))
+    assert 100 < np.count_nonzero(inside) < 700
 
 
 def test_field_validation():

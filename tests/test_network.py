@@ -564,6 +564,57 @@ def test_portals_matches_reachable_for_every_toggled_subset():
     assert min(kinds.values()) > 0 and transposed > 0 and changed > 0
 
 
+def test_portal_legs_keep_every_minimum_that_can_decide():
+    # The pruning's premise, then the kept legs against a dense min-plus over
+    # every portal. Half the trials put d0 one ulp below a contested pair's
+    # all-open minutes, so a leg lands inside the margin.
+    rng = np.random.default_rng(4242)
+    inside_margin = dropped = 0
+    for trial in range(80):
+        graph, d_nodes, s_nodes, units = portal_graph(rng)
+        base = rng.random(len(graph.edge_ids)) < rng.choice([0.0, 0.1])
+        unit_ids = np.unique(units)
+        toggled = sorted(rng.choice(unit_ids, size=min(unit_ids.size, int(rng.integers(1, 5))), replace=False).tolist())
+        closed_h = base | np.isin(units, toggled)
+        # Portals: the nodes an odd number of an openable toggled unit's edges touch, in node order.
+        portal_nodes = set()
+        for unit in toggled:
+            if not base[units == unit].any():
+                ends = np.r_[graph._edge_u[units == unit], graph._edge_v[units == unit]]
+                portal_nodes.update(np.flatnonzero(np.bincount(ends) % 2).tolist())
+        if not portal_nodes:
+            continue
+        to_supply = network.dijkstra(graph._adjacency(closed_h), directed=False, indices=sorted(portal_nodes))[:, s_nodes]
+
+        d0 = float(rng.uniform(3.0, 60.0))
+        portals = network.PortalDistances(graph, base, units, toggled, d_nodes, s_nodes, d0)
+        if portals.rows.size and rng.random() < 0.5:
+            all_open = portals._via_open(np.ones(portals.chain_units.size, dtype=bool))
+            nearest = np.min(all_open[portals.rows] + to_supply[:, portals.cols].T, axis=1)
+            d0 = float(np.nextafter(nearest[int(rng.integers(0, nearest.size))], 0.0))
+            portals = network.PortalDistances(graph, base, units, toggled, d_nodes, s_nodes, d0)
+        limit = d0 + portals.margin
+        all_open = portals._via_open(np.ones(portals.chain_units.size, dtype=bool))
+        on_h = network.reachable(graph, closed_h, d_nodes, s_nodes, d0)
+        nearest = np.min(all_open[:, :, None] + to_supply[None], axis=1)
+        contested = set(zip(*np.nonzero(~on_h & (nearest <= limit))))
+        assert set(zip(portals.rows, portals.cols)) == contested
+        for size in range(len(toggled) + 1):
+            for subset in itertools.combinations(toggled, size):
+                via = portals._via_open(np.isin(portals.chain_units, sorted(set(toggled) - set(subset))))
+                assert np.all(via >= all_open)
+                got = portals._minutes(via)
+                want = np.min(via[portals.rows] + to_supply[:, portals.cols].T, axis=1, initial=np.inf)
+                decisive = want <= limit
+                assert got[decisive].tobytes() == want[decisive].tobytes()
+                assert np.all(got[~decisive] > limit)
+                inside_margin += np.count_nonzero(np.abs(want - d0) <= portals.margin)
+                want_reach = network.reachable(graph, base | np.isin(units, subset), d_nodes, s_nodes, d0)
+                assert np.array_equal(portals.reachable(graph, set(subset)), want_reach)
+        dropped += portals.rows.size * len(portal_nodes) - sum(flat.size for flat, _ in portals.legs)
+    assert inside_margin > 0 and dropped > 0
+
+
 def test_portals_falls_back_inside_the_margin(monkeypatch):
     # n0 -a- n1 -b- n2 -c- n3 -d- n4 with spurs that make n1 and n2 junctions;
     # b is the toggled unit, and c-d one unit through the interior node n3.
