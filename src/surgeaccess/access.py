@@ -104,19 +104,6 @@ def _positions(table_ids: Sequence[str], ids: Sequence[str], kind: str) -> np.nd
     return np.array([index[tid] for tid in table_ids], dtype=np.int64)
 
 
-def ratio_vector(
-    table: TravelTimeTable,
-    supplies: Sequence[SupplySite],
-    demands: Sequence[DemandSite],
-) -> tuple[np.ndarray, np.ndarray]:
-    """(ratio, reachable_population) per supply, aligned to the supply list.
-
-    Supplies whose catchment holds zero population are inert: their ratio
-    is reported as 0 here and they are dropped from the mapping form.
-    """
-    return two_step(_table_reach(table, supplies, demands), *site_weights(demands, supplies))[1:]
-
-
 def score_vector(
     table: TravelTimeTable,
     supplies: Sequence[SupplySite],
@@ -134,7 +121,8 @@ def site_weights(demands: Sequence[DemandSite], supplies: Sequence[SupplySite]) 
 def two_step(reach: np.ndarray, pop: np.ndarray, cap: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Binary 2SFCA on the boolean demand x supply reachability matrix
     and the site_weights arrays: (unscaled score per demand, ratio per
-    supply, reachable population per supply). Each sum adds its terms in
+    supply, reachable population per supply); an inert supply, one with
+    no reachable population, has ratio 0. Each sum adds its terms in
     list order (demands for a supply, supplies for a demand), whatever the
     matrix's memory layout. With one demand or one supply a sum runs down
     a lone column, which numpy would add pairwise, so _column_sums adds
@@ -164,7 +152,7 @@ def supply_ratios(
     Inert supplies (no reachable population within the catchment) are
     omitted so they cannot contribute to any score downstream.
     """
-    ratio, denom = ratio_vector(table, supplies, demands)
+    _, ratio, denom = two_step(_table_reach(table, supplies, demands), *site_weights(demands, supplies))
     return {
         s.supply_id: float(r)
         for s, r, d in zip(supplies, ratio, denom)

@@ -3,14 +3,16 @@
 Subcommands: validate a bundle, run a scenario, generate a synthetic
 fixture, and compare two result directories. Exit codes separate the
 failure families: 0 success, 2 usage (argparse), 3 validation failure,
-4 runtime/domain failure, 5 file I/O failure. Every config value has a
-matching flag; flags win.
+4 runtime/domain failure, 5 file I/O failure. The run flags --samples,
+--seed, --d0, --horizons and --workers override the matching config
+values; the other config keys have no flag.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -26,6 +28,7 @@ from .scenario_io import (
     load_bundle,
     override_config,
     read_results,
+    split_horizons,
     write_results,
 )
 from .simulate import run_scenario
@@ -39,14 +42,7 @@ EXIT_IO = 5
 def _bundle_paths(args: argparse.Namespace) -> BundlePaths:
     paths = BundlePaths.in_dir(args.data)
     if getattr(args, "config", None):
-        paths = BundlePaths(
-            network=paths.network,
-            bridges=paths.bridges,
-            surge=paths.surge,
-            supplies=paths.supplies,
-            demands=paths.demands,
-            config=Path(args.config),
-        )
+        paths = dataclasses.replace(paths, config=Path(args.config))
     return paths
 
 
@@ -63,12 +59,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _parse_horizons(raw: str | None) -> tuple[str, ...] | None:
-    if raw is None:
-        return None
-    return tuple(part.strip() for part in raw.split(",") if part.strip())
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     bundle = load_bundle(_bundle_paths(args))
     config = override_config(
@@ -76,7 +66,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         samples=args.samples,
         seed=args.seed,
         d0_minutes=args.d0,
-        horizons=_parse_horizons(args.horizons),
+        horizons=args.horizons,
         workers=args.workers,
     )
     result = run_scenario(config, bundle.graph, bundle.bridges, bundle.supplies, bundle.demands)
@@ -97,25 +87,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_fixture(args: argparse.Namespace) -> int:
-    try:
-        gw, gh = (int(part) for part in args.grid.lower().split("x"))
-    except ValueError:
-        print(f"error: --grid expects WIDTHxHEIGHT, got {args.grid!r}", file=sys.stderr)
-        return EXIT_RUNTIME
-    spec = SyntheticFixtureSpec(
-        seed=args.seed,
-        grid_width=gw,
-        grid_height=gh,
-        spacing_m=args.spacing,
-        bridge_count=args.bridges,
-        demand_count=args.demands,
-        supply_count=args.supplies,
-        storm=args.storm,
-        surge_peak_m=args.peak,
-        surge_decay_m=args.decay,
-        d0_minutes=args.d0,
-        samples=args.samples,
-    )
+    # Flags left out keep the SyntheticFixtureSpec defaults.
+    given = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(SyntheticFixtureSpec)}
+    if args.grid is not None:
+        try:
+            given["grid_width"], given["grid_height"] = (int(part) for part in args.grid.lower().split("x"))
+        except ValueError:
+            print(f"error: --grid expects WIDTHxHEIGHT, got {args.grid!r}", file=sys.stderr)
+            return EXIT_RUNTIME
+    spec = SyntheticFixtureSpec(**{k: v for k, v in given.items() if v is not None})
     paths = generate_fixture(spec, args.out)
     print(f"fixture written to {Path(args.out)} ({len(paths.all_files())} files)")
     return EXIT_OK
@@ -214,23 +194,25 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--samples", type=int, help="Monte Carlo sample count")
     p_run.add_argument("--seed", type=int, help="master random seed")
     p_run.add_argument("--d0", type=float, help="catchment radius in minutes")
-    p_run.add_argument("--horizons", help="comma list, e.g. short,long")
+    p_run.add_argument("--horizons", type=split_horizons, help="comma list, e.g. short,long")
     p_run.add_argument("--workers", type=int, help="parallel workers for network evaluation")
     p_run.set_defaults(func=_cmd_run)
 
     p_fixture = sub.add_parser("fixture", help="generate a synthetic bundle")
     p_fixture.add_argument("--out", required=True, help="output directory")
-    p_fixture.add_argument("--storm", default="storm-1-like", help="storm preset or custom label")
-    p_fixture.add_argument("--seed", type=int, default=42)
-    p_fixture.add_argument("--grid", default="89x23", help="grid size as WIDTHxHEIGHT")
-    p_fixture.add_argument("--spacing", type=float, default=300.0, help="grid spacing in meters")
-    p_fixture.add_argument("--bridges", type=int, default=88)
-    p_fixture.add_argument("--demands", type=int, default=121)
-    p_fixture.add_argument("--supplies", type=int, default=1021)
-    p_fixture.add_argument("--samples", type=int, default=1000)
-    p_fixture.add_argument("--d0", type=float, default=50.0)
-    p_fixture.add_argument("--peak", type=float, help="peak storm tide (m) for custom storms")
-    p_fixture.add_argument("--decay", type=float, help="surge decay distance (m) for custom storms")
+    p_fixture.add_argument("--storm", help="storm preset or custom label")
+    p_fixture.add_argument("--seed", type=int)
+    p_fixture.add_argument("--grid", help="grid size as WIDTHxHEIGHT")
+    p_fixture.add_argument("--spacing", dest="spacing_m", type=float, help="grid spacing in meters")
+    p_fixture.add_argument("--bridges", dest="bridge_count", type=int)
+    p_fixture.add_argument("--demands", dest="demand_count", type=int)
+    p_fixture.add_argument("--supplies", dest="supply_count", type=int)
+    p_fixture.add_argument("--samples", type=int)
+    p_fixture.add_argument("--d0", dest="d0_minutes", type=float)
+    p_fixture.add_argument("--peak", dest="surge_peak_m", type=float, help="peak storm tide (m) for custom storms")
+    p_fixture.add_argument(
+        "--decay", dest="surge_decay_m", type=float, help="surge decay distance (m) for custom storms"
+    )
     p_fixture.set_defaults(func=_cmd_fixture)
 
     p_report = sub.add_parser("report", help="compare two result directories")

@@ -9,10 +9,8 @@ never depend on floating-point iteration order.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -116,33 +114,6 @@ class SurgeField:
             h_st[outside] = NO_SURGE[0]
             h_s[outside] = NO_SURGE[1]
         return h_st, h_s
-
-    @classmethod
-    def from_csv(
-        cls,
-        path: str | Path,
-        datum_label: str = "unspecified",
-        coverage_radius_m: float | None = None,
-    ) -> SurgeField:
-        """Load samples from a CSV with columns x, y, h_st, h_s."""
-        required = ("x", "y", "h_st", "h_s")
-        cols: dict[str, list[float]] = {name: [] for name in required}
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            fields = reader.fieldnames or []
-            missing = [name for name in required if name not in fields]
-            if missing:
-                raise InvalidInputError(f"{path}: missing column(s) {', '.join(missing)}")
-            for lineno, rec in enumerate(reader, start=2):
-                try:
-                    for name in required:
-                        cols[name].append(float(rec[name]))
-                except (TypeError, ValueError) as exc:
-                    raise InvalidInputError(f"{path}:{lineno}: bad row ({exc})") from exc
-        return cls(
-            cols["x"], cols["y"], cols["h_st"], cols["h_s"],
-            datum_label=datum_label, coverage_radius_m=coverage_radius_m,
-        )
 
 
 # Elements in one search's temporary arrays, bounding its memory.

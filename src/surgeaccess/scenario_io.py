@@ -9,10 +9,14 @@ A scenario bundle on disk is five data files plus a flat key=value config:
   demands.csv       demand_id, x, y, population, then one column per group
   scenario.cfg      storm, crs, datum, thresholds, run parameters
 
-Loading collects every validation failure across all files before raising,
-so one round trip reports everything wrong with a bundle. Writers emit
-byte-identical files for identical results: fixed key order, repr floats,
-no timestamps.
+Each CSV's columns are declared once and shared by the reader
+(_parse_rows) and the writer (_write_csv); every scenario.cfg key and the
+type of its value are declared once in _SETTINGS. Keys a config leaves
+out take the ScenarioConfig, ExposureThresholds and SurgeField defaults,
+and those classes check the values. Loading collects every validation
+failure across all files before raising, so one round trip reports
+everything wrong with a bundle. Writers emit byte-identical files for
+identical results: fixed key order, repr floats, no timestamps.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -33,7 +37,7 @@ from .access import DemandSite, SupplySite
 from .errors import InvalidInputError, InvalidSpecError, ValidationError
 from .fragility import default_table  # noqa: F401  (public re-export)
 from .hazard import ExposureThresholds, SurgeField
-from .network import BRIDGE, HORIZONS, ROAD, BridgeRecord, Edge, Node, RoadGraph, build_graph
+from .network import BRIDGE, ROAD, BridgeRecord, Edge, Node, RoadGraph, build_graph
 from .simulate import ScenarioConfig, ScenarioResult
 
 NETWORK_FILE = "network.geojson"
@@ -43,21 +47,36 @@ SUPPLIES_FILE = "supplies.csv"
 DEMANDS_FILE = "demands.csv"
 CONFIG_FILE = "scenario.cfg"
 
-_CONFIG_KEYS = (
-    "storm",
-    "crs",
-    "datum",
-    "d0_minutes",
-    "samples",
-    "seed",
-    "horizons",
-    "bridge_close_zc",
-    "road_close_din",
-    "workers",
-    "coverage_radius_m",
-    "convergence_window",
-    "convergence_tolerance",
-)
+_BRIDGE_COLUMNS = ("bridge_id", "h_b", "mass_ton_per_m", "x", "y")
+_SURGE_COLUMNS = ("x", "y", "h_st", "h_s")
+_SUPPLY_COLUMNS = ("supply_id", "x", "y", "capacity")
+_DEMAND_COLUMNS = ("demand_id", "x", "y", "population")  # then one column per group
+
+
+def split_horizons(text: str) -> tuple[str, ...]:
+    """Horizon names from a comma list such as "short,long"."""
+    return tuple(part.strip() for part in text.split(",") if part.strip())
+
+
+# Every scenario.cfg key with the function that parses its value, in the
+# order write_bundle writes them. An empty coverage_radius_m means unset.
+_SETTINGS = {
+    "storm": str,
+    "crs": str,
+    "datum": str,
+    "d0_minutes": float,
+    "samples": int,
+    "seed": int,
+    "horizons": split_horizons,
+    "bridge_close_zc": float,
+    "road_close_din": float,
+    "workers": int,
+    "convergence_window": int,
+    "convergence_tolerance": float,
+    "coverage_radius_m": float,
+}
+_EXPECTED = {int: "an integer", float: "a number"}
+_THRESHOLD_KEYS = tuple(f.name for f in dataclasses.fields(ExposureThresholds))
 
 
 @dataclass(frozen=True)
@@ -108,25 +127,50 @@ def _sha256_file(path: Path) -> str:
     return h.hexdigest()
 
 
-def _float_field(rec: Mapping[str, str], name: str) -> float:
-    raw = rec.get(name)
-    if raw is None or raw == "":
-        raise ValueError(f"missing {name}")
-    return float(raw)
+def _floats(rec: Mapping[str, str], names: Iterable[str]) -> list[float]:
+    """The named fields of a CSV row as floats; an empty field is missing."""
+    out = []
+    for name in names:
+        raw = rec.get(name)
+        if raw is None or raw == "":
+            raise ValueError(f"missing {name}")
+        out.append(float(raw))
+    return out
 
 
-def _read_csv_rows(path: Path, required: tuple[str, ...], errors: list[str]) -> list[tuple[int, dict[str, str]]]:
-    rows: list[tuple[int, dict[str, str]]] = []
+def _parse_rows(
+    path: Path, required: tuple[str, ...], kind: str, build: Callable[[dict[str, str]], Any], errors: list[str]
+) -> list[Any]:
+    """build(row) for each row of a CSV holding the required columns,
+    reporting a missing column or a bad row by file name and line."""
+    out: list[Any] = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        fields = reader.fieldnames or []
-        missing = [name for name in required if name not in fields]
+        missing = [name for name in required if name not in (reader.fieldnames or [])]
         if missing:
             errors.append(f"{path.name}: missing column(s) {', '.join(missing)}")
-            return rows
+            return out
         for lineno, rec in enumerate(reader, start=2):
-            rows.append((lineno, rec))
-    return rows
+            try:
+                out.append(build(rec))
+            except ValueError as exc:
+                errors.append(f"{path.name}:{lineno}: bad {kind} row ({exc})")
+    return out
+
+
+def _bridge_row(rec: dict[str, str]) -> BridgeRecord:
+    return BridgeRecord(str(rec["bridge_id"]), *_floats(rec, _BRIDGE_COLUMNS[1:]))
+
+
+def _supply_row(rec: dict[str, str]) -> SupplySite:
+    return SupplySite(str(rec["supply_id"]), *_floats(rec, _SUPPLY_COLUMNS[1:]))
+
+
+def _demand_row(rec: dict[str, str]) -> DemandSite:
+    # Every column past the required ones is a group; surplus values sit under None.
+    groups = [name for name in rec if name is not None and name not in _DEMAND_COLUMNS]
+    x, y, population = _floats(rec, _DEMAND_COLUMNS[1:])
+    return DemandSite(str(rec["demand_id"]), x, y, population, dict(zip(groups, _floats(rec, groups))))
 
 
 def _parse_network_geojson(path: Path, errors: list[str]) -> tuple[list[Node], list[Edge]]:
@@ -197,69 +241,6 @@ def _parse_network_geojson(path: Path, errors: list[str]) -> tuple[list[Node], l
     return nodes, edges
 
 
-def _parse_bridges_csv(path: Path, errors: list[str]) -> list[BridgeRecord]:
-    out: list[BridgeRecord] = []
-    for lineno, rec in _read_csv_rows(path, ("bridge_id", "h_b", "mass_ton_per_m", "x", "y"), errors):
-        try:
-            out.append(
-                BridgeRecord(
-                    bridge_id=str(rec["bridge_id"]),
-                    deck_elevation_m=_float_field(rec, "h_b"),
-                    mass_ton_per_m=_float_field(rec, "mass_ton_per_m"),
-                    x=_float_field(rec, "x"),
-                    y=_float_field(rec, "y"),
-                )
-            )
-        except ValueError as exc:
-            errors.append(f"{path.name}:{lineno}: bad bridge row ({exc})")
-    return out
-
-
-def _parse_supplies_csv(path: Path, errors: list[str]) -> list[SupplySite]:
-    out: list[SupplySite] = []
-    for lineno, rec in _read_csv_rows(path, ("supply_id", "x", "y", "capacity"), errors):
-        try:
-            out.append(
-                SupplySite(
-                    supply_id=str(rec["supply_id"]),
-                    x=_float_field(rec, "x"),
-                    y=_float_field(rec, "y"),
-                    capacity=_float_field(rec, "capacity"),
-                )
-            )
-        except (ValueError, InvalidInputError) as exc:
-            errors.append(f"{path.name}:{lineno}: bad supply row ({exc})")
-    return out
-
-
-def _parse_demands_csv(path: Path, errors: list[str]) -> list[DemandSite]:
-    out: list[DemandSite] = []
-    required = ("demand_id", "x", "y", "population")
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        fields = reader.fieldnames or []
-        missing = [name for name in required if name not in fields]
-        if missing:
-            errors.append(f"{path.name}: missing column(s) {', '.join(missing)}")
-            return out
-        group_cols = [name for name in fields if name not in required]
-        for lineno, rec in enumerate(reader, start=2):
-            try:
-                subgroups = {name: _float_field(rec, name) for name in group_cols}
-                out.append(
-                    DemandSite(
-                        demand_id=str(rec["demand_id"]),
-                        x=_float_field(rec, "x"),
-                        y=_float_field(rec, "y"),
-                        population=_float_field(rec, "population"),
-                        subgroups=subgroups,
-                    )
-                )
-            except (ValueError, InvalidInputError) as exc:
-                errors.append(f"{path.name}:{lineno}: bad demand row ({exc})")
-    return out
-
-
 def parse_config_text(text: str, source: str = CONFIG_FILE) -> tuple[dict[str, str], list[str]]:
     """Parse flat key = value lines; '#' starts a comment."""
     raw: dict[str, str] = {}
@@ -272,7 +253,7 @@ def parse_config_text(text: str, source: str = CONFIG_FILE) -> tuple[dict[str, s
             errors.append(f"{source}:{lineno}: expected key = value")
             continue
         key, value = (part.strip() for part in stripped.split("=", 1))
-        if key not in _CONFIG_KEYS:
+        if key not in _SETTINGS:
             errors.append(f"{source}:{lineno}: unknown key {key!r}")
             continue
         if key in raw:
@@ -287,71 +268,34 @@ def _config_from_raw(
     surge_csv: Path,
     errors: list[str],
 ) -> tuple[ScenarioConfig | None, str, str]:
-    """Build the run configuration, reporting every bad value."""
-
-    def get_float(key: str, default: float) -> float:
-        if key not in raw:
-            return default
-        try:
-            return float(raw[key])
-        except ValueError:
-            errors.append(f"{CONFIG_FILE}: {key} must be a number, got {raw[key]!r}")
-            return default
-
-    def get_int(key: str, default: int) -> int:
-        if key not in raw:
-            return default
-        try:
-            return int(raw[key])
-        except ValueError:
-            errors.append(f"{CONFIG_FILE}: {key} must be an integer, got {raw[key]!r}")
-            return default
-
-    storm = raw.get("storm", "")
-    if not storm:
-        errors.append(f"{CONFIG_FILE}: storm is required")
-    crs = raw.get("crs", "")
-    if not crs:
-        errors.append(f"{CONFIG_FILE}: crs is required")
-    datum = raw.get("datum", "unspecified")
-
-    horizons: tuple[str, ...] = HORIZONS
-    if "horizons" in raw:
-        horizons = tuple(part.strip() for part in raw["horizons"].split(",") if part.strip())
-        for h in horizons:
-            if h not in HORIZONS:
-                errors.append(f"{CONFIG_FILE}: unknown horizon {h!r}")
-
-    coverage = None
-    if raw.get("coverage_radius_m", "") != "":
-        coverage = get_float("coverage_radius_m", 0.0)
-
+    """Build the run configuration and its surge field, reporting every
+    bad value; keys the file leaves out keep the dataclass defaults."""
     before = len(errors)
-    d0 = get_float("d0_minutes", 50.0)
-    samples = get_int("samples", 1000)
-    seed = get_int("seed", 42)
-    workers = get_int("workers", 1)
-    window = get_int("convergence_window", 100)
-    tolerance = get_float("convergence_tolerance", 0.01)
-    zc = get_float("bridge_close_zc", -0.6)
-    din = get_float("road_close_din", 0.6)
-    if errors[before:] or not storm or not crs:
+    surge_rows = _parse_rows(surge_csv, _SURGE_COLUMNS, "surge", lambda rec: _floats(rec, _SURGE_COLUMNS), errors)
+    for key in ("storm", "crs"):
+        if not raw.get(key):
+            errors.append(f"{CONFIG_FILE}: {key} is required")
+    settings: dict[str, Any] = {}
+    for key, parse in _SETTINGS.items():
+        if key not in raw or (key == "coverage_radius_m" and raw[key] == ""):
+            continue
+        try:
+            settings[key] = parse(raw[key])
+        except ValueError:
+            errors.append(f"{CONFIG_FILE}: {key} must be {_EXPECTED[parse]}, got {raw[key]!r}")
+    crs = settings.pop("crs", "")
+    datum = settings.pop("datum", "unspecified")
+    if errors[before:]:
         return None, crs, datum
 
     try:
-        surge = SurgeField.from_csv(surge_csv, datum_label=datum, coverage_radius_m=coverage)
-        config = ScenarioConfig(
-            storm=storm,
-            surge=surge,
-            thresholds=ExposureThresholds(bridge_close_zc=zc, road_close_din=din),
-            d0_minutes=d0,
-            samples=samples,
-            seed=seed,
-            horizons=horizons,
-            workers=workers,
-            convergence_window=window,
-            convergence_tolerance=tolerance,
+        surge = SurgeField(
+            *np.reshape(surge_rows, (-1, len(_SURGE_COLUMNS))).T,
+            datum_label=datum,
+            coverage_radius_m=settings.pop("coverage_radius_m", None),
         )
+        thresholds = ExposureThresholds(**{k: settings.pop(k) for k in _THRESHOLD_KEYS if k in settings})
+        config = ScenarioConfig(surge=surge, thresholds=thresholds, **settings)
     except InvalidInputError as exc:
         errors.append(str(exc))
         return None, crs, datum
@@ -371,9 +315,9 @@ def load_bundle(source: str | Path | BundlePaths) -> DatasetBundle:
 
     errors: list[str] = []
     nodes, edges = _parse_network_geojson(paths.network, errors)
-    bridges = _parse_bridges_csv(paths.bridges, errors)
-    supplies = _parse_supplies_csv(paths.supplies, errors)
-    demands = _parse_demands_csv(paths.demands, errors)
+    bridges = _parse_rows(paths.bridges, _BRIDGE_COLUMNS, "bridge", _bridge_row, errors)
+    supplies = _parse_rows(paths.supplies, _SUPPLY_COLUMNS, "supply", _supply_row, errors)
+    demands = _parse_rows(paths.demands, _DEMAND_COLUMNS, "demand", _demand_row, errors)
     raw_config, cfg_errors = parse_config_text(paths.config.read_text(), paths.config.name)
     errors.extend(cfg_errors)
 
@@ -383,20 +327,17 @@ def load_bundle(source: str | Path | BundlePaths) -> DatasetBundle:
     except ValidationError as exc:
         errors.extend(exc.errors)
 
-    seen_supply: set[str] = set()
-    for s in supplies:
-        if s.supply_id in seen_supply:
-            errors.append(f"{SUPPLIES_FILE}: duplicate supply id {s.supply_id}")
-        seen_supply.add(s.supply_id)
-    seen_demand: set[str] = set()
-    for d in demands:
-        if d.demand_id in seen_demand:
-            errors.append(f"{DEMANDS_FILE}: duplicate demand id {d.demand_id}")
-        seen_demand.add(d.demand_id)
-    if not supplies:
-        errors.append(f"{SUPPLIES_FILE}: no supply sites")
-    if not demands:
-        errors.append(f"{DEMANDS_FILE}: no demand locations")
+    for name, kind, ids, empty in (
+        (SUPPLIES_FILE, "supply", [s.supply_id for s in supplies], "no supply sites"),
+        (DEMANDS_FILE, "demand", [d.demand_id for d in demands], "no demand locations"),
+    ):
+        seen: set[str] = set()
+        for site_id in ids:
+            if site_id in seen:
+                errors.append(f"{name}: duplicate {kind} id {site_id}")
+            seen.add(site_id)
+        if not ids:
+            errors.append(f"{name}: {empty}")
 
     config, crs, datum = _config_from_raw(raw_config, paths.surge, errors)
     if errors:
@@ -418,6 +359,14 @@ def load_bundle(source: str | Path | BundlePaths) -> DatasetBundle:
 
 def _json_dump(obj: Any, path: Path, sort_keys: bool = False) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=sort_keys) + "\n")
+
+
+def _write_csv(path: Path, header: Iterable[str], rows: Iterable[Iterable[Any]]) -> None:
+    """Write a CSV with Unix line ends; csv writes floats as their repr."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def write_results(result: ScenarioResult, bundle: DatasetBundle, out_dir: str | Path) -> dict[str, Path]:
@@ -455,14 +404,15 @@ def write_results(result: ScenarioResult, bundle: DatasetBundle, out_dir: str | 
         for name, w in d.subgroups.items():
             group_weights[name] = group_weights.get(name, 0.0) + float(w)
     summary_path = out / "group_summary.csv"
-    with open(summary_path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["storm", "horizon", "group", "weight", "average_score"])
-        for horizon, hres in result.horizons.items():
-            for name in hres.group_averages:
-                writer.writerow(
-                    [result.storm, horizon, name, repr(group_weights.get(name, 0.0)), repr(hres.group_averages[name])]
-                )
+    _write_csv(
+        summary_path,
+        ["storm", "horizon", "group", "weight", "average_score"],
+        (
+            [result.storm, horizon, name, group_weights.get(name, 0.0), average]
+            for horizon, hres in result.horizons.items()
+            for name, average in hres.group_averages.items()
+        ),
+    )
     written["group_summary"] = summary_path
 
     manifest = {
@@ -471,10 +421,7 @@ def write_results(result: ScenarioResult, bundle: DatasetBundle, out_dir: str | 
         "samples": result.samples,
         "d0_minutes": result.d0_minutes,
         "horizons": list(result.horizons),
-        "thresholds": {
-            "bridge_close_zc": bundle.config.thresholds.bridge_close_zc,
-            "road_close_din": bundle.config.thresholds.road_close_din,
-        },
+        "thresholds": vars(bundle.config.thresholds),
         "crs": bundle.crs,
         "datum": bundle.datum,
         "package_version": __version__,
@@ -548,52 +495,26 @@ def write_bundle(bundle: DatasetBundle, out_dir: str | Path) -> BundlePaths:
         )
     _json_dump({"type": "FeatureCollection", "features": features}, paths.network)
 
-    with open(paths.bridges, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["bridge_id", "h_b", "mass_ton_per_m", "x", "y"])
-        for rec in sorted(bundle.bridges, key=lambda r: r.bridge_id):
-            writer.writerow([rec.bridge_id, repr(rec.deck_elevation_m), repr(rec.mass_ton_per_m), repr(rec.x), repr(rec.y)])
-
-    surge = bundle.config.surge
-    with open(paths.surge, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["x", "y", "h_st", "h_s"])
-        for i in range(len(surge)):
-            writer.writerow([repr(float(surge.x[i])), repr(float(surge.y[i])), repr(float(surge.h_st[i])), repr(float(surge.h_s[i]))])
-
-    with open(paths.supplies, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["supply_id", "x", "y", "capacity"])
-        for s in bundle.supplies:
-            writer.writerow([s.supply_id, repr(s.x), repr(s.y), repr(s.capacity)])
-
-    group_cols = sorted({name for d in bundle.demands for name in d.subgroups})
-    with open(paths.demands, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["demand_id", "x", "y", "population", *group_cols])
-        for d in bundle.demands:
-            row = [d.demand_id, repr(d.x), repr(d.y), repr(d.population)]
-            row.extend(repr(float(d.subgroups.get(name, 0.0))) for name in group_cols)
-            writer.writerow(row)
-
+    bridges = sorted(bundle.bridges, key=lambda r: r.bridge_id)
+    _write_csv(
+        paths.bridges, _BRIDGE_COLUMNS, ([r.bridge_id, r.deck_elevation_m, r.mass_ton_per_m, r.x, r.y] for r in bridges)
+    )
     cfg = bundle.config
-    lines = [
-        f"storm = {cfg.storm}",
-        f"crs = {bundle.crs}",
-        f"datum = {bundle.datum}",
-        f"d0_minutes = {cfg.d0_minutes!r}",
-        f"samples = {cfg.samples}",
-        f"seed = {cfg.seed}",
-        f"horizons = {','.join(cfg.horizons)}",
-        f"bridge_close_zc = {cfg.thresholds.bridge_close_zc!r}",
-        f"road_close_din = {cfg.thresholds.road_close_din!r}",
-        f"workers = {cfg.workers}",
-        f"convergence_window = {cfg.convergence_window}",
-        f"convergence_tolerance = {cfg.convergence_tolerance!r}",
-    ]
-    if surge.coverage_radius_m is not None:
-        lines.append(f"coverage_radius_m = {surge.coverage_radius_m!r}")
-    paths.config.write_text("\n".join(lines) + "\n")
+    surge = cfg.surge
+    _write_csv(paths.surge, _SURGE_COLUMNS, np.column_stack([surge.x, surge.y, surge.h_st, surge.h_s]).tolist())
+    _write_csv(paths.supplies, _SUPPLY_COLUMNS, ([s.supply_id, s.x, s.y, s.capacity] for s in bundle.supplies))
+    groups = sorted({name for d in bundle.demands for name in d.subgroups})
+    _write_csv(
+        paths.demands,
+        [*_DEMAND_COLUMNS, *groups],
+        ([d.demand_id, d.x, d.y, d.population, *(float(d.subgroups.get(g, 0.0)) for g in groups)]
+         for d in bundle.demands),
+    )
+
+    held = {**vars(cfg), **vars(cfg.thresholds), "crs": bundle.crs, "datum": bundle.datum}
+    held["horizons"] = ",".join(cfg.horizons)
+    held["coverage_radius_m"] = surge.coverage_radius_m
+    paths.config.write_text("".join(f"{key} = {held[key]}\n" for key in _SETTINGS if held[key] is not None))
     return paths
 
 
@@ -779,28 +700,12 @@ def generate_fixture(spec: SyntheticFixtureSpec, out_dir: str | Path) -> BundleP
 
     # Surge decays with distance from an inlet at the channel's midpoint,
     # so flooding forms an ellipse-ish patch instead of severing the whole
-    # channel. Samples cover every node plus the channel centerline.
+    # channel. Samples cover the channel centerline, then every node.
     x_inlet = width / 2.0
-
-    def storm_tide(x: float, y: float) -> float:
-        dist = math.hypot(x - x_inlet, y - y_channel)
-        return peak * max(0.0, 1.0 - dist / decay)
-
-    sx, sy, s_st, s_s = [], [], [], []
-    for i in range(gw):
-        h_st = round(storm_tide(i * sp, y_channel), 4)
-        sx.append(i * sp)
-        sy.append(y_channel)
-        s_st.append(h_st)
-        s_s.append(round(spec.wave_ratio * h_st, 4))
-    for i in range(gw):
-        for j in range(gh):
-            h_st = round(storm_tide(i * sp, j * sp), 4)
-            sx.append(i * sp)
-            sy.append(j * sp)
-            s_st.append(h_st)
-            s_s.append(round(spec.wave_ratio * h_st, 4))
-    surge = SurgeField(sx, sy, s_st, s_s, datum_label="fixture-datum")
+    points = [(i * sp, y_channel) for i in range(gw)] + [(i * sp, j * sp) for i in range(gw) for j in range(gh)]
+    s_st = [round(peak * max(0.0, 1.0 - math.hypot(x - x_inlet, y - y_channel) / decay), 4) for x, y in points]
+    s_s = [round(spec.wave_ratio * h, 4) for h in s_st]
+    surge = SurgeField(*zip(*points), s_st, s_s, datum_label="fixture-datum")
 
     side = math.ceil(math.sqrt(spec.demand_count))
     demands: list[DemandSite] = []

@@ -146,9 +146,10 @@ def test_inert_supply_is_omitted():
     assert "j2" not in ratios
     scores = access.accessibility_scores(table, supplies, demands)
     assert scores.scores["i0"] == pytest.approx(0.1, abs=1e-15)  # j1 only
-    vec_ratio, denom = access.ratio_vector(table, supplies, demands)
+    reach = np.array([[True, False], [True, True]])  # rows i1, i0; columns j1, j2
+    _, ratio, denom = access.two_step(reach, *access.site_weights(demands, supplies))
     assert denom.tolist() == [100.0, 0.0]
-    assert vec_ratio[1] == 0.0
+    assert ratio[1] == 0.0
 
 
 def test_unreachable_demand_scores_zero():

@@ -114,6 +114,27 @@ def test_fixture_command_round_trip(tmp_path, capsys):
     assert cli.main(["validate", "--data", str(out_dir)]) == cli.EXIT_OK
 
 
+def test_fixture_flags_map_onto_the_spec(tmp_path):
+    # No flags: the SyntheticFixtureSpec defaults, byte for byte.
+    assert cli.main(["fixture", "--out", str(tmp_path / "cli")]) == cli.EXIT_OK
+    paths = scenario_io.generate_fixture(scenario_io.SyntheticFixtureSpec(), tmp_path / "api")
+    for p in paths.all_files():
+        assert (tmp_path / "cli" / p.name).read_bytes() == p.read_bytes(), p.name
+    # Every flag lands on its own spec field.
+    assert cli.main([
+        "fixture", "--out", str(tmp_path / "cli2"), "--storm", "gale", "--seed", "5", "--grid", "20x6",
+        "--spacing", "250", "--bridges", "12", "--demands", "9", "--supplies", "30", "--samples", "7",
+        "--d0", "40", "--peak", "5.5", "--decay", "7000",
+    ]) == cli.EXIT_OK
+    spec = scenario_io.SyntheticFixtureSpec(
+        storm="gale", seed=5, grid_width=20, grid_height=6, spacing_m=250.0, bridge_count=12,
+        demand_count=9, supply_count=30, samples=7, d0_minutes=40.0, surge_peak_m=5.5, surge_decay_m=7000.0,
+    )
+    paths = scenario_io.generate_fixture(spec, tmp_path / "api2")
+    for p in paths.all_files():
+        assert (tmp_path / "cli2" / p.name).read_bytes() == p.read_bytes(), p.name
+
+
 def test_fixture_rejects_bad_grid(tmp_path, capsys):
     code = cli.main(["fixture", "--out", str(tmp_path / "g"), "--grid", "big"])
     assert code == cli.EXIT_RUNTIME

@@ -184,29 +184,6 @@ def test_field_validation():
         small_field(coverage_radius_m=-5.0)
 
 
-def test_field_csv_round_trip(tmp_path):
-    field = small_field(datum_label="NAVD88")
-    path = tmp_path / "surge.csv"
-    rows = ["x,y,h_st,h_s"]
-    rows += [
-        f"{float(x)!r},{float(y)!r},{float(a)!r},{float(b)!r}"
-        for x, y, a, b in zip(field.x, field.y, field.h_st, field.h_s)
-    ]
-    path.write_text("\n".join(rows) + "\n")
-    loaded = hazard.SurgeField.from_csv(path, datum_label="NAVD88")
-    assert loaded == field
-
-
-def test_field_csv_errors(tmp_path):
-    path = tmp_path / "surge.csv"
-    path.write_text("x,y,h_st\n0,0,1\n")
-    with pytest.raises(InvalidInputError, match="missing column"):
-        hazard.SurgeField.from_csv(path)
-    path.write_text("x,y,h_st,h_s\n0,0,oops,0\n")
-    with pytest.raises(InvalidInputError, match="surge.csv:2"):
-        hazard.SurgeField.from_csv(path)
-
-
 def test_evaluate_exposures():
     field = small_field()
     exposures = hazard.evaluate_exposures(

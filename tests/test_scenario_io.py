@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from surgeaccess import fragility, scenario_io, simulate
+from surgeaccess import fragility, hazard, scenario_io, simulate
 from surgeaccess.errors import InvalidSpecError, ValidationError
 
 
@@ -30,6 +30,13 @@ def twin_dir(tmp_path):
     bundle = scenario_io.generate_twin_town(p_fail=0.5, samples=50)
     scenario_io.write_bundle(bundle, tmp_path / "twin")
     return tmp_path / "twin"
+
+
+@pytest.fixture()
+def small_dir(tmp_path):
+    paths = scenario_io.generate_fixture(small_spec(), tmp_path / "small")
+    paths.config.write_text(paths.config.read_text() + "coverage_radius_m = 2500.0\n")
+    return tmp_path / "small"
 
 
 def test_default_fixture_scale(default_bundle):
@@ -78,22 +85,41 @@ def test_small_fixture_loads_and_runs(tmp_path):
     assert result.samples == 20
 
 
-def test_bundle_round_trip(tmp_path, twin_dir):
-    first = scenario_io.load_bundle(twin_dir)
-    scenario_io.write_bundle(first, tmp_path / "again")
-    second = scenario_io.load_bundle(tmp_path / "again")
-    assert second.bridges == first.bridges
-    assert second.supplies == first.supplies
-    assert second.demands == first.demands
-    assert second.config == first.config
-    assert (second.crs, second.datum) == (first.crs, first.datum)
-    assert second.graph.node_ids == first.graph.node_ids
-    assert second.graph.edge_ids == first.graph.edge_ids
-    assert all(second.graph.edges[e] == first.graph.edges[e] for e in first.graph.edge_ids)
-    # rewriting an unchanged bundle reproduces the same bytes
-    assert file_hashes(scenario_io.BundlePaths.in_dir(tmp_path / "again").all_files()) == file_hashes(
-        scenario_io.BundlePaths.in_dir(twin_dir).all_files()
+def test_bundle_round_trip(tmp_path, twin_dir, small_dir):
+    # The small fixture has subgroup columns and a coverage radius; the twin town has neither.
+    for source in (twin_dir, small_dir):
+        first = scenario_io.load_bundle(source)
+        again = tmp_path / f"again_{source.name}"
+        scenario_io.write_bundle(first, again)
+        second = scenario_io.load_bundle(again)
+        assert second.bridges == first.bridges
+        assert second.supplies == first.supplies
+        assert second.demands == first.demands
+        assert second.config == first.config
+        assert (second.crs, second.datum) == (first.crs, first.datum)
+        assert second.graph.node_ids == first.graph.node_ids
+        assert second.graph.edge_ids == first.graph.edge_ids
+        assert all(second.graph.edges[e] == first.graph.edges[e] for e in first.graph.edge_ids)
+        # rewriting an unchanged bundle reproduces the same bytes
+        assert file_hashes(scenario_io.BundlePaths.in_dir(again).all_files()) == file_hashes(
+            scenario_io.BundlePaths.in_dir(source).all_files()
+        )
+    assert second.config.surge.coverage_radius_m == 2500.0
+    assert sorted(second.demands[0].subgroups) == ["above_poverty", "age65plus", "below_poverty"]
+
+
+def test_write_bundle_config_text(tmp_path):
+    bundle = scenario_io.generate_twin_town(p_fail=0.5, samples=50)
+    bundle.config = dataclasses.replace(
+        bundle.config, surge=hazard.SurgeField([900.0], [0.0], [1.0], [0.0], "twin-datum", coverage_radius_m=25.0)
     )
+    paths = scenario_io.write_bundle(bundle, tmp_path / "cfg")
+    assert paths.config.read_text() == (
+        "storm = twin\ncrs = local-meters\ndatum = twin-datum\nd0_minutes = 50.0\nsamples = 50\nseed = 7\n"
+        "horizons = short,long\nbridge_close_zc = -0.6\nroad_close_din = 0.6\nworkers = 1\n"
+        "convergence_window = 100\nconvergence_tolerance = 0.01\ncoverage_radius_m = 25.0\n"
+    )
+    assert paths.surge.read_text() == "x,y,h_st,h_s\n900.0,0.0,1.0,0.0\n"
 
 
 def test_load_bundle_missing_file(twin_dir):
@@ -107,12 +133,13 @@ def test_load_bundle_reports_every_file_problem(twin_dir):
     (twin_dir / scenario_io.BRIDGES_FILE).write_text(
         "bridge_id,h_b,mass_ton_per_m,x,y\nb-main,oops,2.0,900.0,0.0\n"
     )
+    (twin_dir / scenario_io.SURGE_FILE).write_text("x,y,h_st\n900.0,0.0,1.0\n")
     (twin_dir / scenario_io.SUPPLIES_FILE).write_text("supply_id,x,y\ns1,0,0\n")
     (twin_dir / scenario_io.DEMANDS_FILE).write_text(
         "demand_id,x,y,population\nd1,0.0,10.0,-5.0\n"
     )
     (twin_dir / scenario_io.CONFIG_FILE).write_text(
-        "crs = local-meters\nsamples = abc\nmystery = 1\nbroken line\n"
+        "crs = local-meters\nsamples = abc\nd0_minutes = soon\nmystery = 1\nbroken line\n"
     )
     with pytest.raises(ValidationError) as err:
         scenario_io.load_bundle(twin_dir)
@@ -122,7 +149,8 @@ def test_load_bundle_reports_every_file_problem(twin_dir):
         "bridges.csv:2: bad bridge row",
         "supplies.csv: missing column(s) capacity",
         "demands.csv:2: bad demand row",
-        "scenario.cfg: samples must be an integer",
+        "scenario.cfg: samples must be an integer, got 'abc'",
+        "scenario.cfg: d0_minutes must be a number, got 'soon'",
         "unknown key 'mystery'",
         "expected key = value",
         "storm is required",
@@ -130,6 +158,44 @@ def test_load_bundle_reports_every_file_problem(twin_dir):
     ):
         assert fragment in text, fragment
     assert "validation error(s)" in text
+    # surge.csv is read even though scenario.cfg is broken, and named like every other file
+    assert "surge.csv: missing column(s) h_s" in err.value.errors
+
+
+def test_surge_csv_values_round_trip(twin_dir):
+    field = hazard.SurgeField(
+        [900.0, 0.1 + 0.2, -1e6 / 3], [0.0, 7.0, 2.5e-7], [1.0, 1 / 3, 6.02e23], [0.0, 2 / 3, 1e-300],
+        datum_label="twin-datum",
+    )
+    rows = [",".join(repr(float(v)) for v in row) for row in zip(field.x, field.y, field.h_st, field.h_s)]
+    (twin_dir / scenario_io.SURGE_FILE).write_text("\n".join(["x,y,h_st,h_s", *rows]) + "\n")
+    assert scenario_io.load_bundle(twin_dir).config.surge == field
+
+
+def test_surge_csv_errors(twin_dir):
+    surge = twin_dir / scenario_io.SURGE_FILE
+    for text, message in (
+        ("x,y,h_st\n0,0,1\n", "surge.csv: missing column(s) h_s"),
+        (
+            "x,y,h_st,h_s\n0,0,1,0\n5,0,oops,0\n",
+            "surge.csv:3: bad surge row (could not convert string to float: 'oops')",
+        ),
+        ("x,y,h_st,h_s\n0,0,1,0\n5,0,1\n", "surge.csv:3: bad surge row (missing h_s)"),
+        ("x,y,h_st,h_s\n0,0,1,0\n0,0,2,0\n", "surge field contains duplicate sample locations"),
+    ):
+        surge.write_text(text)
+        with pytest.raises(ValidationError) as err:
+            scenario_io.load_bundle(twin_dir)
+        assert err.value.errors == [message]
+
+
+def test_unknown_horizon_reported_once(twin_dir):
+    cfg = twin_dir / scenario_io.CONFIG_FILE
+    cfg.write_text(cfg.read_text().replace("horizons = short,long", "horizons = short,mid"))
+    with pytest.raises(ValidationError) as err:
+        scenario_io.load_bundle(twin_dir)
+    assert len(err.value.errors) == 1
+    assert "unknown horizon 'mid'" in err.value.errors[0]
 
 
 def test_parse_config_text():
@@ -141,7 +207,7 @@ def test_parse_config_text():
 
 
 def test_config_defaults(twin_dir):
-    (twin_dir / scenario_io.CONFIG_FILE).write_text("storm = x\ncrs = local-meters\n")
+    (twin_dir / scenario_io.CONFIG_FILE).write_text("storm = x\ncrs = local-meters\ncoverage_radius_m =\n")
     bundle = scenario_io.load_bundle(twin_dir)
     cfg = bundle.config
     assert cfg.d0_minutes == 50.0
@@ -151,7 +217,9 @@ def test_config_defaults(twin_dir):
     assert cfg.thresholds.bridge_close_zc == -0.6
     assert cfg.thresholds.road_close_din == 0.6
     assert cfg.workers == 1
-    assert bundle.datum == "unspecified"
+    assert (cfg.convergence_window, cfg.convergence_tolerance) == (100, 0.01)
+    assert cfg.surge.coverage_radius_m is None
+    assert bundle.datum == cfg.surge.datum_label == "unspecified"
 
 
 def test_coverage_radius_round_trip(tmp_path, twin_dir):
