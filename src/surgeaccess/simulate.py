@@ -15,6 +15,8 @@ set that takes every edge of each touched unit. Units that lie on no
 within-d0 path on a horizon's base network are left out of its keys
 (see network.live_edges). Each horizon costs three bounded Dijkstra
 searches, and each network a min-plus closure (network.PortalDistances).
+The K x D score table (K networks, D demands) and each horizon's sample ->
+network index are kept; statistics sum row blocks gathered through the index.
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ def _check_probability(bridge_id: str, p: float) -> None:
         raise InvalidInputError(f"bridge {bridge_id}: probability {p} outside [0, 1]")
 
 
-# Candidate rows convergence_report checks per step before it looks for a settled one.
+# Rows per gathered block: the candidate rows convergence_report checks per step, and _gathered_sum's blocks.
 _CONVERGENCE_BLOCK = 256
 
 
@@ -81,29 +83,37 @@ def _running_mean(trace: np.ndarray) -> np.ndarray:
     return np.cumsum(trace, axis=0) / np.arange(1, trace.shape[0] + 1, dtype=float)[:, None]
 
 
-def _running_mean_blocks(trace: np.ndarray, size: int):
-    """_running_mean(trace) in blocks of `size` rows, each summed when asked for. Each block's cumsum
-    starts from the sum before it, so every column adds up in one cumsum's order, to the bit."""
-    sums = trace[:0]
-    for start in range(0, trace.shape[0], size):  # carry the last sum in as a first row, then drop it
-        sums = np.cumsum(np.concatenate([sums[-1:], trace[start : start + size]]), axis=0)[min(start, 1) :]
+def _running_mean_blocks(table: np.ndarray, index: np.ndarray, size: int):
+    """_running_mean(table[index]) in blocks of `size` rows, each gathered and summed when asked for. Each
+    block's cumsum starts from the sum before it, so every column adds up in one cumsum's order, to the bit."""
+    sums = table[:0]
+    for start in range(0, index.size, size):  # carry the last sum in as a first row, then drop it
+        sums = np.cumsum(np.concatenate([sums[-1:], table[index[start : start + size]]]), axis=0)[min(start, 1) :]
         yield sums / np.arange(start + 1, start + sums.shape[0] + 1, dtype=float)[:, None]
 
 
-def convergence_report(
-    trace: np.ndarray,
-    window: int = 100,
-    tolerance: float = 0.01,
-) -> int | None:
+def _gathered_sum(table: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """table[index].sum(axis=0) to the bit, in gathered blocks. numpy adds an axis-0 sum row by row, so each
+    block's sum starts from the sum before it; a lone column it sums pairwise, so that one is gathered whole."""
+    if table.shape[1] == 1:
+        return table[index].sum(axis=0)
+    total, size = table[:0], _CONVERGENCE_BLOCK
+    for start in range(0, index.size, size):
+        total = np.concatenate([total, table[index[start : start + size]]]).sum(axis=0, keepdims=True)
+    return total[0]
+
+
+def convergence_report(trace: np.ndarray, window: int = 100, tolerance: float = 0.01, index=None) -> int | None:
     """Smallest sample count at which every running mean has settled.
 
-    trace holds per-sample values, one row per sample (a single column
-    is fine). The estimate at n is converged when the trailing `window`
-    running means span a range of at most tolerance * |current mean|
-    (exactly zero range when the current mean is zero). Returns None if
-    the trace never settles or is shorter than the window. Candidate
-    rows are checked a block at a time, and neither the scan nor the
-    running means go past the first block that holds a settled row.
+    trace holds per-sample values, one row per sample (a single column is
+    fine); given a sample -> row index, sample i's values are trace[index[i]],
+    gathered a block at a time. The estimate at n is converged when the
+    trailing `window` running means span at most tolerance * |current mean|
+    (exactly zero range when the current mean is zero). Returns None if the
+    trace never settles or is shorter than the window. Candidate rows are
+    checked a block at a time, and neither the scan nor the running means go
+    past the first block that holds a settled row.
     """
     if window < 1:
         raise InvalidInputError(f"window must be >= 1, got {window}")
@@ -112,10 +122,11 @@ def convergence_report(
     trace = np.asarray(trace, dtype=float)
     if trace.ndim == 1:
         trace = trace[:, None]
-    if trace.ndim != 2 or trace.shape[0] == 0:
+    index = np.arange(trace.shape[0]) if index is None else np.asarray(index)
+    if trace.ndim != 2 or trace.shape[0] == 0 or index.size == 0:
         raise InvalidInputError("trace must be a non-empty 1-d or 2-d array")
     running = trace[:0]  # running means of the block and the window - 1 samples before it
-    for index, block in enumerate(_running_mean_blocks(trace, _CONVERGENCE_BLOCK)):
+    for number, block in enumerate(_running_mean_blocks(trace, index, _CONVERGENCE_BLOCK)):
         running = np.concatenate([running[max(0, running.shape[0] - window + 1) :], block])
         if running.shape[0] < window:
             continue
@@ -126,7 +137,7 @@ def convergence_report(
         settled = np.where(reference > 0.0, spans <= tolerance * reference, spans == 0.0)
         rows = np.flatnonzero(settled.all(axis=1))
         if rows.size:
-            return index * _CONVERGENCE_BLOCK + block.shape[0] - running.shape[0] + int(rows[0]) + window
+            return number * _CONVERGENCE_BLOCK + block.shape[0] - running.shape[0] + int(rows[0]) + window
     return None
 
 
@@ -167,11 +178,13 @@ class ScenarioConfig:
 class HorizonResult:
     """Aggregated accessibility for one recovery horizon.
 
-    Scores are scaled to capacity per 1,000 residents. sample_scores has
-    one row per Monte Carlo sample and one column per demand site;
-    running_mean gives its cumulative means, the per-demand convergence
-    trace. converged_at is the first sample count at which every
-    demand's running mean has settled, or None.
+    Scores are scaled to capacity per 1,000 residents. score_table has
+    one row per distinct network of the run and one column per demand;
+    sample_network maps each Monte Carlo sample to its row. sample_scores
+    gathers the N x D matrix from them on demand; running_mean gives its
+    cumulative means, the per-demand convergence trace. converged_at is
+    the first sample count at which every demand's running mean has
+    settled, or None.
     """
 
     horizon: str
@@ -183,7 +196,12 @@ class HorizonResult:
     no_access_fraction: float
     average_cov: float
     converged_at: int | None
-    sample_scores: np.ndarray
+    score_table: np.ndarray
+    sample_network: np.ndarray
+
+    @property
+    def sample_scores(self) -> np.ndarray:
+        return self.score_table[self.sample_network]
 
     @property
     def running_mean(self) -> np.ndarray:
@@ -231,19 +249,16 @@ def _evaluate_networks(items: list, workers: int, context: tuple) -> list[np.nda
         return list(pool.map(_eval_in_worker, items, chunksize=chunksize))
 
 
-def _column_cov(sample_scores: np.ndarray) -> np.ndarray:
-    """Per-demand coefficient of variation across samples.
-
-    Columns whose samples are all identical get exactly 0, with no
-    floating-point residue from the variance formula.
-    """
-    mean = sample_scores.mean(axis=0)
-    std = sample_scores.std(axis=0)
-    identical = sample_scores.min(axis=0) == sample_scores.max(axis=0)
-    std[identical] = 0.0
+def _column_stats(table: np.ndarray, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-demand x.mean(axis=0) and CoV x.std(axis=0) / mean, to the bit, for the samples x = table[index].
+    Columns whose used rows are all identical get a CoV of exactly 0, with no residue from the variance formula."""
+    mean = _gathered_sum(table, index) / index.size
+    std = np.sqrt(_gathered_sum(np.square(table - mean), index) / index.size)
+    used = table[np.bincount(index, minlength=table.shape[0]) > 0]
+    std[used.min(axis=0) == used.max(axis=0)] = 0.0
     cov = np.zeros_like(mean)
     np.divide(std, mean, out=cov, where=mean > 0.0)
-    return cov
+    return mean, cov
 
 
 def run_scenario(
@@ -266,8 +281,8 @@ def run_scenario(
     distinct (base set, closed units) key is evaluated once, from the
     network.PortalDistances of the first horizon that keys it. The
     resulting K x D score table (K networks, D demands) is indexed per
-    sample. Subgroups with zero total weight are left out of the group
-    averages.
+    sample and aggregated in gathered row blocks. Subgroups with zero
+    total weight are left out of the group averages.
     """
     if not demands:
         raise InvalidInputError("scenario needs at least one demand location")
@@ -353,9 +368,8 @@ def run_scenario(
     }
 
     for horizon in config.horizons:
-        sample_scores = score_table[sample_network[horizon]]
-        mean_scores = sample_scores.mean(axis=0)
-        cov = _column_cov(sample_scores)
+        index = sample_network[horizon]
+        mean_scores, cov = _column_stats(score_table, index)
         mean_access = access.AccessScores(
             scores={did: float(v) for did, v in zip(demand_ids, mean_scores)},
             d0_minutes=config.d0_minutes,
@@ -365,7 +379,7 @@ def run_scenario(
             if sum(weights.values()) > 0.0:
                 group_averages[name] = access.weighted_average(mean_access, weights)
         # Convergence requires every demand's running mean to settle.
-        converged_at = convergence_report(sample_scores, config.convergence_window, config.convergence_tolerance)
+        converged_at = convergence_report(score_table, config.convergence_window, config.convergence_tolerance, index)
         result.horizons[horizon] = HorizonResult(
             horizon=horizon,
             demand_ids=demand_ids,
@@ -376,6 +390,7 @@ def run_scenario(
             no_access_fraction=access.no_access_fraction(mean_access),
             average_cov=float(cov.mean()),
             converged_at=converged_at,
-            sample_scores=sample_scores,
+            score_table=score_table,
+            sample_network=index,
         )
     return result

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -113,6 +114,13 @@ def spiked_zero_trace(last_spike, length, gap=50):
     return trace
 
 
+def indexed_report(trace, window):
+    """convergence_report on the distinct rows of trace plus the sample -> row index."""
+    table, index = np.unique(trace, axis=0, return_inverse=True)
+    assert len(table) < len(trace)
+    return simulate.convergence_report(table, window, 0.01, index.ravel())
+
+
 def test_convergence_matches_naive_scan_around_block_boundaries():
     block = simulate._CONVERGENCE_BLOCK
     for window in (100, block + 44):
@@ -121,11 +129,14 @@ def test_convergence_matches_naive_scan_around_block_boundaries():
                 trace = spiked_zero_trace(row - 1, row + window + 150)
                 assert naive_converged_at(trace, window) == row + window
                 assert simulate.convergence_report(trace, window) == row + window
+                assert indexed_report(trace, window) == row + window
                 other = spiked_zero_trace(row // 2, len(trace))  # an earlier-settling column
                 assert simulate.convergence_report(np.stack([other, trace], axis=1), window) == row + window
+                assert indexed_report(np.stack([other, trace], axis=1), window) == row + window
         never = spiked_zero_trace(3 * block, 3 * block + window // 2)  # last window always holds a spike
         assert naive_converged_at(never, window) is None
         assert simulate.convergence_report(never, window) is None
+        assert indexed_report(never, window) is None
 
 
 def test_convergence_matches_naive_scan_around_running_mean_blocks():
@@ -137,6 +148,7 @@ def test_convergence_matches_naive_scan_around_running_mean_blocks():
             trace = spiked_zero_trace(settle - window - 1, settle + 150)
             assert naive_converged_at(trace, window) == settle
             assert simulate.convergence_report(trace, window) == settle
+            assert indexed_report(trace, window) == settle
 
 
 def test_running_mean_blocks_match_running_mean_bit_for_bit():
@@ -145,9 +157,14 @@ def test_running_mean_blocks_match_running_mean_bit_for_bit():
         size = simulate._CONVERGENCE_BLOCK if trial % 2 else int(rng.integers(1, 300))
         rows = int(rng.integers(3 * size + 1, 4 * size + 300))
         trace = rng.normal(rng.uniform(-5.0, 50.0), rng.uniform(0.01, 30.0), size=(rows, int(rng.integers(1, 6))))
-        blocks = list(simulate._running_mean_blocks(trace, size))
+        blocks = list(simulate._running_mean_blocks(trace, np.arange(rows), size))
         assert len(blocks) > 3
         assert np.concatenate(blocks).tobytes() == simulate._running_mean(trace).tobytes()
+        # The same running means gathered from a table of distinct rows through a sample -> row index.
+        table = trace[: int(rng.integers(1, 40))]
+        index = rng.integers(0, len(table), size=rows)
+        blocks = simulate._running_mean_blocks(table, index, size)
+        assert np.concatenate(list(blocks)).tobytes() == simulate._running_mean(table[index]).tobytes()
 
 
 def test_convergence_growing_trace_never_settles():
@@ -172,14 +189,48 @@ def test_convergence_validation():
         simulate.convergence_report(np.ones(10), tolerance=0.0)
     with pytest.raises(InvalidInputError):
         simulate.convergence_report(np.array([]))
+    with pytest.raises(InvalidInputError):
+        simulate.convergence_report(np.ones(10), index=np.array([], dtype=np.int64))
 
 
 def test_column_cov():
     scores = np.array([[0.0, 5.0, 7.0], [10.0, 5.0, 7.0]])
-    cov = simulate._column_cov(scores)
+    _, cov = simulate._column_stats(scores, np.arange(2))
     assert cov[0] == 1.0  # mean 5, population std 5
     assert cov[1] == 0.0 and cov[2] == 0.0  # identical columns, no residue
-    assert simulate._column_cov(np.zeros((4, 2))).tolist() == [0.0, 0.0]
+    assert simulate._column_stats(np.zeros((4, 2)), np.arange(4))[1].tolist() == [0.0, 0.0]
+
+
+def gathered_column_cov(x):
+    """Reference CoV on the whole N x D sample matrix: numpy's std over its mean, 0 on constant columns."""
+    mean = x.mean(axis=0)
+    std = x.std(axis=0)
+    std[x.min(axis=0) == x.max(axis=0)] = 0.0
+    cov = np.zeros_like(mean)
+    np.divide(std, mean, out=cov, where=mean > 0.0)
+    return cov
+
+
+def test_column_stats_match_the_gathered_matrix_bit_for_bit():
+    rng = np.random.default_rng(31)
+    block = simulate._CONVERGENCE_BLOCK
+    sizes = (1, 7, block - 1, block, block + 1, 2 * block, 3 * block, 5 * block + 17)
+    for trial in range(120):
+        k, d = int(rng.integers(1, 12)), (1, 2, 3, int(rng.integers(4, 130)))[trial % 4]
+        n = sizes[trial % len(sizes)] if trial < 64 else int(rng.integers(1, 6 * block))
+        table = rng.choice([0.0, 1.0, 7.5], size=(k, d)) * rng.uniform(0.0, 300.0, size=(k, d))
+        index = rng.integers(0, max(1, k - 1), size=n)  # the last of several table rows is never used
+        if d > 2:
+            zero, constant = rng.choice(d, size=2, replace=False)
+            table[:, zero] = 0.0
+            table[:, constant] = 42.5  # constant over the used rows, but not over the whole table
+            table[-1, constant] = 17.0
+        x = table[index]
+        mean, cov = simulate._column_stats(table, index)
+        assert mean.tobytes() == x.mean(axis=0).tobytes()
+        assert cov.tobytes() == gathered_column_cov(x).tobytes()
+        if d > 2 and k > 1:
+            assert cov[zero] == 0.0 and cov[constant] == 0.0
 
 
 def test_scenario_config_validation():
@@ -369,3 +420,32 @@ def test_unit_keys_match_raw_key_reference_on_storm2(storm2_bundle):
     for horizon, hres in result.horizons.items():
         reference = raw_key_sample_scores(result, config, bundle.graph, bundle.supplies, bundle.demands, horizon)
         assert np.array_equal(hres.sample_scores, reference)
+
+
+def test_run_scenario_reaches_stage_functions_through_module_attributes(monkeypatch):
+    # Span tracers time the draw, aggregation and convergence stages by wrapping these attributes.
+    calls = {}
+    for module, name in ((simulate, "sample_failures"), (simulate, "convergence_report"), (access, "group_names")):
+        def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    twin_result(0.5, samples=120)
+    assert calls == {"sample_failures": 120, "group_names": 1, "convergence_report": 2}
+
+
+def test_run_scenario_memory_stays_below_one_sample_matrix(tmp_path):
+    spec = scenario_io.SyntheticFixtureSpec(
+        grid_width=24, grid_height=8, bridge_count=12, demand_count=16, supply_count=40, samples=20_000
+    )
+    scenario_io.generate_fixture(spec, tmp_path)
+    bundle = scenario_io.load_bundle(tmp_path)
+    tracemalloc.start()
+    try:
+        result = simulate.run_scenario(bundle.config, bundle.graph, bundle.bridges, bundle.supplies, bundle.demands)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.horizons["long"].average_cov > 0.0  # the samples really vary
+    assert peak < spec.samples * spec.demand_count * 8  # one horizon's N x D float64 matrix
