@@ -173,16 +173,6 @@ def accessibility_scores(
     )
 
 
-def scale_scores(scores: AccessScores, scale: float = SCORE_SCALE) -> AccessScores:
-    """Express scores as capacity per `scale` residents."""
-    if not math.isfinite(scale) or scale <= 0.0:
-        raise InvalidInputError(f"scale must be finite and > 0, got {scale}")
-    return AccessScores(
-        scores={k: v * scale for k, v in scores.scores.items()},
-        d0_minutes=scores.d0_minutes,
-    )
-
-
 def _nearest_rank(sorted_values: np.ndarray, percent: int) -> float:
     """Nearest-rank percentile of an ascending array."""
     n = sorted_values.shape[0]

@@ -9,11 +9,9 @@ sitting exactly on a boundary belongs to the lower band.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 from .errors import InvalidInputError, UnsupportedBridgeError
 
@@ -81,10 +79,8 @@ class FragilityTable:
             raise UnsupportedBridgeError(
                 f"mass {mass_ton_per_m} ton/m outside supported range ({lo}, {hi}]"
             )
-        for row in self.rows:
-            if row.band_lo < mass_ton_per_m <= row.band_hi:
-                return row
-        raise UnsupportedBridgeError(f"mass {mass_ton_per_m} ton/m not covered by any band")
+        # Contiguous bands tile the domain checked above, so one always matches.
+        return next(row for row in self.rows if row.band_lo < mass_ton_per_m <= row.band_hi)
 
     def checksum(self) -> str:
         """sha256 over the canonical text form of the rows."""
@@ -93,43 +89,13 @@ class FragilityTable:
         )
         return hashlib.sha256(text.encode("ascii")).hexdigest()
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, FragilityTable) and self.rows == other.rows
-
     def __len__(self) -> int:
         return len(self.rows)
-
-    @classmethod
-    def default(cls) -> FragilityTable:
-        return cls(_DEFAULT_ROWS)
-
-    @classmethod
-    def from_csv(cls, path: str | Path) -> FragilityTable:
-        """Load bands from a CSV with columns band_lo, band_hi, a, b, c."""
-        required = ("band_lo", "band_hi", "a", "b", "c")
-        rows: list[FragilityRow] = []
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            fields = reader.fieldnames or []
-            missing = [name for name in required if name not in fields]
-            if missing:
-                raise InvalidInputError(f"{path}: missing column(s) {', '.join(missing)}")
-            for lineno, rec in enumerate(reader, start=2):
-                try:
-                    rows.append(FragilityRow(*(float(rec[name]) for name in required)))
-                except (TypeError, ValueError) as exc:
-                    raise InvalidInputError(f"{path}:{lineno}: bad row ({exc})") from exc
-        return cls(rows)
 
 
 def default_table() -> FragilityTable:
     """The built-in coefficient table."""
-    return FragilityTable.default()
-
-
-def coefficients_for(mass_ton_per_m: float, table: FragilityTable | None = None) -> FragilityRow:
-    """Band lookup against the given table (default: built-in)."""
-    return (table or FragilityTable.default()).coefficients_for(mass_ton_per_m)
+    return FragilityTable(_DEFAULT_ROWS)
 
 
 def uplift_probability(row: FragilityRow, h_max_m: float, z_c_m: float) -> float:

@@ -100,13 +100,9 @@ class SurgeField:
             and self.coverage_radius_m == other.coverage_radius_m
         )
 
-    def nearest_index(self, qx: np.ndarray, qy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Nearest sample index and squared distance for each query point."""
-        return nearest_points(self.x, self.y, qx, qy)
-
     def values_at(self, qx: np.ndarray, qy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(h_st, h_s) at each query point; no surge outside coverage."""
-        idx, d2 = self.nearest_index(qx, qy)
+        idx, d2 = nearest_points(self.x, self.y, qx, qy)
         h_st = self.h_st[idx].copy()
         h_s = self.h_s[idx].copy()
         if self.coverage_radius_m is not None:
@@ -208,12 +204,6 @@ def _nearest_brute_force(px, py, qx, qy) -> tuple[np.ndarray, np.ndarray]:
         idx[start:end] = np.argmin(dist2, axis=1)
         d2[start:end] = dist2[np.arange(end - start), idx[start:end]]
     return idx, d2
-
-
-def sample_field_at(field: SurgeField, location: tuple[float, float]) -> tuple[float, float]:
-    """(h_st, h_s) at a single location."""
-    h_st, h_s = field.values_at(np.array([location[0]]), np.array([location[1]]))
-    return float(h_st[0]), float(h_s[0])
 
 
 def _require_finite(name: str, value: float) -> float:

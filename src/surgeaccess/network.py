@@ -144,10 +144,6 @@ class RoadGraph:
     def edges_for_bridge(self, bridge_id: str) -> tuple[str, ...]:
         return self._edges_by_bridge.get(bridge_id, ())
 
-    def nearest_nodes(self, xs: Sequence[float] | np.ndarray, ys: Sequence[float] | np.ndarray) -> np.ndarray:
-        """Index (into node_ids) of the nearest node per query point; ties go to the lowest node id."""
-        return hazard.nearest_points(self._node_x, self._node_y, xs, ys)[0]
-
     def bridge_sites(self) -> list[tuple[str, float, float, float]]:
         """(bridge_id, deck_elevation_m, x, y) rows, sorted by id."""
         return [
@@ -405,10 +401,10 @@ class TravelTimeTable:
 
 
 def snap_sites(graph: RoadGraph, sites: Sequence) -> np.ndarray:
-    """Nearest network node (index into graph.node_ids) per site."""
+    """Nearest network node (index into graph.node_ids) per site; ties go to the lowest node id."""
     if not sites:
         return np.array([], dtype=np.int64)
-    return graph.nearest_nodes([s.x for s in sites], [s.y for s in sites])
+    return hazard.nearest_points(graph._node_x, graph._node_y, [s.x for s in sites], [s.y for s in sites])[0]
 
 
 def travel_time_table(

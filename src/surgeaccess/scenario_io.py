@@ -35,7 +35,6 @@ import numpy as np
 from . import __version__
 from .access import DemandSite, SupplySite
 from .errors import InvalidInputError, InvalidSpecError, ValidationError
-from .fragility import default_table  # noqa: F401  (public re-export)
 from .hazard import ExposureThresholds, SurgeField
 from .network import BRIDGE, ROAD, BridgeRecord, Edge, Node, RoadGraph, build_graph
 from .simulate import ScenarioConfig, ScenarioResult
@@ -180,15 +179,20 @@ def _parse_network_geojson(path: Path, errors: list[str]) -> tuple[list[Node], l
     except json.JSONDecodeError as exc:
         errors.append(f"{path.name}: not valid JSON ({exc})")
         return [], []
-    if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
+    features = doc.get("features", []) if isinstance(doc, dict) else None
+    if not isinstance(features, list) or doc.get("type") != "FeatureCollection":
         errors.append(f"{path.name}: expected a GeoJSON FeatureCollection")
         return [], []
 
     nodes: list[Node] = []
     edge_features: list[tuple[int, dict]] = []
-    for i, feat in enumerate(doc.get("features", [])):
-        geom = feat.get("geometry") or {}
-        props = feat.get("properties") or {}
+    for i, feat in enumerate(features):
+        geom, props = (
+            (feat.get("geometry") or {}, feat.get("properties") or {}) if isinstance(feat, dict) else (None, None)
+        )
+        if not (isinstance(geom, dict) and isinstance(props, dict)):
+            errors.append(f"{path.name}: feature {i}: feature, geometry and properties must be JSON objects")
+            continue
         gtype = geom.get("type")
         if gtype == "Point":
             try:

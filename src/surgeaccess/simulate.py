@@ -290,16 +290,12 @@ def run_scenario(
     for kind, ids in (("demand", demand_ids), ("supply", [s.supply_id for s in supplies])):
         if len(set(ids)) != len(ids):
             raise InvalidInputError(f"duplicate {kind} ids")
-    if {b.bridge_id for b in bridges} != set(graph.bridges):
+    if {b.bridge_id: b for b in bridges} != graph.bridges:  # exposures read the graph's records
         raise InvalidInputError("bridge records do not match the graph's bridges")
     table = fragility_table if fragility_table is not None else fragility.default_table()
 
     bridge_rows = sorted(bridges, key=lambda b: b.bridge_id)
-    exposures = hazard.evaluate_exposures(
-        config.surge,
-        [(b.bridge_id, b.deck_elevation_m, b.x, b.y) for b in bridge_rows],
-        graph.road_sites(),
-    )
+    exposures = hazard.evaluate_exposures(config.surge, graph.bridge_sites(), graph.road_sites())
     failure_probability: dict[str, float] = {}
     for rec in bridge_rows:
         exp = exposures.bridges[rec.bridge_id]

@@ -161,16 +161,6 @@ def test_unreachable_demand_scores_zero():
     assert access.no_access_fraction(scores) == 0.5
 
 
-def test_scale_scores():
-    scores = access.AccessScores({"a": 0.01, "b": 0.0}, d0_minutes=50.0)
-    scaled = access.scale_scores(scores)
-    assert scaled.scores == {"a": 10.0, "b": 0.0}
-    assert scaled.d0_minutes == 50.0
-    assert access.SCORE_SCALE == 1000.0
-    with pytest.raises(InvalidInputError):
-        access.scale_scores(scores, scale=0.0)
-
-
 def test_quartile_worked_examples():
     classify = lambda vals: access.quartile_classify(
         access.AccessScores({f"d{i}": v for i, v in enumerate(vals)}, 50.0)

@@ -60,10 +60,6 @@ def test_out_of_domain_mass_refused():
         TABLE.coefficients_for(float("nan"))
 
 
-def test_module_level_lookup_defaults_to_builtin():
-    assert fragility.coefficients_for(12.0) == TABLE.coefficients_for(12.0)
-
-
 def test_checksum_matches_independent_recomputation():
     lines = "\n".join(
         f"{r.band_lo!r},{r.band_hi!r},{r.a!r},{r.b!r},{r.c!r}" for r in TABLE.rows
@@ -78,30 +74,6 @@ def test_checksum_tracks_content():
     rows = list(TABLE.rows)
     rows[0] = fragility.FragilityRow(0.0, 5.0, 0.6469, 0.0406, -0.1376)
     assert fragility.FragilityTable(rows).checksum() != TABLE.checksum()
-
-
-def test_csv_round_trip(tmp_path):
-    path = tmp_path / "bands.csv"
-    lines = ["band_lo,band_hi,a,b,c"]
-    lines += [f"{r.band_lo!r},{r.band_hi!r},{r.a!r},{r.b!r},{r.c!r}" for r in TABLE.rows]
-    path.write_text("\n".join(lines) + "\n")
-    loaded = fragility.FragilityTable.from_csv(path)
-    assert loaded == TABLE
-    assert loaded.checksum() == TABLE.checksum()
-
-
-def test_csv_missing_column(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("band_lo,band_hi,a,b\n0,5,0.1,0.2\n")
-    with pytest.raises(InvalidInputError, match="missing column"):
-        fragility.FragilityTable.from_csv(path)
-
-
-def test_csv_non_numeric_cell(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("band_lo,band_hi,a,b,c\n0,5,x,0.2,-0.1\n")
-    with pytest.raises(InvalidInputError, match="bad.csv:2"):
-        fragility.FragilityTable.from_csv(path)
 
 
 def test_table_validation():

@@ -22,6 +22,12 @@ def small_field(**kw):
     )
 
 
+def value_at(field, x, y):
+    """(h_st, h_s) at one location, through SurgeField.values_at."""
+    h_st, h_s = field.values_at(np.array([x]), np.array([y]))
+    return float(h_st[0]), float(h_s[0])
+
+
 def test_exposure_quantities():
     assert hazard.relative_surge_elevation(7.0, 2.5) == 4.5
     assert hazard.inundation_depth(1.0, 2.5) == 1.5
@@ -56,14 +62,14 @@ def test_threshold_signs_validated():
 
 def test_nearest_sample_lookup():
     field = small_field()
-    assert hazard.sample_field_at(field, (10.0, 5.0)) == (2.0, 0.5)
-    assert hazard.sample_field_at(field, (160.0, 0.0)) == (4.0, 1.5)
+    assert value_at(field, 10.0, 5.0) == (2.0, 0.5)
+    assert value_at(field, 160.0, 0.0) == (4.0, 1.5)
 
 
 def test_nearest_tie_breaks_to_lowest_index():
     # (50, 0) is equidistant from samples 0 and 1; sample 0 wins
     field = small_field()
-    idx, d2 = field.nearest_index(np.array([50.0]), np.array([0.0]))
+    idx, d2 = hazard.nearest_points(field.x, field.y, np.array([50.0]), np.array([0.0]))
     assert idx[0] == 0
     assert d2[0] == 2500.0
 
@@ -146,11 +152,11 @@ def test_nearest_points_matches_naive_argmin():
 
 def test_coverage_radius_zeroes_surge_outside():
     field = small_field(coverage_radius_m=50.0)
-    assert hazard.sample_field_at(field, (0.0, 49.0)) == (2.0, 0.5)
-    assert hazard.sample_field_at(field, (0.0, 50.0)) == (2.0, 0.5)
-    assert hazard.sample_field_at(field, (0.0, 51.0)) == hazard.NO_SURGE
+    assert value_at(field, 0.0, 49.0) == (2.0, 0.5)
+    assert value_at(field, 0.0, 50.0) == (2.0, 0.5)
+    assert value_at(field, 0.0, 51.0) == hazard.NO_SURGE
     # without a radius the nearest sample applies at any distance
-    assert hazard.sample_field_at(small_field(), (0.0, 1e6)) == (2.0, 0.5)
+    assert value_at(small_field(), 0.0, 1e6) == (2.0, 0.5)
 
     # On a field large enough for the cell grid, against the naive nearest sample.
     rng = np.random.default_rng(5)

@@ -149,7 +149,7 @@ def test_component_count():
 
 def test_nearest_nodes_tie_breaks_to_lowest_id():
     graph = line_graph(3)  # nodes at x = 0, 60, 120
-    idx = graph.nearest_nodes([30.0], [0.0])  # equidistant n00 / n01
+    idx = network.snap_sites(graph, [access.SupplySite("s", 30.0, 0.0, 1.0)])  # equidistant n00 / n01
     assert graph.node_ids[idx[0]] == "n00"
 
 

@@ -161,6 +161,15 @@ def test_load_bundle_reports_every_file_problem(twin_dir):
     # surge.csv is read even though scenario.cfg is broken, and named like every other file
     assert "surge.csv: missing column(s) h_s" in err.value.errors
 
+    # A feature, geometry or properties that is not a JSON object is reported, not raised.
+    network_file = twin_dir / scenario_io.NETWORK_FILE
+    odd = [7, {"type": "Feature", "geometry": 7}, {"type": "Feature", "geometry": {"type": "Point"}, "properties": "x"}]
+    network_file.write_text(json.dumps({"type": "FeatureCollection", "features": odd}))
+    with pytest.raises(ValidationError) as err:
+        scenario_io.load_bundle(twin_dir)
+    for i in range(len(odd)):
+        assert f"network.geojson: feature {i}: feature, geometry and properties must be JSON objects" in err.value.errors
+
 
 def test_surge_csv_values_round_trip(twin_dir):
     field = hazard.SurgeField(
@@ -323,7 +332,7 @@ def test_write_results_round_trip(tmp_path):
     assert manifest["storm"] == "twin"
     assert manifest["samples"] == 50
     assert manifest["horizons"] == ["short", "long"]
-    assert manifest["fragility_checksum"] == scenario_io.default_table().checksum()
+    assert manifest["fragility_checksum"] == fragility.default_table().checksum()
     assert manifest["inputs"] == {}  # in-memory bundle, nothing hashed
     for horizon, hres in result.horizons.items():
         assert manifest["summary"][horizon]["average_score"] == hres.group_averages["overall"]

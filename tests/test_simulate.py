@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import tracemalloc
 
@@ -317,6 +318,9 @@ def test_run_scenario_input_errors():
         simulate.run_scenario(
             bundle.config, bundle.graph, [], bundle.supplies, bundle.demands
         )
+    moved = [dataclasses.replace(b, x=b.x + 1.0) for b in bundle.bridges]
+    with pytest.raises(InvalidInputError, match="bridge records"):
+        simulate.run_scenario(bundle.config, bundle.graph, moved, bundle.supplies, bundle.demands)
 
 
 # Mass bands whose failure probability is the constant a: p = 0, 1, 0.25, 0.5, 0.75.
@@ -423,16 +427,24 @@ def test_unit_keys_match_raw_key_reference_on_storm2(storm2_bundle):
 
 
 def test_run_scenario_reaches_stage_functions_through_module_attributes(monkeypatch):
-    # Span tracers time the draw, aggregation and convergence stages by wrapping these attributes.
+    # Span tracers time each stage by wrapping these attributes.
+    targets = (
+        (simulate, "sample_failures"), (simulate, "convergence_report"), (access, "group_names"),
+        (hazard, "evaluate_exposures"), (fragility, "uplift_probability"), (network, "closure_mask"),
+        (network, "snap_sites"), (network, "dijkstra"),
+    )
     calls = {}
-    for module, name in ((simulate, "sample_failures"), (simulate, "convergence_report"), (access, "group_names")):
+    for module, name in targets:
         def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
             calls[_name] = calls.get(_name, 0) + 1
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
     twin_result(0.5, samples=120)
-    assert calls == {"sample_failures": 120, "group_names": 1, "convergence_report": 2}
+    assert calls == {
+        "sample_failures": 120, "group_names": 1, "convergence_report": 2, "evaluate_exposures": 1,
+        "uplift_probability": 1, "closure_mask": 2, "snap_sites": 2, "dijkstra": 6,
+    }
 
 
 def test_run_scenario_memory_stays_below_one_sample_matrix(tmp_path):
