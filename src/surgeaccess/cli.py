@@ -174,7 +174,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="surgeaccess", description=__doc__)
+    # Raw text: the version line must not wrap, and the description keeps its own line breaks.
+    parser = argparse.ArgumentParser(
+        prog="surgeaccess", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
     parser.add_argument(
         "--version",
         action="version",

@@ -6,6 +6,10 @@ and rescores accessibility on the surviving network. Draws are counter
 based: the uniform for (seed, sample, bridge) is a pure hash of those
 three values, so results never depend on iteration order, worker count,
 or platform RNG state, and reruns with the same seed are bit-identical.
+failure_cuts validates each probability and encodes each bridge id once
+per run; sample_failures then draws a sample with one SHA-256 per bridge
+and compares each digest as bytes against the bridge's cut, which gives
+exactly uniform_draw(...) < p without forming the uniform.
 
 Only bridges with a failure probability strictly between 0 and 1 are
 drawn; the rest fail always or never. Samples are keyed on closure units
@@ -37,36 +41,37 @@ from .errors import InvalidInputError
 
 def uniform_draw(master_seed: int, sample_index: int, bridge_id: str) -> float:
     """Deterministic uniform in [0, 1) keyed by seed, sample and bridge."""
-    return _uniform(hashlib.sha256(f"{master_seed}:{sample_index}:".encode()), bridge_id)
+    digest = hashlib.sha256(f"{master_seed}:{sample_index}:{bridge_id}".encode()).digest()
+    return (int.from_bytes(digest[:8], "big") >> 11) * 2.0**-53
 
 
-def _uniform(prefix, bridge_id: str) -> float:
-    """uniform_draw given the hash of its "seed:index:" prefix, which stays unchanged."""
-    digest = prefix.copy()
-    digest.update(bridge_id.encode())
-    return (int.from_bytes(digest.digest()[:8], "big") >> 11) * 2.0**-53
+def failure_cuts(failure_probability: Mapping[str, float]) -> dict[bytes, bytes]:
+    """Each bridge's encoded id and cut, in mapping order: the draw sample_failures makes for the bridge.
+
+    A digest sorts below the cut exactly when uniform_draw's u < p: u = (x >> 11) * 2**-53 for the digest's
+    first eight bytes x, so u < p exactly when x < ceil(p * 2**53) << 11, and a 32-byte digest compares against
+    an 8-byte cut as its first eight bytes would. At p = 1 that cut, 2**64, does not fit, so the cut sorts above
+    every digest; at p = 0 it is all zeros and no digest sorts below it.
+    """
+    cuts: dict[bytes, bytes] = {}
+    for bridge_id, p in failure_probability.items():
+        _check_probability(bridge_id, p)
+        cuts[bridge_id.encode()] = b"\xff" * 33 if p == 1.0 else (math.ceil(p * 2.0**53) << 11).to_bytes(8, "big")
+    return cuts
 
 
-def sample_failures(
-    failure_probability: Mapping[str, float],
-    master_seed: int,
-    sample_index: int,
-) -> dict[str, bool]:
-    """One Bernoulli outcome per bridge for one Monte Carlo sample.
+def sample_failures(cuts: Mapping[bytes, bytes], master_seed: int, sample_index: int) -> tuple[bool, ...]:
+    """One Bernoulli outcome per bridge for one Monte Carlo sample, in the order of failure_cuts' mapping.
 
-    Probabilities of 0 and 1 are honored exactly. Because each bridge
-    keeps its own uniform across probability changes, raising every
-    probability pointwise can only grow the failure set (common random
-    numbers), which keeps paired storm comparisons noise-free.
+    Outcome j is exactly uniform_draw(master_seed, sample_index, bridge_j) < p_j, drawn as one SHA-256 whose
+    digest is compared with the bridge's cut. Probabilities of 0 and 1 are honored exactly. Because each bridge
+    keeps its own uniform across probability changes, raising every probability pointwise can only grow the
+    failure set (common random numbers), which keeps paired storm comparisons noise-free.
     """
     if sample_index < 0:
         raise InvalidInputError(f"sample index must be >= 0, got {sample_index}")
-    prefix = hashlib.sha256(f"{master_seed}:{sample_index}:".encode())
-    out: dict[str, bool] = {}
-    for bridge_id, p in failure_probability.items():
-        _check_probability(bridge_id, p)
-        out[bridge_id] = _uniform(prefix, bridge_id) < p
-    return out
+    prefix = f"{master_seed}:{sample_index}:".encode()
+    return tuple([hashlib.sha256(prefix + key).digest() < cut for key, cut in cuts.items()])
 
 
 def _check_probability(bridge_id: str, p: float) -> None:
@@ -312,12 +317,13 @@ def run_scenario(
         for horizon in config.horizons
     }
 
-    # Pass one: per-sample pattern of failed at-risk bridges.
+    # Pass one: per-sample pattern of failed at-risk bridges, numbered in first-seen order.
+    cuts = failure_cuts(at_risk)
     patterns: dict[tuple[bool, ...], int] = {}
-    sample_pattern = np.empty(config.samples, dtype=np.int64)
-    for index in range(config.samples):
-        draw = sample_failures(at_risk, config.seed, index)
-        sample_pattern[index] = patterns.setdefault(tuple(draw.values()), len(patterns))
+    sample_pattern = np.array(
+        [patterns.setdefault(sample_failures(cuts, config.seed, i), len(patterns)) for i in range(config.samples)],
+        dtype=np.int64,
+    )
 
     # Pass two: patterns to closure-unit sets, one evaluation per distinct set.
     snapped = (network.snap_sites(graph, demands), network.snap_sites(graph, supplies))

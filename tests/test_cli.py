@@ -27,13 +27,15 @@ def small_fixture_dir(tmp_path):
     return tmp_path / "bundle"
 
 
-def test_version_reports_table_checksum(capsys):
+def test_version_reports_table_checksum(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "40")  # a narrow terminal must not wrap the checksum onto a second line
     with pytest.raises(SystemExit) as exit_info:
         cli.main(["--version"])
     assert exit_info.value.code == 0
     out = capsys.readouterr().out
     assert __version__ in out
     assert default_table().checksum() in out
+    assert len(out.splitlines()) == 1
 
 
 def test_usage_errors_exit_2():

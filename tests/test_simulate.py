@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 import tracemalloc
 
 import numpy as np
@@ -42,6 +43,11 @@ def test_uniform_draw_range_and_determinism():
     assert simulate.uniform_draw(1, 0, "c") != simulate.uniform_draw(1, 0, "b")
 
 
+def draw(probs, seed, index):
+    """sample_failures for one sample, as {bridge id: failed}."""
+    return dict(zip(probs, simulate.sample_failures(simulate.failure_cuts(probs), seed, index)))
+
+
 def test_sample_failures_matches_per_bridge_draws():
     rng = np.random.default_rng(404)
     alphabet = list("abcxyz019-_:é桥")
@@ -50,23 +56,44 @@ def test_sample_failures_matches_per_bridge_draws():
         probs = {bid: float(rng.choice([0.0, 1.0, rng.random()])) for bid in ids}
         seed, index = int(rng.integers(0, 2**62)), int(rng.integers(0, 10**6))
         want = {bid: simulate.uniform_draw(seed, index, bid) < p for bid, p in probs.items()}
-        assert list(simulate.sample_failures(probs, seed, index).items()) == list(want.items())
+        assert list(draw(probs, seed, index).items()) == list(want.items())
 
 
 def test_sample_failures_exact_at_endpoints():
     probs = {"never": 0.0, "always": 1.0}
     for index in range(50):
-        draw = simulate.sample_failures(probs, 42, index)
-        assert draw == {"never": False, "always": True}
+        assert draw(probs, 42, index) == {"never": False, "always": True}
 
 
 def test_sample_failures_validation():
     with pytest.raises(InvalidInputError):
-        simulate.sample_failures({"b": 1.2}, 0, 0)
+        simulate.failure_cuts({"b": 1.2})
     with pytest.raises(InvalidInputError):
-        simulate.sample_failures({"b": float("nan")}, 0, 0)
+        simulate.failure_cuts({"b": float("nan")})
     with pytest.raises(InvalidInputError):
-        simulate.sample_failures({"b": 0.5}, 0, -1)
+        draw({"b": 0.5}, 0, -1)
+
+
+def test_sample_failures_cut_matches_uniform_draw_at_the_boundaries():
+    # sample_failures compares each digest with a byte cut and never forms u; it must still give u < p exactly.
+    rng = np.random.default_rng(53)
+    seed, bid = 2024, "b-cut"
+    indices = [int(i) for i in rng.integers(0, 2**63, size=300)] + [2**64 + 7, 10**30, 0, 1]
+
+    def head(index):  # the digest's first eight bytes as x; u keeps its top 53 bits
+        return int.from_bytes(hashlib.sha256(f"{seed}:{index}:{bid}".encode()).digest()[:8], "big")
+
+    # Draws with x exactly u * 2**64 (low 11 bits zero), where an 8-byte `<=` against the cut would differ.
+    whole = [i for i in range(20_000) if head(i) % 2**11 == 0][:3]
+    assert len(whole) == 3
+    indices += whole
+    us = [simulate.uniform_draw(seed, i, bid) for i in indices]
+    exact = us[::15] + us[-len(whole) :]  # a draw's own u as p: False at that draw, True one ulp above
+    probs = [0.0, 1.0, 1.0 - 2.0**-53, 5e-324, 2.0**-1030, 0.5, math.nextafter(0.5, 0.0)]
+    probs += [int(k) * 2.0**-53 for k in rng.integers(1, 2**53, size=10)]
+    probs += exact + [math.nextafter(u, 1.0) for u in exact]
+    for p in probs:
+        assert [draw({bid: p}, seed, i)[bid] for i in indices] == [u < p for u in us], p
 
 
 def test_failure_sets_nested_under_pointwise_larger_probability():
@@ -74,8 +101,8 @@ def test_failure_sets_nested_under_pointwise_larger_probability():
     low = {f"b{i}": float(p) for i, p in enumerate(rng.uniform(0, 0.8, size=20))}
     high = {bid: min(1.0, p + 0.2) for bid, p in low.items()}
     for index in range(200):
-        fail_low = simulate.sample_failures(low, 11, index)
-        fail_high = simulate.sample_failures(high, 11, index)
+        fail_low = draw(low, 11, index)
+        fail_high = draw(high, 11, index)
         for bid in low:
             assert fail_high[bid] or not fail_low[bid]
 
@@ -392,8 +419,8 @@ def raw_key_sample_scores(result, config, graph, supplies, demands, horizon):
     cache = {}
     rows = []
     for index in range(result.samples):
-        draw = simulate.sample_failures(result.failure_probability, config.seed, index)
-        mask = network.closure_mask(graph, result.exposures, config.thresholds, draw, horizon)
+        failed = draw(result.failure_probability, config.seed, index)
+        mask = network.closure_mask(graph, result.exposures, config.thresholds, failed, horizon)
         if mask.closed_edges not in cache:
             table = network.travel_time_table(graph, mask, demands, supplies, config.d0_minutes, snapped=snapped)
             cache[mask.closed_edges] = access.score_vector(table, supplies, demands) * access.SCORE_SCALE
@@ -424,6 +451,17 @@ def test_unit_keys_match_raw_key_reference_on_storm2(storm2_bundle):
     for horizon, hres in result.horizons.items():
         reference = raw_key_sample_scores(result, config, bundle.graph, bundle.supplies, bundle.demands, horizon)
         assert np.array_equal(hres.sample_scores, reference)
+
+
+def test_run_with_no_at_risk_bridge_matches_raw_key_reference():
+    config, graph, bridges, supplies, demands = river_town(samples=60)
+    always = fragility.FragilityTable([fragility.FragilityRow(0.0, 35.0, 1.0, 0.0, 0.0)])
+    result = simulate.run_scenario(config, graph, bridges, supplies, demands, always)
+    assert set(result.failure_probability.values()) == {1.0}  # nothing to draw: every sample keys pattern ()
+    for horizon, hres in result.horizons.items():
+        reference = raw_key_sample_scores(result, config, graph, supplies, demands, horizon)
+        assert np.array_equal(hres.sample_scores, reference)
+        assert len(np.unique(reference, axis=0)) == 1
 
 
 def test_run_scenario_reaches_stage_functions_through_module_attributes(monkeypatch):
