@@ -3,9 +3,9 @@
 Step one assigns each supply site a ratio of its capacity to the total
 population that can reach it within the catchment. Step two sums those
 ratios over the supplies each demand location can reach. Both steps sum
-densely over the boolean demand x supply reachability matrix, in list
-order (see two_step). Scores are kept as raw ratios internally and
-scaled to capacity per 1,000 residents for reporting.
+densely, in list order, over the boolean reachability matrix between the
+nodes the sites snap to, once per node (see two_step). Scores are kept as
+raw ratios internally and scaled to capacity per 1,000 residents.
 """
 
 from __future__ import annotations
@@ -83,13 +83,13 @@ class AccessScores:
     d0_minutes: float
 
 
-def _table_reach(table: TravelTimeTable, supplies: Sequence[SupplySite], demands: Sequence[DemandSite]) -> np.ndarray:
-    """The table's demand x supply reachability, aligned to the given lists."""
+def _table_two_step(table: TravelTimeTable, supplies: Sequence[SupplySite], demands: Sequence[DemandSite]):
+    """two_step on the table's demand x supply reachability, aligned to the given lists, one row and column per site."""
     reach = np.zeros((len(demands), len(supplies)), dtype=bool)
     rows = _positions(table.demand_ids, [d.demand_id for d in demands], "demand")
     cols = _positions(table.supply_ids, [s.supply_id for s in supplies], "supply")
     reach[rows[table.demand_index], cols[table.supply_index]] = True
-    return reach
+    return two_step(reach, np.arange(len(demands)), np.arange(len(supplies)), *site_weights(demands, supplies))
 
 
 def _positions(table_ids: Sequence[str], ids: Sequence[str], kind: str) -> np.ndarray:
@@ -110,7 +110,7 @@ def score_vector(
     demands: Sequence[DemandSite],
 ) -> np.ndarray:
     """Unscaled accessibility score per demand, aligned to the demand list."""
-    return two_step(_table_reach(table, supplies, demands), *site_weights(demands, supplies))[0]
+    return _table_two_step(table, supplies, demands)[0]
 
 
 def site_weights(demands: Sequence[DemandSite], supplies: Sequence[SupplySite]) -> tuple[np.ndarray, np.ndarray]:
@@ -118,19 +118,22 @@ def site_weights(demands: Sequence[DemandSite], supplies: Sequence[SupplySite]) 
     return np.array([d.population for d in demands], dtype=float), np.array([s.capacity for s in supplies], dtype=float)
 
 
-def two_step(reach: np.ndarray, pop: np.ndarray, cap: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Binary 2SFCA on the boolean demand x supply reachability matrix
-    and the site_weights arrays: (unscaled score per demand, ratio per
-    supply, reachable population per supply); an inert supply, one with
-    no reachable population, has ratio 0. Each sum adds its terms in
-    list order (demands for a supply, supplies for a demand), whatever the
-    matrix's memory layout. With one demand or one supply a sum runs down
-    a lone column, which numpy would add pairwise, so _column_sums adds
-    it with cumsum instead."""
-    denom = _column_sums(pop, reach)
+def two_step(
+    reach: np.ndarray, d_row: np.ndarray, s_col: np.ndarray, pop: np.ndarray, cap: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Binary 2SFCA for sites on nodes: reach is the boolean demand-node x
+    supply-node matrix, d_row and s_col give each demand's and supply's
+    node, pop and cap are the site_weights arrays. Returns (unscaled score
+    per demand, ratio per supply, reachable population per supply); an
+    inert supply, one with no reachable population, has ratio 0. Each sum
+    runs once per node, down a column of reach[d_row] or reach.T[s_col] in
+    list order whatever the memory layout, and is gathered per site: every
+    site gets the bits of its column of reach[d_row][:, s_col]. A lone
+    column, which numpy would add pairwise, _column_sums adds by cumsum."""
+    denom = _column_sums(pop, reach[d_row])[s_col]
     ratio = np.zeros(cap.size, dtype=float)
     np.divide(cap, denom, out=ratio, where=denom > 0.0)
-    return _column_sums(ratio, reach.T), ratio, denom
+    return _column_sums(ratio, reach.T[s_col])[d_row], ratio, denom
 
 
 def _column_sums(weights: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -152,7 +155,7 @@ def supply_ratios(
     Inert supplies (no reachable population within the catchment) are
     omitted so they cannot contribute to any score downstream.
     """
-    _, ratio, denom = two_step(_table_reach(table, supplies, demands), *site_weights(demands, supplies))
+    _, ratio, denom = _table_two_step(table, supplies, demands)
     return {
         s.supply_id: float(r)
         for s, r, d in zip(supplies, ratio, denom)

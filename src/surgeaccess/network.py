@@ -11,18 +11,21 @@ with closed edges given as a boolean per edge. Parallel edges between
 the same node pair are collapsed to the fastest open one before routing,
 because sparse construction would otherwise sum their weights. Binary
 2SFCA needs only which pairs lie within d0 (reachable); the minutes are
-kept only by travel_time_table. live_edges finds the edges that lie on
-no within-d0 path, whose closure cannot change reachability. Networks
-that differ only in which of a few closure units are open share the
-searches of PortalDistances, through those units' end nodes; each
-network then takes, per contested pair, the least of the few portal
-legs that lie within d0 with every unit open.
+kept only by travel_time_table. Searches start from the side with fewer
+distinct snapped nodes; a scenario run passes live_edges and
+PortalDistances its distinct demand and supply nodes, not its sites.
+live_edges finds the edges that lie on no within-d0 path, whose closure
+cannot change reachability. Networks that differ only in which of a few
+closure units are open share the searches of PortalDistances, through
+those units' end nodes; each network then takes, per contested pair, the
+least of the few portal legs that lie within d0 with every unit open.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -153,14 +156,12 @@ class RoadGraph:
 
     def road_sites(self) -> list[tuple[str, float, float, float]]:
         """(edge_id, h_r, midpoint x, midpoint y) rows for road edges."""
-        rows = []
-        for eid in self.edge_ids:
-            edge = self.edges[eid]
-            if edge.kind != ROAD:
-                continue
-            a, b = self.nodes[edge.u], self.nodes[edge.v]
-            rows.append((eid, float(edge.h_r), (a.x + b.x) / 2.0, (a.y + b.y) / 2.0))
-        return rows
+        road = np.array([self.edges[eid].kind == ROAD for eid in self.edge_ids], dtype=bool)
+        u, v = self._edge_u[road], self._edge_v[road]
+        mid_x = ((self._node_x[u] + self._node_x[v]) / 2.0).tolist()
+        mid_y = ((self._node_y[u] + self._node_y[v]) / 2.0).tolist()
+        ids = compress(self.edge_ids, road)
+        return [(eid, float(self.edges[eid].h_r), x, y) for eid, x, y in zip(ids, mid_x, mid_y)]
 
 
 def build_graph(
@@ -451,15 +452,16 @@ def reachable(graph: RoadGraph, closed, demand_nodes, supply_nodes, d0_minutes: 
 def _site_minutes(graph, closed, demand_nodes, supply_nodes, d0_minutes) -> np.ndarray:
     """Demand x supply free-flow minutes, inf beyond d0.
 
-    Dijkstra runs once, from whichever side has fewer sites; the bound
-    makes the search prune anything past the catchment.
+    Dijkstra runs once, from the side with fewer distinct nodes (demands
+    on a tie), so sites and their distinct nodes search from the same side;
+    the bound makes the search prune anything past the catchment.
     """
     if not demand_nodes.size or not supply_nodes.size:
         return np.full((demand_nodes.size, supply_nodes.size), np.inf)
-    transposed = demand_nodes.size > supply_nodes.size
-    src_nodes, dst_nodes = (supply_nodes, demand_nodes) if transposed else (demand_nodes, supply_nodes)
-    unique_src, src_row = np.unique(src_nodes, return_inverse=True)
-    dist = dijkstra(graph._adjacency(closed), directed=False, indices=unique_src, limit=d0_minutes)
+    (d_nodes, d_row), (s_nodes, s_col) = (np.unique(n, return_inverse=True) for n in (demand_nodes, supply_nodes))
+    transposed = d_nodes.size > s_nodes.size
+    src, src_row, dst_nodes = (s_nodes, s_col, demand_nodes) if transposed else (d_nodes, d_row, supply_nodes)
+    dist = dijkstra(graph._adjacency(closed), directed=False, indices=src, limit=d0_minutes)
     pair_minutes = dist[np.ix_(src_row, dst_nodes)]
     return pair_minutes.T if transposed else pair_minutes
 
@@ -468,15 +470,15 @@ def live_edges(graph: RoadGraph, closed, demand_nodes, supply_nodes, d0_minutes:
     """Per edge: can it lie on a within-d0 path between sites?
 
     One multi-source Dijkstra runs, from the side _site_minutes searches
-    from, on the network without the closed edges. An edge is live when
-    its nearer end plus its own minutes is within d0. Closing edges only
-    lengthens paths and float addition is monotone, so closing edges that
-    are not live, on top of `closed`, leaves reachable() as it is.
+    from (fewer distinct nodes), on the network without the closed edges.
+    An edge is live when its nearer end plus its own minutes is within d0.
+    Closing edges only lengthens paths and float addition is monotone, so
+    closing edges that are not live, on top of `closed`, leaves
+    reachable() as it is.
     """
-    src_nodes = supply_nodes if demand_nodes.size > supply_nodes.size else demand_nodes
-    dist = dijkstra(
-        graph._adjacency(closed), directed=False, indices=np.unique(src_nodes), limit=d0_minutes, min_only=True
-    )
+    d_nodes, s_nodes = np.unique(demand_nodes), np.unique(supply_nodes)
+    src = s_nodes if d_nodes.size > s_nodes.size else d_nodes
+    dist = dijkstra(graph._adjacency(closed), directed=False, indices=src, limit=d0_minutes, min_only=True)
     return np.minimum(dist[graph._edge_u], dist[graph._edge_v]) + graph._edge_minutes <= d0_minutes
 
 

@@ -18,7 +18,9 @@ units share one network evaluation, evaluated on the canonical closed
 set that takes every edge of each touched unit. Units that lie on no
 within-d0 path on a horizon's base network are left out of its keys
 (see network.live_edges). Each horizon costs three bounded Dijkstra
-searches, and each network a min-plus closure (network.PortalDistances).
+searches, and each network a min-plus closure (network.PortalDistances),
+all on the distinct nodes the sites snap to; access.two_step sums once per
+node and gathers the sums back per site.
 The K x D score table (K networks, D demands) and each horizon's sample ->
 network index are kept; statistics sum row blocks gathered through the index.
 """
@@ -235,9 +237,9 @@ def _init_worker(*context) -> None:
     _WORKER_CTX = context
 
 
-def _network_scores(horizon, closed, graph, portals, pop, cap) -> np.ndarray:
+def _network_scores(horizon, closed, graph, portals, d_row, s_col, pop, cap) -> np.ndarray:
     """Scaled score per demand on one horizon's base network with the toggled units `closed` closed."""
-    return access.two_step(portals[horizon].reachable(graph, closed), pop, cap)[0] * access.SCORE_SCALE
+    return access.two_step(portals[horizon].reachable(graph, closed), d_row, s_col, pop, cap)[0] * access.SCORE_SCALE
 
 
 def _eval_in_worker(item) -> np.ndarray:
@@ -328,6 +330,8 @@ def run_scenario(
     # Pass two: patterns to closure-unit sets, one evaluation per distinct set.
     snapped = (network.snap_sites(graph, demands), network.snap_sites(graph, supplies))
     units = network.closure_units(graph, np.concatenate(snapped))
+    # Sites on one node share their reach, so searches and 2SFCA sums run on the distinct (demand, supply) nodes.
+    nodes, (d_row, s_col) = zip(*(np.unique(sites, return_inverse=True) for sites in snapped))
 
     def units_of(edge_ids) -> frozenset[int]:
         return frozenset(units[graph.edge_flags(edge_ids)].tolist())
@@ -340,17 +344,17 @@ def run_scenario(
     for horizon in config.horizons:
         base = fixed_units | units_of(base_masks[horizon].provenance)
         base_closed = np.isin(units, sorted(base))
-        live_units = frozenset(units[network.live_edges(graph, base_closed, *snapped, config.d0_minutes)].tolist())
+        live_units = frozenset(units[network.live_edges(graph, base_closed, *nodes, config.d0_minutes)].tolist())
         live_risk = [(u & live_units) - base for u in risk_units]
         toggled = frozenset().union(*live_risk)
-        portals[horizon] = network.PortalDistances(graph, base_closed, units, toggled, *snapped, config.d0_minutes)
+        portals[horizon] = network.PortalDistances(graph, base_closed, units, toggled, *nodes, config.d0_minutes)
         per_pattern = [
             networks.setdefault((base, frozenset().union(*compress(live_risk, pattern))), (len(networks), horizon))[0]
             for pattern in patterns
         ]
         sample_network[horizon] = np.array(per_pattern, dtype=np.int64)[sample_pattern]
     items = [(horizon, closed) for (_, closed), (_, horizon) in networks.items()]
-    context = (graph, portals, *access.site_weights(demands, supplies))
+    context = (graph, portals, d_row, s_col, *access.site_weights(demands, supplies))
     score_table = np.stack(_evaluate_networks(items, config.workers, context))
 
     result = ScenarioResult(

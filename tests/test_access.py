@@ -128,10 +128,39 @@ def test_two_step_matches_sequential_oracle_byte_for_byte():
         cap = rng.uniform(0.0, 60.0, n_s) * (rng.random(n_s) > 0.1)
         reach = rng.random((n_d, n_s)) < rng.uniform(0.05, 1.0)
         for layout in (reach, np.asfortranarray(reach)):
-            got = access.two_step(layout, pop, cap)
+            got = access.two_step(layout, np.arange(n_d), np.arange(n_s), pop, cap)
             want = sequential_two_step(reach, pop, cap)
             for g, w in zip(got, want):
                 assert g.shape == w.shape and g.tobytes() == w.tobytes(), (n_d, n_s)
+
+
+def site_to_node(rng, nodes, sites):
+    """A site -> node index of `sites` sites on `nodes` nodes, in shuffled order, using every node when it can."""
+    index = np.r_[np.arange(min(nodes, sites)), rng.integers(0, nodes, max(sites - nodes, 0))]
+    return rng.permutation(index).astype(np.int64)
+
+
+def test_two_step_on_nodes_matches_sequential_oracle_on_the_site_matrix():
+    rng = np.random.default_rng(12)
+    # (demand nodes, supply nodes, demands, supplies)
+    shapes = [(1, 4, 1, 30), (4, 1, 12, 1), (5, 1, 9, 6), (1, 1, 7, 5), (1, 1, 1, 8), (1, 1, 8, 1)]
+    shapes += [(0, 3, 0, 9), (3, 0, 9, 0), (0, 1, 0, 4), (1, 0, 4, 0), (2, 6, 40, 200)]
+    for _ in range(150):
+        n_ud, n_us = int(rng.integers(1, 25)), int(rng.integers(1, 25))
+        shapes.append((n_ud, n_us, n_ud + int(rng.integers(0, 3 * n_ud)), n_us + int(rng.integers(0, 6 * n_us))))
+    for n_ud, n_us, n_d, n_s in shapes:
+        d_row, s_col = site_to_node(rng, n_ud, n_d), site_to_node(rng, n_us, n_s)
+        # Non-integer weights, some zero, so any change of summation order shows in the bits.
+        pop = rng.uniform(0.0, 900.0, n_d) * (rng.random(n_d) > 0.1)
+        cap = rng.uniform(0.0, 60.0, n_s) * (rng.random(n_s) > 0.1)
+        reach = rng.random((n_ud, n_us)) < rng.uniform(0.05, 1.0)
+        if n_ud and n_us and rng.random() < 0.5:  # duplicate node rows and columns
+            reach = reach[rng.integers(0, n_ud, n_ud)][:, rng.integers(0, n_us, n_us)]
+        want = sequential_two_step(reach[d_row][:, s_col], pop, cap)
+        for layout in (reach, np.asfortranarray(reach)):
+            got = access.two_step(layout, d_row, s_col, pop, cap)
+            for g, w in zip(got, want):
+                assert g.shape == w.shape and g.tobytes() == w.tobytes(), (n_ud, n_us, n_d, n_s)
 
 
 def test_inert_supply_is_omitted():
@@ -147,7 +176,7 @@ def test_inert_supply_is_omitted():
     scores = access.accessibility_scores(table, supplies, demands)
     assert scores.scores["i0"] == pytest.approx(0.1, abs=1e-15)  # j1 only
     reach = np.array([[True, False], [True, True]])  # rows i1, i0; columns j1, j2
-    _, ratio, denom = access.two_step(reach, *access.site_weights(demands, supplies))
+    _, ratio, denom = access.two_step(reach, np.arange(2), np.arange(2), *access.site_weights(demands, supplies))
     assert denom.tolist() == [100.0, 0.0]
     assert ratio[1] == 0.0
 

@@ -444,6 +444,33 @@ def test_unit_keys_match_raw_key_reference_on_mixed_bridges():
         assert np.array_equal(pooled.horizons[horizon].sample_scores, hres.sample_scores)
 
 
+def co_sited_town(samples=300):
+    """river_town with several demands and several supplies on shared nodes: more supply sites than demand
+    sites, but fewer distinct supply nodes, so a side chosen by site count and one chosen by node count differ."""
+    config, graph, bridges, _, _ = river_town(samples)
+    pier = graph.nodes["c1p0"]
+    demand_at = [(0.0, 0.0), (0.0, 0.0), (0.0, 1000.0), (0.0, 3000.0), (0.0, 3000.0), (pier.x, pier.y)]
+    demands = [
+        access.DemandSite(f"d{i}", x, y, 97.3 * (i + 1), {"g": 9.1 * i}) for i, (x, y) in enumerate(demand_at)
+    ]
+    supply_at = [(3000.0, 0.0)] * 3 + [(3000.0, 2000.0)] * 3 + [(0.0, 2000.0)] * 2
+    supplies = [access.SupplySite(f"s{j}", x, y, 4.7 + 1.3 * j) for j, (x, y) in enumerate(supply_at)]
+    return config, graph, bridges, supplies, demands
+
+
+def test_co_sited_town_matches_raw_key_reference_with_one_and_two_workers():
+    config, graph, bridges, supplies, demands = co_sited_town()
+    d_nodes, s_nodes = (np.unique(network.snap_sites(graph, sites)) for sites in (demands, supplies))
+    assert len(supplies) > len(demands) and s_nodes.size < d_nodes.size
+    for workers in (1, 2):
+        run_config = scenario_io.override_config(config, workers=workers)
+        result = simulate.run_scenario(run_config, graph, bridges, supplies, demands, CONSTANT_P_TABLE)
+        for horizon, hres in result.horizons.items():
+            reference = raw_key_sample_scores(result, config, graph, supplies, demands, horizon)
+            assert np.array_equal(hres.sample_scores, reference)
+            assert len(np.unique(reference, axis=0)) > 2  # the draws really vary the network
+
+
 def test_unit_keys_match_raw_key_reference_on_storm2(storm2_bundle):
     bundle = storm2_bundle
     config = scenario_io.override_config(bundle.config, samples=100)
