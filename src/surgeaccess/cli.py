@@ -11,7 +11,6 @@ values; the other config keys have no flag.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import sys
@@ -24,6 +23,7 @@ from .network import HORIZONS
 from .scenario_io import (
     BundlePaths,
     SyntheticFixtureSpec,
+    _write_csv,
     generate_fixture,
     load_bundle,
     override_config,
@@ -102,73 +102,57 @@ def _cmd_fixture(args: argparse.Namespace) -> int:
 
 
 _QUARTILE_ORDER = {"Q1": 1, "Q2": 2, "Q3": 3, "Q4": 4}
+_REPORT_COLUMNS = ("demand_id", "horizon", "base_mean", "other_mean", "delta", "base_quartile", "other_quartile")
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    rows: list[list[object]] = []
     try:
         base = read_results(args.base)
         other = read_results(args.other)
+        lines = [
+            f"base:  {base['manifest']['storm']} ({args.base})",
+            f"other: {other['manifest']['storm']} ({args.other})",
+        ]
+        for horizon in [h for h in base["horizons"] if h in other["horizons"]]:
+            b_sum = base["manifest"]["summary"][horizon]
+            o_sum = other["manifest"]["summary"][horizon]
+            drops = 0
+            for demand_id, props in base["horizons"][horizon].items():
+                o_props = other["horizons"][horizon].get(demand_id)
+                if o_props is None:
+                    continue
+                b_quartile, o_quartile = props["quartile"], o_props["quartile"]
+                if _QUARTILE_ORDER[o_quartile] < _QUARTILE_ORDER[b_quartile]:
+                    drops += 1
+                b_mean, o_mean = props["mean_score"], o_props["mean_score"]
+                rows.append([demand_id, horizon, b_mean, o_mean, o_mean - b_mean, b_quartile, o_quartile])
+            lines += [
+                f"[{horizon}]",
+                f"  avg_score {b_sum['average_score']:.4f} -> {o_sum['average_score']:.4f}",
+                f"  no_access {b_sum['no_access_fraction']:.4f} -> {o_sum['no_access_fraction']:.4f}",
+                f"  quartile drops: {drops}",
+            ]
+
+        # Within-run horizon contrast. Flagged, not hidden: demands with no
+        # access at all pull these averages in ways a plain difference hides.
+        for label, res in (("base", base), ("other", other)):
+            summary = res["manifest"]["summary"]
+            if all(h in summary for h in HORIZONS):
+                delta = summary[HORIZONS[1]]["average_score"] - summary[HORIZONS[0]]["average_score"]
+                lines.append(
+                    f"{label} {HORIZONS[1]}-vs-{HORIZONS[0]} avg_score delta: {delta:.4f}"
+                    " [caution: cross-horizon deltas are biased where access drops to zero]"
+                )
     except (KeyError, json.JSONDecodeError) as exc:
         print(f"error: malformed results directory ({exc})", file=sys.stderr)
         return EXIT_RUNTIME
-    base_storm = base["manifest"]["storm"]
-    other_storm = other["manifest"]["storm"]
-    print(f"base:  {base_storm} ({args.base})")
-    print(f"other: {other_storm} ({args.other})")
-
-    shared = [h for h in base["horizons"] if h in other["horizons"]]
-    rows: list[dict[str, object]] = []
-    for horizon in shared:
-        b_sum = base["manifest"]["summary"][horizon]
-        o_sum = other["manifest"]["summary"][horizon]
-        drops = 0
-        for demand_id, props in base["horizons"][horizon].items():
-            o_props = other["horizons"][horizon].get(demand_id)
-            if o_props is None:
-                continue
-            if _QUARTILE_ORDER[o_props["quartile"]] < _QUARTILE_ORDER[props["quartile"]]:
-                drops += 1
-            rows.append(
-                {
-                    "demand_id": demand_id,
-                    "horizon": horizon,
-                    "base_mean": props["mean_score"],
-                    "other_mean": o_props["mean_score"],
-                    "delta": o_props["mean_score"] - props["mean_score"],
-                    "base_quartile": props["quartile"],
-                    "other_quartile": o_props["quartile"],
-                }
-            )
-        print(f"[{horizon}]")
-        print(f"  avg_score {b_sum['average_score']:.4f} -> {o_sum['average_score']:.4f}")
-        print(f"  no_access {b_sum['no_access_fraction']:.4f} -> {o_sum['no_access_fraction']:.4f}")
-        print(f"  quartile drops: {drops}")
-
-    # Within-run horizon contrast. Flagged, not hidden: demands with no
-    # access at all pull these averages in ways a plain difference hides.
-    for label, res in (("base", base), ("other", other)):
-        summary = res["manifest"]["summary"]
-        if all(h in summary for h in HORIZONS):
-            delta = summary[HORIZONS[1]]["average_score"] - summary[HORIZONS[0]]["average_score"]
-            print(
-                f"{label} {HORIZONS[1]}-vs-{HORIZONS[0]} avg_score delta: {delta:.4f}"
-                " [caution: cross-horizon deltas are biased where access drops to zero]"
-            )
+    print("\n".join(lines))
 
     if args.out:
         out = Path(args.out)
         out.parent.mkdir(parents=True, exist_ok=True)
-        with open(out, "w", newline="") as fh:
-            writer = csv.DictWriter(
-                fh,
-                fieldnames=[
-                    "demand_id", "horizon", "base_mean", "other_mean",
-                    "delta", "base_quartile", "other_quartile",
-                ],
-                lineterminator="\n",
-            )
-            writer.writeheader()
-            writer.writerows(rows)
+        _write_csv(out, _REPORT_COLUMNS, rows)
         print(f"wrote per-demand deltas to {out}")
     return EXIT_OK
 

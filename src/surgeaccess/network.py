@@ -485,12 +485,13 @@ def live_edges(graph: RoadGraph, closed, demand_nodes, supply_nodes, d0_minutes:
 class PortalDistances:
     """Searches shared by the networks that close some `toggled` closure
     units (ids into units, the closure_units labels for these sites) on
-    top of the base network `closed` (a boolean per edge); units with a
-    base-closed edge never open. H is the base with every toggled unit
-    closed, and the portals are those units' end nodes. Dijkstra runs on H
-    for reachable() and from the portals out to d0 plus reachable()'s
-    margin, so no leg of a path within d0 is cut off. Pairs unreachable on
-    H that may be reachable with all toggled units open are contested.
+    top of the base network `closed` (a boolean per edge of `graph`, which
+    is kept for the exact fallback); units with a base-closed edge never
+    open. H is the base with every toggled unit closed, and the portals are
+    those units' end nodes. Dijkstra runs on H for reachable() and from the
+    portals out to d0 plus reachable()'s margin, so no leg of a path within
+    d0 is cut off. Pairs unreachable on H that may be reachable with all
+    toggled units open are contested.
 
     Leg q of a contested pair is its demand's minutes to portal q through
     the open chains and H, plus portal q's minutes to its supply on H.
@@ -502,7 +503,7 @@ class PortalDistances:
 
     def __init__(self, graph: RoadGraph, closed, units, toggled, demand_nodes, supply_nodes, d0_minutes: float):
         n = len(graph.node_ids)
-        self.units, self.sites, self.d0_minutes = units, (demand_nodes, supply_nodes), d0_minutes
+        self.graph, self.units, self.sites, self.d0_minutes = graph, units, (demand_nodes, supply_nodes), d0_minutes
         self.toggled = np.setdiff1d(np.asarray(sorted(toggled), dtype=np.int64), units[closed])
         self.closed = closed | np.isin(units, self.toggled)
         # A chain's end nodes are the two nodes only one of its edges touches; a loop has none.
@@ -554,7 +555,7 @@ class PortalDistances:
             np.minimum(minutes[: flat.size], via[flat] + leg, out=minutes[: flat.size])
         return minutes
 
-    def reachable(self, graph: RoadGraph, closed_units) -> np.ndarray:
+    def reachable(self, closed_units) -> np.ndarray:
         """reachable() on H with the toggled units not in closed_units open.
 
         A path between sites crosses an open unit end to end, so a contested
@@ -573,7 +574,7 @@ class PortalDistances:
         opened = self.toggled[~np.isin(self.toggled, list(closed_units))]
         minutes = self._minutes(self._via_open(np.isin(self.chain_units, opened)))
         if np.any(np.abs(minutes - self.d0_minutes) <= self.margin):
-            return reachable(graph, self.closed & ~np.isin(self.units, opened), *self.sites, self.d0_minutes)
+            return reachable(self.graph, self.closed & ~np.isin(self.units, opened), *self.sites, self.d0_minutes)
         reach = self.reach.copy()
         reach[self.rows, self.cols] = minutes < self.d0_minutes
         return reach

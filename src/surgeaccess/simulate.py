@@ -12,17 +12,18 @@ and compares each digest as bytes against the bridge's cut, which gives
 exactly uniform_draw(...) < p without forming the uniform.
 
 Only bridges with a failure probability strictly between 0 and 1 are
-drawn; the rest fail always or never. Samples are keyed on closure units
-(see network.closure_units): samples whose closed edges touch the same
-units share one network evaluation, evaluated on the canonical closed
-set that takes every edge of each touched unit. Units that lie on no
-within-d0 path on a horizon's base network are left out of its keys
-(see network.live_edges). Each horizon costs three bounded Dijkstra
-searches, and each network a min-plus closure (network.PortalDistances),
-all on the distinct nodes the sites snap to; access.two_step sums once per
-node and gathers the sums back per site.
-The K x D score table (K networks, D demands) and each horizon's sample ->
-network index are kept; statistics sum row blocks gathered through the index.
+drawn; the rest fail always or never. Each horizon is keyed, evaluated
+and aggregated on its own. Its samples are keyed on closure units (see
+network.closure_units): samples whose closed edges touch the same units
+share one network evaluation, evaluated on the canonical closed set that
+takes every edge of each touched unit. Units that lie on no within-d0
+path on the horizon's base network are left out of its keys (see
+network.live_edges). Each horizon costs three bounded Dijkstra searches,
+and each network a min-plus closure (network.PortalDistances), all on the
+distinct nodes the sites snap to; access.two_step sums once per node and
+gathers the sums back per site. Each horizon keeps its K x D score table
+(K networks, D demands) and its sample -> network index; statistics sum
+row blocks gathered through the index.
 """
 
 from __future__ import annotations
@@ -57,7 +58,8 @@ def failure_cuts(failure_probability: Mapping[str, float]) -> dict[bytes, bytes]
     """
     cuts: dict[bytes, bytes] = {}
     for bridge_id, p in failure_probability.items():
-        _check_probability(bridge_id, p)
+        if not math.isfinite(p) or not 0.0 <= p <= 1.0:
+            raise InvalidInputError(f"bridge {bridge_id}: probability {p} outside [0, 1]")
         cuts[bridge_id.encode()] = b"\xff" * 33 if p == 1.0 else (math.ceil(p * 2.0**53) << 11).to_bytes(8, "big")
     return cuts
 
@@ -74,11 +76,6 @@ def sample_failures(cuts: Mapping[bytes, bytes], master_seed: int, sample_index:
         raise InvalidInputError(f"sample index must be >= 0, got {sample_index}")
     prefix = f"{master_seed}:{sample_index}:".encode()
     return tuple([hashlib.sha256(prefix + key).digest() < cut for key, cut in cuts.items()])
-
-
-def _check_probability(bridge_id: str, p: float) -> None:
-    if not math.isfinite(p) or not 0.0 <= p <= 1.0:
-        raise InvalidInputError(f"bridge {bridge_id}: probability {p} outside [0, 1]")
 
 
 # Rows per gathered block: the candidate rows convergence_report checks per step, and _gathered_sum's blocks.
@@ -186,12 +183,12 @@ class HorizonResult:
     """Aggregated accessibility for one recovery horizon.
 
     Scores are scaled to capacity per 1,000 residents. score_table has
-    one row per distinct network of the run and one column per demand;
-    sample_network maps each Monte Carlo sample to its row. sample_scores
-    gathers the N x D matrix from them on demand; running_mean gives its
-    cumulative means, the per-demand convergence trace. converged_at is
-    the first sample count at which every demand's running mean has
-    settled, or None.
+    one row per distinct network of this horizon and one column per
+    demand; sample_network maps each Monte Carlo sample to its row, and
+    every row has at least one sample. sample_scores gathers the N x D
+    matrix from them on demand; running_mean gives its cumulative means,
+    the per-demand convergence trace. converged_at is the first sample
+    count at which every demand's running mean has settled, or None.
     """
 
     horizon: str
@@ -237,9 +234,9 @@ def _init_worker(*context) -> None:
     _WORKER_CTX = context
 
 
-def _network_scores(horizon, closed, graph, portals, d_row, s_col, pop, cap) -> np.ndarray:
+def _network_scores(horizon, closed, portals, d_row, s_col, pop, cap) -> np.ndarray:
     """Scaled score per demand on one horizon's base network with the toggled units `closed` closed."""
-    return access.two_step(portals[horizon].reachable(graph, closed), d_row, s_col, pop, cap)[0] * access.SCORE_SCALE
+    return access.two_step(portals[horizon].reachable(closed), d_row, s_col, pop, cap)[0] * access.SCORE_SCALE
 
 
 def _eval_in_worker(item) -> np.ndarray:
@@ -257,12 +254,12 @@ def _evaluate_networks(items: list, workers: int, context: tuple) -> list[np.nda
 
 
 def _column_stats(table: np.ndarray, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-demand x.mean(axis=0) and CoV x.std(axis=0) / mean, to the bit, for the samples x = table[index].
-    Columns whose used rows are all identical get a CoV of exactly 0, with no residue from the variance formula."""
+    """Per-demand x.mean(axis=0) and CoV x.std(axis=0) / mean, to the bit, for the samples x = table[index],
+    where index uses every row of table. Columns whose rows are all identical get a CoV of exactly 0, with no
+    residue from the variance formula."""
     mean = _gathered_sum(table, index) / index.size
     std = np.sqrt(_gathered_sum(np.square(table - mean), index) / index.size)
-    used = table[np.bincount(index, minlength=table.shape[0]) > 0]
-    std[used.min(axis=0) == used.max(axis=0)] = 0.0
+    std[table.min(axis=0) == table.max(axis=0)] = 0.0
     cov = np.zeros_like(mean)
     np.divide(std, mean, out=cov, where=mean > 0.0)
     return mean, cov
@@ -285,11 +282,11 @@ def run_scenario(
     pattern maps, per horizon, to the closure units its closed edges
     touch beyond the horizon's base set, less the units no demand can
     reach within d0 on the base network (see network.live_edges). Each
-    distinct (base set, closed units) key is evaluated once, from the
-    network.PortalDistances of the first horizon that keys it. The
-    resulting K x D score table (K networks, D demands) is indexed per
-    sample and aggregated in gathered row blocks. Subgroups with zero
-    total weight are left out of the group averages.
+    horizon evaluates each of its distinct closed-unit keys once, from
+    its own network.PortalDistances; one pool serves every horizon's
+    keys. Each horizon's K x D score table (K networks, D demands) is
+    indexed per sample and aggregated in gathered row blocks. Subgroups
+    with zero total weight are left out of the group averages.
     """
     if not demands:
         raise InvalidInputError("scenario needs at least one demand location")
@@ -307,17 +304,10 @@ def run_scenario(
     for rec in bridge_rows:
         exp = exposures.bridges[rec.bridge_id]
         row = table.coefficients_for(rec.mass_ton_per_m)
-        p = failure_probability[rec.bridge_id] = fragility.uplift_probability(row, exp.h_max, exp.z_c)
-        _check_probability(rec.bridge_id, p)
+        failure_probability[rec.bridge_id] = fragility.uplift_probability(row, exp.h_max, exp.z_c)
     # u < 0 never holds and u < 1 always does, so only 0 < p < 1 needs a draw.
     at_risk = {bid: p for bid, p in failure_probability.items() if 0.0 < p < 1.0}
     always = [bid for bid, p in failure_probability.items() if p == 1.0]
-
-    no_failures = {bid: False for bid in failure_probability}
-    base_masks = {
-        horizon: network.closure_mask(graph, exposures, config.thresholds, no_failures, horizon)
-        for horizon in config.horizons
-    }
 
     # Pass one: per-sample pattern of failed at-risk bridges, numbered in first-seen order.
     cuts = failure_cuts(at_risk)
@@ -338,24 +328,24 @@ def run_scenario(
 
     risk_units = [units_of(graph.edges_for_bridge(bid)) for bid in at_risk]
     fixed_units = units_of(eid for bid in always for eid in graph.edges_for_bridge(bid))
-    networks: dict[tuple[frozenset[int], frozenset[int]], tuple[int, str]] = {}
+    no_failures = {bid: False for bid in failure_probability}
+    items: list[tuple[str, frozenset[int]]] = []
     portals: dict[str, network.PortalDistances] = {}
     sample_network: dict[str, np.ndarray] = {}
     for horizon in config.horizons:
-        base = fixed_units | units_of(base_masks[horizon].provenance)
+        base_mask = network.closure_mask(graph, exposures, config.thresholds, no_failures, horizon)
+        base = fixed_units | units_of(base_mask.provenance)
         base_closed = np.isin(units, sorted(base))
         live_units = frozenset(units[network.live_edges(graph, base_closed, *nodes, config.d0_minutes)].tolist())
         live_risk = [(u & live_units) - base for u in risk_units]
         toggled = frozenset().union(*live_risk)
         portals[horizon] = network.PortalDistances(graph, base_closed, units, toggled, *nodes, config.d0_minutes)
-        per_pattern = [
-            networks.setdefault((base, frozenset().union(*compress(live_risk, pattern))), (len(networks), horizon))[0]
-            for pattern in patterns
-        ]
+        keys: dict[frozenset[int], int] = {}
+        per_pattern = [keys.setdefault(frozenset().union(*compress(live_risk, p)), len(keys)) for p in patterns]
         sample_network[horizon] = np.array(per_pattern, dtype=np.int64)[sample_pattern]
-    items = [(horizon, closed) for (_, closed), (_, horizon) in networks.items()]
-    context = (graph, portals, d_row, s_col, *access.site_weights(demands, supplies))
-    score_table = np.stack(_evaluate_networks(items, config.workers, context))
+        items += [(horizon, closed) for closed in keys]
+    context = (portals, d_row, s_col, *access.site_weights(demands, supplies))
+    scores = _evaluate_networks(items, config.workers, context)
 
     result = ScenarioResult(
         storm=config.storm,
@@ -375,6 +365,7 @@ def run_scenario(
 
     for horizon in config.horizons:
         index = sample_network[horizon]
+        score_table = np.stack([row for (item_horizon, _), row in zip(items, scores) if item_horizon == horizon])
         mean_scores, cov = _column_stats(score_table, index)
         mean_access = access.AccessScores(
             scores={did: float(v) for did, v in zip(demand_ids, mean_scores)},

@@ -163,8 +163,14 @@ def test_report_compares_runs(tmp_path, capsys):
     assert "avg_score" in out and "no_access" in out
     assert "quartile drops:" in out
     assert "cross-horizon deltas are biased" in out
-    header = deltas.read_text().splitlines()[0]
-    assert header == "demand_id,horizon,base_mean,other_mean,delta,base_quartile,other_quartile"
+    lines = deltas.read_bytes().split(b"\n")
+    assert lines[0] == b"demand_id,horizon,base_mean,other_mean,delta,base_quartile,other_quartile"
+    assert len(lines) == 2 * 2 + 2 and lines[-1] == b""  # two demands on two horizons, "\n" line ends
+    b_props = scenario_io.read_results(base)["horizons"]["short"]["d1"]
+    o_props = scenario_io.read_results(other)["horizons"]["short"]["d1"]
+    b_mean, o_mean = b_props["mean_score"], o_props["mean_score"]
+    row = f"d1,short,{b_mean!r},{o_mean!r},{o_mean - b_mean!r},{b_props['quartile']},{o_props['quartile']}"
+    assert lines[1] == row.encode()
 
 
 def test_report_missing_dir_exit_5(tmp_path, capsys):
@@ -179,3 +185,28 @@ def test_report_malformed_manifest_exit_4(tmp_path, capsys):
     (broken / "manifest.json").write_text("{]")
     assert cli.main(["report", str(base), str(broken)]) == cli.EXIT_RUNTIME
     assert "malformed results directory" in capsys.readouterr().err
+
+
+def test_report_manifest_without_summary_exit_4(tmp_path, capsys):
+    base = result_dir(tmp_path, "ok", 0.3)
+    other = result_dir(tmp_path, "other", 0.3)
+    manifest = json.loads((other / "manifest.json").read_text())
+    del manifest["summary"]
+    (other / "manifest.json").write_text(json.dumps(manifest))
+    assert cli.main(["report", str(base), str(other)]) == cli.EXIT_RUNTIME
+    captured = capsys.readouterr()
+    assert "malformed results directory" in captured.err and "summary" in captured.err
+    assert captured.out == ""
+
+
+def test_report_unknown_quartile_label_exit_4(tmp_path, capsys):
+    base = result_dir(tmp_path, "ok", 0.3)
+    other = result_dir(tmp_path, "other", 0.3)
+    path = other / "results_short.geojson"
+    doc = json.loads(path.read_text())
+    doc["features"][0]["properties"]["quartile"] = "Q9"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["report", str(base), str(other)]) == cli.EXIT_RUNTIME
+    captured = capsys.readouterr()
+    assert "malformed results directory" in captured.err and "Q9" in captured.err
+    assert captured.out == ""

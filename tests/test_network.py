@@ -557,7 +557,7 @@ def test_portals_matches_reachable_for_every_toggled_subset():
         for size in range(len(toggled) + 1):
             for subset in itertools.combinations(sorted(toggled), size):
                 want = network.reachable(graph, base | np.isin(units, subset), d_nodes, s_nodes, d0)
-                got = portals.reachable(graph, set(subset))
+                got = portals.reachable(set(subset))
                 assert got.dtype == bool and np.array_equal(got, want)
                 changed += not np.array_equal(want, on_h)
         transposed += d_nodes.size > s_nodes.size
@@ -610,7 +610,7 @@ def test_portal_legs_keep_every_minimum_that_can_decide():
                 assert np.all(got[~decisive] > limit)
                 inside_margin += np.count_nonzero(np.abs(want - d0) <= portals.margin)
                 want_reach = network.reachable(graph, base | np.isin(units, subset), d_nodes, s_nodes, d0)
-                assert np.array_equal(portals.reachable(graph, set(subset)), want_reach)
+                assert np.array_equal(portals.reachable(set(subset)), want_reach)
         dropped += portals.rows.size * len(portal_nodes) - sum(flat.size for flat, _ in portals.legs)
     assert inside_margin > 0 and dropped > 0
 
@@ -641,12 +641,12 @@ def test_portals_falls_back_inside_the_margin(monkeypatch):
         return exact(*args)
 
     monkeypatch.setattr(network, "reachable", spy)
-    got = portals.reachable(graph, set())
+    got = portals.reachable(set())
     assert len(calls) == 1
     assert got.tolist() == exact(graph, base, d_nodes, s_nodes, d0).tolist() == [[True]]
-    assert portals.reachable(graph, toggled).tolist() == [[False]]
+    assert portals.reachable(toggled).tolist() == [[False]]
     assert len(calls) == 1  # with b closed no pair is contested near d0
-    assert far.reachable(graph, set()).tolist() == [[True]]
+    assert far.reachable(set()).tolist() == [[True]]
     assert len(calls) == 1
 
 
@@ -665,5 +665,5 @@ def test_portals_search_past_d0_for_legs_summed_the_other_way():
     base = np.zeros(len(graph.edge_ids), dtype=bool)
     toggled = {int(units[graph.edge_ids.index("e3")])}
     portals = network.PortalDistances(graph, base, units, toggled, d_nodes, s_nodes, d0)
-    got = portals.reachable(graph, set())
+    got = portals.reachable(set())
     assert got.tolist() == network.reachable(graph, base, d_nodes, s_nodes, d0).tolist() == [[True]]

@@ -246,13 +246,14 @@ def test_column_stats_match_the_gathered_matrix_bit_for_bit():
     for trial in range(120):
         k, d = int(rng.integers(1, 12)), (1, 2, 3, int(rng.integers(4, 130)))[trial % 4]
         n = sizes[trial % len(sizes)] if trial < 64 else int(rng.integers(1, 6 * block))
+        k = min(k, n)
         table = rng.choice([0.0, 1.0, 7.5], size=(k, d)) * rng.uniform(0.0, 300.0, size=(k, d))
-        index = rng.integers(0, max(1, k - 1), size=n)  # the last of several table rows is never used
+        index = rng.integers(0, k, size=n)
+        index[rng.choice(n, size=k, replace=False)] = np.arange(k)  # every table row is used, as in a run
         if d > 2:
             zero, constant = rng.choice(d, size=2, replace=False)
             table[:, zero] = 0.0
-            table[:, constant] = 42.5  # constant over the used rows, but not over the whole table
-            table[-1, constant] = 17.0
+            table[:, constant] = 42.5
         x = table[index]
         mean, cov = simulate._column_stats(table, index)
         assert mean.tobytes() == x.mean(axis=0).tobytes()
@@ -489,6 +490,30 @@ def test_run_with_no_at_risk_bridge_matches_raw_key_reference():
         reference = raw_key_sample_scores(result, config, graph, supplies, demands, horizon)
         assert np.array_equal(hres.sample_scores, reference)
         assert len(np.unique(reference, axis=0)) == 1
+
+
+def test_horizons_sharing_a_base_key_and_score_on_their_own():
+    # The twin town never floods, so both horizons have the same base network and the same keys.
+    result, _ = twin_result(0.5, samples=300)
+    short, long = result.horizons["short"], result.horizons["long"]
+    for hres in (short, long):
+        assert hres.score_table.shape == (2, 2)  # one row per distinct key: bridge up, bridge down
+        assert np.all(np.bincount(hres.sample_network) > 0)
+    assert np.array_equal(short.score_table, long.score_table)
+    assert np.array_equal(short.sample_network, long.sample_network)
+    for name in ("mean_scores", "cov"):
+        assert getattr(short, name).tobytes() == getattr(long, name).tobytes()
+    for name in ("quartiles", "group_averages", "no_access_fraction", "average_cov", "converged_at"):
+        assert getattr(short, name) == getattr(long, name)
+
+
+def test_each_horizon_table_holds_only_its_own_networks(storm1_run):
+    # Storm 1 floods the short horizon's base, so the horizons key different networks.
+    result, _ = storm1_run
+    sizes = [hres.score_table.shape[0] for hres in result.horizons.values()]
+    for hres in result.horizons.values():
+        assert np.all(np.bincount(hres.sample_network, minlength=hres.score_table.shape[0]) > 0)
+    assert sizes == [7, 12]  # at seed 42
 
 
 def test_run_scenario_reaches_stage_functions_through_module_attributes(monkeypatch):
