@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from pathlib import Path
 
 from . import __version__
+from .access import QUARTILE_LABELS
 from .errors import SurgeAccessError, ValidationError
 from .fragility import default_table
 from .network import HORIZONS
@@ -101,7 +101,7 @@ def _cmd_fixture(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_QUARTILE_ORDER = {"Q1": 1, "Q2": 2, "Q3": 3, "Q4": 4}
+_QUARTILE_ORDER = {label: rank for rank, label in enumerate(QUARTILE_LABELS)}
 _REPORT_COLUMNS = ("demand_id", "horizon", "base_mean", "other_mean", "delta", "base_quartile", "other_quartile")
 
 
@@ -144,7 +144,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
                     f"{label} {HORIZONS[1]}-vs-{HORIZONS[0]} avg_score delta: {delta:.4f}"
                     " [caution: cross-horizon deltas are biased where access drops to zero]"
                 )
-    except (KeyError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: malformed results directory ({exc})", file=sys.stderr)
         return EXIT_RUNTIME
     print("\n".join(lines))

@@ -114,7 +114,6 @@ class DatasetBundle:
     config: ScenarioConfig
     crs: str
     datum: str
-    paths: BundlePaths | None = None
     input_hashes: dict[str, str] = field(default_factory=dict)
 
 
@@ -356,7 +355,6 @@ def load_bundle(source: str | Path | BundlePaths) -> DatasetBundle:
         config=config,
         crs=crs,
         datum=datum,
-        paths=paths,
         input_hashes={p.name: _sha256_file(p) for p in paths.all_files()},
     )
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import compress
 from typing import Mapping, Sequence
@@ -225,34 +225,6 @@ class ScenarioResult:
     horizons: dict[str, HorizonResult] = field(default_factory=dict)
 
 
-# Worker context for parallel network evaluation; set once per process.
-_WORKER_CTX: tuple | None = None
-
-
-def _init_worker(*context) -> None:
-    global _WORKER_CTX
-    _WORKER_CTX = context
-
-
-def _network_scores(horizon, closed, portals, d_row, s_col, pop, cap) -> np.ndarray:
-    """Scaled score per demand on one horizon's base network with the toggled units `closed` closed."""
-    return access.two_step(portals[horizon].reachable(closed), d_row, s_col, pop, cap)[0] * access.SCORE_SCALE
-
-
-def _eval_in_worker(item) -> np.ndarray:
-    return _network_scores(*item, *_WORKER_CTX)
-
-
-def _evaluate_networks(items: list, workers: int, context: tuple) -> list[np.ndarray]:
-    """Score vector per (horizon, key) item, in list order. Each is a pure
-    function of its item, so any worker count gives the same result."""
-    if workers <= 1 or len(items) < 2:
-        return [_network_scores(*item, *context) for item in items]
-    with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=context) as pool:
-        chunksize = max(1, len(items) // (4 * workers))
-        return list(pool.map(_eval_in_worker, items, chunksize=chunksize))
-
-
 def _column_stats(table: np.ndarray, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-demand x.mean(axis=0) and CoV x.std(axis=0) / mean, to the bit, for the samples x = table[index],
     where index uses every row of table. Columns whose rows are all identical get a CoV of exactly 0, with no
@@ -283,10 +255,14 @@ def run_scenario(
     touch beyond the horizon's base set, less the units no demand can
     reach within d0 on the base network (see network.live_edges). Each
     horizon evaluates each of its distinct closed-unit keys once, from
-    its own network.PortalDistances; one pool serves every horizon's
-    keys. Each horizon's K x D score table (K networks, D demands) is
-    indexed per sample and aggregated in gathered row blocks. Subgroups
-    with zero total weight are left out of the group averages.
+    its own network.PortalDistances. One pool of config.workers threads
+    serves every horizon's keys; each network's scores are a pure
+    function of its key, so any worker count gives the same bits. The
+    threads share the portals and site arrays, so nothing is pickled and
+    no process starts, and the numpy kernels release the GIL. Each
+    horizon's K x D score table (K networks, D demands) is indexed per
+    sample and aggregated in gathered row blocks. Subgroups with zero
+    total weight are left out of the group averages.
     """
     if not demands:
         raise InvalidInputError("scenario needs at least one demand location")
@@ -344,8 +320,15 @@ def run_scenario(
         per_pattern = [keys.setdefault(frozenset().union(*compress(live_risk, p)), len(keys)) for p in patterns]
         sample_network[horizon] = np.array(per_pattern, dtype=np.int64)[sample_pattern]
         items += [(horizon, closed) for closed in keys]
-    context = (portals, d_row, s_col, *access.site_weights(demands, supplies))
-    scores = _evaluate_networks(items, config.workers, context)
+    pop, cap = access.site_weights(demands, supplies)
+
+    def network_scores(item) -> np.ndarray:
+        """Scaled score per demand on the item's horizon with its toggled units closed."""
+        horizon, closed = item
+        return access.two_step(portals[horizon].reachable(closed), d_row, s_col, pop, cap)[0] * access.SCORE_SCALE
+
+    with ThreadPoolExecutor(max_workers=config.workers) as pool:
+        scores = list(pool.map(network_scores, items))
 
     result = ScenarioResult(
         storm=config.storm,

@@ -210,3 +210,24 @@ def test_report_unknown_quartile_label_exit_4(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "malformed results directory" in captured.err and "Q9" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "name, edit",
+    [
+        ("results_short.geojson", lambda doc: doc["features"][0]["properties"].update(mean_score="12.5")),
+        ("manifest.json", lambda doc: [1, 2]),
+        ("manifest.json", lambda doc: doc["summary"]["short"].update(average_score="12.5")),  # fails :.4f
+    ],
+    ids=["string-mean-score", "list-manifest", "string-average-score"],
+)
+def test_report_wrong_typed_results_exit_4(tmp_path, capsys, name, edit):
+    base = result_dir(tmp_path, "ok", 0.3)
+    other = result_dir(tmp_path, "other", 0.3)
+    doc = json.loads((other / name).read_text())
+    replaced = edit(doc)
+    (other / name).write_text(json.dumps(doc if replaced is None else replaced))
+    assert cli.main(["report", str(base), str(other)]) == cli.EXIT_RUNTIME
+    captured = capsys.readouterr()
+    assert "malformed results directory" in captured.err
+    assert captured.out == ""

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import math
+import multiprocessing.process
 import tracemalloc
 
 import numpy as np
@@ -459,7 +460,11 @@ def co_sited_town(samples=300):
     return config, graph, bridges, supplies, demands
 
 
-def test_co_sited_town_matches_raw_key_reference_with_one_and_two_workers():
+def test_co_sited_town_matches_raw_key_reference_with_one_and_two_workers(monkeypatch):
+    def no_process(self):
+        raise RuntimeError("network evaluation started a process")
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_process)
     config, graph, bridges, supplies, demands = co_sited_town()
     d_nodes, s_nodes = (np.unique(network.snap_sites(graph, sites)) for sites in (demands, supplies))
     assert len(supplies) > len(demands) and s_nodes.size < d_nodes.size
