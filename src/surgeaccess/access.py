@@ -51,7 +51,8 @@ class DemandSite:
     """A population location, optionally split into named subgroups.
 
     Subgroup weights are head counts; each must fit inside the total
-    population. Groups may overlap each other.
+    population. Groups may overlap each other; "overall" names the whole
+    population and is no subgroup's name.
     """
 
     demand_id: str
@@ -67,6 +68,8 @@ class DemandSite:
         if self.population < 0.0:
             raise InvalidInputError(f"demand {self.demand_id}: population must be >= 0")
         for group, weight in self.subgroups.items():
+            if group == "overall":
+                raise InvalidInputError(f"demand {self.demand_id}: group name overall is reserved")
             if not math.isfinite(weight) or weight < 0.0:
                 raise InvalidInputError(f"demand {self.demand_id}: group {group} weight must be finite and >= 0")
             if weight > self.population:

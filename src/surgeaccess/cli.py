@@ -55,7 +55,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         f" components={graph.component_count}"
     )
     print(f"  supplies={len(bundle.supplies)} demands={len(bundle.demands)} surge_samples={len(bundle.config.surge)}")
-    print(f"  storm={bundle.config.storm} crs={bundle.crs} datum={bundle.datum}")
+    print(f"  storm={bundle.config.storm} crs={bundle.crs} datum={bundle.config.surge.datum_label}")
     return EXIT_OK
 
 

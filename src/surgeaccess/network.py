@@ -518,24 +518,16 @@ class PortalDistances:
         self.reach = reachable(graph, self.closed, demand_nodes, supply_nodes, d0_minutes)
         dist = dijkstra(graph._adjacency(self.closed), directed=False, indices=portals, limit=d0_minutes + self.margin)
         self.via, self.between, to_supply = dist[:, demand_nodes].T, dist[:, portals], dist[:, supply_nodes]
-        nearest = np.full(self.reach.shape, np.inf)
         all_open = self._via_open(np.ones(self.chain_units.size, dtype=bool))
-        for q in range(portals.size):
-            np.minimum(nearest, all_open[:, q, None] + to_supply[q], out=nearest)
-        rows, cols = np.nonzero(~self.reach & (nearest <= d0_minutes + self.margin))
-        keep = all_open[rows] + to_supply[:, cols].T <= d0_minutes + self.margin
-        count = np.count_nonzero(keep, axis=1)
-        order = np.argsort(-count, kind="stable")  # pairs with the most legs first
-        self.rows, self.cols, count = rows[order], cols[order], count[order]
-        kept = np.argsort(~keep[order], axis=1, kind="stable")  # each pair's kept portals first
-        # legs[k]: the k-th kept leg of every pair that has one (a prefix of the
-        # pairs), as a flat index into a demand x portal array and the leg's
-        # portal-to-supply minutes.
-        self.legs = []
-        for k in range(count[0] if count.size else 0):
-            pairs = np.count_nonzero(count > k)
-            q = kept[:pairs, k]
-            self.legs.append((self.rows[:pairs] * portals.size + q, to_supply[q, self.cols[:pairs]]))
+        # Each portal's kept legs, as flat indices into the demand x supply pairs.
+        cells = [np.flatnonzero(~self.reach & (all_open[:, q, None] + to_supply[q] <= d0_minutes + self.margin))
+                 for q in range(portals.size)]
+        q = np.repeat(np.arange(portals.size), [c.size for c in cells])
+        pairs, self.pair = np.unique(np.concatenate([np.zeros(0, dtype=np.int64), *cells]), return_inverse=True)
+        self.rows, self.cols = np.divmod(pairs, len(supply_nodes))
+        # Kept leg i: its contested pair, a flat index into a demand x portal
+        # array, and its portal-to-supply minutes.
+        self.flat, self.leg = self.rows[self.pair] * portals.size + q, to_supply[q, self.cols[self.pair]]
 
     def _via_open(self, chains: np.ndarray) -> np.ndarray:
         """Demand x portal minutes on H with the selected chains open (Floyd-Warshall over the portals)."""
@@ -549,10 +541,8 @@ class PortalDistances:
     def _minutes(self, via: np.ndarray) -> np.ndarray:
         """Minutes per contested pair (rows, cols): its least kept leg, given
         the demand x portal minutes via of one network."""
-        via = via.ravel()
         minutes = np.full(self.rows.size, np.inf)
-        for flat, leg in self.legs:
-            np.minimum(minutes[: flat.size], via[flat] + leg, out=minutes[: flat.size])
+        np.minimum.at(minutes, self.pair, via.ravel()[self.flat] + self.leg)
         return minutes
 
     def reachable(self, closed_units) -> np.ndarray:

@@ -113,7 +113,6 @@ class DatasetBundle:
     demands: tuple[DemandSite, ...]
     config: ScenarioConfig
     crs: str
-    datum: str
     input_hashes: dict[str, str] = field(default_factory=dict)
 
 
@@ -267,17 +266,16 @@ def parse_config_text(text: str, source: str = CONFIG_FILE) -> tuple[dict[str, s
 
 
 def _config_from_raw(
-    raw: Mapping[str, str],
-    surge_csv: Path,
-    errors: list[str],
-) -> tuple[ScenarioConfig | None, str, str]:
+    raw: Mapping[str, str], paths: BundlePaths, errors: list[str]
+) -> tuple[ScenarioConfig | None, str]:
     """Build the run configuration and its surge field, reporting every
-    bad value; keys the file leaves out keep the dataclass defaults."""
+    bad value under the config file's name; keys the file leaves out keep
+    the dataclass defaults."""
     before = len(errors)
-    surge_rows = _parse_rows(surge_csv, _SURGE_COLUMNS, "surge", lambda rec: _floats(rec, _SURGE_COLUMNS), errors)
+    surge_rows = _parse_rows(paths.surge, _SURGE_COLUMNS, "surge", lambda rec: _floats(rec, _SURGE_COLUMNS), errors)
     for key in ("storm", "crs"):
         if not raw.get(key):
-            errors.append(f"{CONFIG_FILE}: {key} is required")
+            errors.append(f"{paths.config.name}: {key} is required")
     settings: dict[str, Any] = {}
     for key, parse in _SETTINGS.items():
         if key not in raw or (key == "coverage_radius_m" and raw[key] == ""):
@@ -285,24 +283,23 @@ def _config_from_raw(
         try:
             settings[key] = parse(raw[key])
         except ValueError:
-            errors.append(f"{CONFIG_FILE}: {key} must be {_EXPECTED[parse]}, got {raw[key]!r}")
+            errors.append(f"{paths.config.name}: {key} must be {_EXPECTED[parse]}, got {raw[key]!r}")
     crs = settings.pop("crs", "")
-    datum = settings.pop("datum", "unspecified")
     if errors[before:]:
-        return None, crs, datum
+        return None, crs
 
     try:
         surge = SurgeField(
             *np.reshape(surge_rows, (-1, len(_SURGE_COLUMNS))).T,
-            datum_label=datum,
+            datum_label=settings.pop("datum", "unspecified"),
             coverage_radius_m=settings.pop("coverage_radius_m", None),
         )
         thresholds = ExposureThresholds(**{k: settings.pop(k) for k in _THRESHOLD_KEYS if k in settings})
         config = ScenarioConfig(surge=surge, thresholds=thresholds, **settings)
     except InvalidInputError as exc:
         errors.append(str(exc))
-        return None, crs, datum
-    return config, crs, datum
+        return None, crs
+    return config, crs
 
 
 def load_bundle(source: str | Path | BundlePaths) -> DatasetBundle:
@@ -342,7 +339,7 @@ def load_bundle(source: str | Path | BundlePaths) -> DatasetBundle:
         if not ids:
             errors.append(f"{name}: {empty}")
 
-    config, crs, datum = _config_from_raw(raw_config, paths.surge, errors)
+    config, crs = _config_from_raw(raw_config, paths, errors)
     if errors:
         raise ValidationError(errors)
     assert graph is not None and config is not None
@@ -354,7 +351,6 @@ def load_bundle(source: str | Path | BundlePaths) -> DatasetBundle:
         demands=tuple(demands),
         config=config,
         crs=crs,
-        datum=datum,
         input_hashes={p.name: _sha256_file(p) for p in paths.all_files()},
     )
 
@@ -425,7 +421,7 @@ def write_results(result: ScenarioResult, bundle: DatasetBundle, out_dir: str | 
         "horizons": list(result.horizons),
         "thresholds": vars(bundle.config.thresholds),
         "crs": bundle.crs,
-        "datum": bundle.datum,
+        "datum": bundle.config.surge.datum_label,
         "package_version": __version__,
         "fragility_checksum": result.fragility_checksum,
         "inputs": dict(sorted(bundle.input_hashes.items())),
@@ -513,7 +509,7 @@ def write_bundle(bundle: DatasetBundle, out_dir: str | Path) -> BundlePaths:
          for d in bundle.demands),
     )
 
-    held = {**vars(cfg), **vars(cfg.thresholds), "crs": bundle.crs, "datum": bundle.datum}
+    held = {**vars(cfg), **vars(cfg.thresholds), "crs": bundle.crs, "datum": surge.datum_label}
     held["horizons"] = ",".join(cfg.horizons)
     held["coverage_radius_m"] = surge.coverage_radius_m
     paths.config.write_text("".join(f"{key} = {held[key]}\n" for key in _SETTINGS if held[key] is not None))
@@ -541,12 +537,14 @@ class SyntheticFixtureSpec:
     storm: str = "storm-1-like"
     surge_peak_m: float | None = None
     surge_decay_m: float | None = None
-    wave_ratio: float = 0.2
-    deck_range_m: tuple[float, float] = (5.0, 11.5)
     d0_minutes: float = 50.0
     samples: int = 1000
     scenario_seed: int = 42
     workers: int = 1
+
+# Fixture significant wave height per metre of storm tide, and the range of bridge deck elevations (m).
+_WAVE_RATIO = 0.2
+_DECK_RANGE_M = (5.0, 11.5)
 
 # Built-in storm intensities: (peak storm tide m, decay distance m).
 _STORM_PRESETS = {
@@ -575,11 +573,6 @@ def _fixture_params(spec: SyntheticFixtureSpec) -> tuple[float, float, int]:
         raise InvalidSpecError(f"demand count must be >= 1, got {spec.demand_count}")
     if spec.supply_count < 1:
         raise InvalidSpecError(f"supply count must be >= 1, got {spec.supply_count}")
-    if not 0.0 <= spec.wave_ratio <= 1.0:
-        raise InvalidSpecError(f"wave ratio must be in [0, 1], got {spec.wave_ratio}")
-    lo, hi = spec.deck_range_m
-    if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 < lo <= hi):
-        raise InvalidSpecError(f"deck range must satisfy 0 < lo <= hi, got {spec.deck_range_m}")
     if spec.samples < 1:
         raise InvalidSpecError(f"samples must be >= 1, got {spec.samples}")
     peak, decay = _STORM_PRESETS.get(spec.storm, (spec.surge_peak_m, spec.surge_decay_m))
@@ -661,7 +654,7 @@ def generate_fixture(spec: SyntheticFixtureSpec, out_dir: str | Path) -> BundleP
     bridges: list[BridgeRecord] = []
     band_centers = (2.5, 7.5, 12.5, 17.5, 22.5, 27.5, 32.5)
     deck_pattern = (0.05, 0.10, 0.18, 0.9, 0.12, 0.55, 0.14, 0.95)
-    deck_lo, deck_hi = spec.deck_range_m
+    deck_lo, deck_hi = _DECK_RANGE_M
     span_counter = 0
     remaining = spec.bridge_count
     for c, i in enumerate(corridor_cols):
@@ -706,7 +699,7 @@ def generate_fixture(spec: SyntheticFixtureSpec, out_dir: str | Path) -> BundleP
     x_inlet = width / 2.0
     points = [(i * sp, y_channel) for i in range(gw)] + [(i * sp, j * sp) for i in range(gw) for j in range(gh)]
     s_st = [round(peak * max(0.0, 1.0 - math.hypot(x - x_inlet, y - y_channel) / decay), 4) for x, y in points]
-    s_s = [round(spec.wave_ratio * h, 4) for h in s_st]
+    s_s = [round(_WAVE_RATIO * h, 4) for h in s_st]
     surge = SurgeField(*zip(*points), s_st, s_s, datum_label="fixture-datum")
 
     side = math.ceil(math.sqrt(spec.demand_count))
@@ -773,7 +766,6 @@ def generate_fixture(spec: SyntheticFixtureSpec, out_dir: str | Path) -> BundleP
         demands=tuple(demands),
         config=config,
         crs="local-meters",
-        datum="fixture-datum",
     )
     return write_bundle(bundle, out_dir)
 
@@ -825,7 +817,6 @@ def generate_twin_town(p_fail: float = 0.5, samples: int = 1000, seed: int = 7) 
         demands=demands,
         config=config,
         crs="local-meters",
-        datum="twin-datum",
     )
 
 

@@ -264,8 +264,8 @@ def run_scenario(
     sample and aggregated in gathered row blocks. Subgroups with zero
     total weight are left out of the group averages.
     """
-    if not demands:
-        raise InvalidInputError("scenario needs at least one demand location")
+    if not sum(d.population for d in demands) > 0.0:
+        raise InvalidInputError("scenario needs demand locations with a total population above zero")
     demand_ids = tuple(d.demand_id for d in demands)
     for kind, ids in (("demand", demand_ids), ("supply", [s.supply_id for s in supplies])):
         if len(set(ids)) != len(ids):

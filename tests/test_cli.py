@@ -85,6 +85,41 @@ def test_run_writes_results_and_honors_flags(small_fixture_dir, tmp_path, capsys
         assert (out_dir / name).exists()
 
 
+def test_demand_group_named_overall_exit_3(small_fixture_dir, tmp_path, capsys):
+    # "overall" is the whole population's row in group_summary.csv and the
+    # manifest's average_score; a subgroup by that name would replace it.
+    demands = small_fixture_dir / scenario_io.DEMANDS_FILE
+    header, *rows = demands.read_text().splitlines()
+    rows = [f"{row},{1.0 if k == 0 else 0.0}" for k, row in enumerate(rows)]
+    demands.write_text("\n".join([f"{header},overall", *rows]) + "\n")
+    assert cli.main(["validate", "--data", str(small_fixture_dir)]) == cli.EXIT_VALIDATION
+    assert "group name overall is reserved" in capsys.readouterr().err
+    out_dir = tmp_path / "results"
+    assert cli.main(["run", "--data", str(small_fixture_dir), "--out", str(out_dir)]) == cli.EXIT_VALIDATION
+    assert "demands.csv:2: bad demand row" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_alternate_config_is_read_and_named_in_errors(small_fixture_dir, tmp_path, capsys):
+    alternate = tmp_path / "alternate.cfg"
+    text = (small_fixture_dir / scenario_io.CONFIG_FILE).read_text()
+    assert "samples = 30\n" in text
+    alternate.write_text(text.replace("samples = 30\n", "samples = 12\n"))
+    assert cli.main(["validate", "--data", str(small_fixture_dir), "--config", str(alternate)]) == cli.EXIT_OK
+    out_dir = tmp_path / "results"
+    code = cli.main(["run", "--data", str(small_fixture_dir), "--config", str(alternate), "--out", str(out_dir)])
+    assert code == cli.EXIT_OK
+    assert json.loads((out_dir / "manifest.json").read_text())["samples"] == 12
+    capsys.readouterr()
+
+    alternate.write_text(text.replace("samples = 30\n", "samples = many\n"))
+    for command in (["validate"], ["run", "--out", str(tmp_path / "broken")]):
+        code = cli.main([*command, "--data", str(small_fixture_dir), "--config", str(alternate)])
+        assert code == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "alternate.cfg: samples must be" in err and scenario_io.CONFIG_FILE not in err
+
+
 def test_run_single_horizon(small_fixture_dir, tmp_path):
     out_dir = tmp_path / "results"
     code = cli.main([

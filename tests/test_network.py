@@ -611,7 +611,7 @@ def test_portal_legs_keep_every_minimum_that_can_decide():
                 inside_margin += np.count_nonzero(np.abs(want - d0) <= portals.margin)
                 want_reach = network.reachable(graph, base | np.isin(units, subset), d_nodes, s_nodes, d0)
                 assert np.array_equal(portals.reachable(set(subset)), want_reach)
-        dropped += portals.rows.size * len(portal_nodes) - sum(flat.size for flat, _ in portals.legs)
+        dropped += portals.rows.size * len(portal_nodes) - portals.flat.size
     assert inside_margin > 0 and dropped > 0
 
 

@@ -96,7 +96,7 @@ def test_bundle_round_trip(tmp_path, twin_dir, small_dir):
         assert second.supplies == first.supplies
         assert second.demands == first.demands
         assert second.config == first.config
-        assert (second.crs, second.datum) == (first.crs, first.datum)
+        assert second.crs == first.crs
         assert second.graph.node_ids == first.graph.node_ids
         assert second.graph.edge_ids == first.graph.edge_ids
         assert all(second.graph.edges[e] == first.graph.edges[e] for e in first.graph.edge_ids)
@@ -106,6 +106,25 @@ def test_bundle_round_trip(tmp_path, twin_dir, small_dir):
         )
     assert second.config.surge.coverage_radius_m == 2500.0
     assert sorted(second.demands[0].subgroups) == ["above_poverty", "age65plus", "below_poverty"]
+
+
+def test_datum_round_trips_with_the_surge_field(tmp_path):
+    # The surge field's label is the bundle's only datum: write_bundle,
+    # load_bundle and the manifest all carry it.
+    bundle = scenario_io.generate_twin_town(p_fail=0.5, samples=20)
+    surge = bundle.config.surge
+    bundle.config = dataclasses.replace(
+        bundle.config, surge=hazard.SurgeField(surge.x, surge.y, surge.h_st, surge.h_s, "NAVD88")
+    )
+    paths = scenario_io.write_bundle(bundle, tmp_path / "navd")
+    assert "datum = NAVD88\n" in paths.config.read_text()
+    loaded = scenario_io.load_bundle(tmp_path / "navd")
+    assert loaded.config.surge.datum_label == "NAVD88"
+    assert loaded.config == bundle.config
+    cfg = loaded.config
+    result = simulate.run_scenario(cfg, loaded.graph, loaded.bridges, loaded.supplies, loaded.demands)
+    written = scenario_io.write_results(result, loaded, tmp_path / "out")
+    assert json.loads(written["manifest"].read_text())["datum"] == "NAVD88"
 
 
 def test_write_bundle_config_text(tmp_path):
@@ -228,7 +247,7 @@ def test_config_defaults(twin_dir):
     assert cfg.workers == 1
     assert (cfg.convergence_window, cfg.convergence_tolerance) == (100, 0.01)
     assert cfg.surge.coverage_radius_m is None
-    assert bundle.datum == cfg.surge.datum_label == "unspecified"
+    assert cfg.surge.datum_label == "unspecified"
 
 
 def test_coverage_radius_round_trip(tmp_path, twin_dir):

@@ -339,6 +339,18 @@ def test_zero_access_monotone_in_failure_probability():
         assert np.all(zero_high | ~zero_low)
 
 
+def test_zero_population_fails_before_any_draw(monkeypatch):
+    bundle = scenario_io.generate_twin_town(p_fail=0.5, samples=10)
+    empty = [dataclasses.replace(d, population=0.0) for d in bundle.demands]
+
+    def no_draw(*args):
+        raise AssertionError("drew a sample for a population of zero")
+
+    monkeypatch.setattr(simulate, "sample_failures", no_draw)
+    with pytest.raises(InvalidInputError, match="population above zero"):
+        simulate.run_scenario(bundle.config, bundle.graph, bundle.bridges, bundle.supplies, empty)
+
+
 def test_run_scenario_input_errors():
     bundle = scenario_io.generate_twin_town(samples=10)
     with pytest.raises(InvalidInputError, match="demand"):
