@@ -261,13 +261,6 @@ class ClosureMask:
 
     provenance: Mapping[str, str]
 
-    @property
-    def closed_edges(self) -> frozenset[str]:
-        return frozenset(self.provenance)
-
-    def __len__(self) -> int:
-        return len(self.provenance)
-
 
 def closure_mask(
     graph: RoadGraph,
@@ -379,26 +372,11 @@ class TravelTimeTable:
         self.d0_minutes = float(d0_minutes)
         self._lookup: dict[tuple[str, str], float] | None = None
 
-    def __len__(self) -> int:
-        return int(self.minutes.shape[0])
-
     def get(self, demand_id: str, supply_id: str) -> float | None:
         if self._lookup is None:
             pairs = zip(self.demand_index, self.supply_index, self.minutes)
             self._lookup = {(self.demand_ids[d], self.supply_ids[s]): float(t) for d, s, t in pairs}
         return self._lookup.get((demand_id, supply_id))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TravelTimeTable):
-            return NotImplemented
-        return (
-            self.demand_ids == other.demand_ids
-            and self.supply_ids == other.supply_ids
-            and self.d0_minutes == other.d0_minutes
-            and np.array_equal(self.demand_index, other.demand_index)
-            and np.array_equal(self.supply_index, other.supply_index)
-            and np.array_equal(self.minutes, other.minutes)
-        )
 
 
 def snap_sites(graph: RoadGraph, sites: Sequence) -> np.ndarray:
@@ -414,14 +392,8 @@ def travel_time_table(
     demands: Sequence,
     supplies: Sequence,
     d0_minutes: float,
-    *,
-    snapped: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> TravelTimeTable:
-    """All demand-supply travel times within d0 on the masked network.
-
-    Sites snap to their nearest node first; pass precomputed snap indices
-    through `snapped` when calling repeatedly on the same geometry.
-    """
+    """All demand-supply travel times within d0 on the masked network; sites snap to their nearest node first."""
     if not (math.isfinite(d0_minutes) and d0_minutes > 0.0):
         raise InvalidInputError(f"d0 must be finite and > 0, got {d0_minutes}")
     demand_ids = tuple(str(d.demand_id) for d in demands)
@@ -430,12 +402,7 @@ def travel_time_table(
         if len(set(ids)) != len(ids):
             raise InvalidInputError(f"duplicate {kind} ids")
 
-    if snapped is None:
-        snapped = (snap_sites(graph, demands), snap_sites(graph, supplies))
-    demand_nodes, supply_nodes = (np.asarray(nodes, dtype=np.int64) for nodes in snapped)
-    if demand_nodes.shape != (len(demands),) or supply_nodes.shape != (len(supplies),):
-        raise InvalidInputError("snapped node arrays do not match the site lists")
-
+    demand_nodes, supply_nodes = snap_sites(graph, demands), snap_sites(graph, supplies)
     closed = graph.edge_flags(mask.provenance) if mask is not None else None
     pair_minutes = _site_minutes(graph, closed, demand_nodes, supply_nodes, d0_minutes)
     within = pair_minutes <= d0_minutes  # inf fails the comparison

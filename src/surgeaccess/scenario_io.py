@@ -136,10 +136,16 @@ def _floats(rec: Mapping[str, str], names: Iterable[str]) -> list[float]:
 
 
 def _parse_rows(
-    path: Path, required: tuple[str, ...], kind: str, build: Callable[[dict[str, str]], Any], errors: list[str]
+    path: Path,
+    required: tuple[str, ...],
+    kind: str,
+    build: Callable[[dict[str, str]], Any],
+    errors: list[str],
+    reserved: tuple[str, ...] = (),
 ) -> list[Any]:
     """build(row) for each row of a CSV holding the required columns,
-    reporting a missing column or a bad row by file name and line."""
+    reporting a missing column or a bad row by file name and line. A
+    reserved column is reported once and left out of every row."""
     out: list[Any] = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -147,7 +153,11 @@ def _parse_rows(
         if missing:
             errors.append(f"{path.name}: missing column(s) {', '.join(missing)}")
             return out
+        clash = [name for name in reserved if name in reader.fieldnames]
+        errors.extend(f"{path.name}: column {name} is reserved" for name in clash)
         for lineno, rec in enumerate(reader, start=2):
+            for name in clash:
+                del rec[name]
             try:
                 out.append(build(rec))
             except ValueError as exc:
@@ -288,6 +298,7 @@ def _config_from_raw(
     if errors[before:]:
         return None, crs
 
+    surge = None
     try:
         surge = SurgeField(
             *np.reshape(surge_rows, (-1, len(_SURGE_COLUMNS))).T,
@@ -296,8 +307,8 @@ def _config_from_raw(
         )
         thresholds = ExposureThresholds(**{k: settings.pop(k) for k in _THRESHOLD_KEYS if k in settings})
         config = ScenarioConfig(surge=surge, thresholds=thresholds, **settings)
-    except InvalidInputError as exc:
-        errors.append(str(exc))
+    except InvalidInputError as exc:  # past the surge field, the bad value came from the config file
+        errors.append(str(exc) if surge is None else f"{paths.config.name}: {exc}")
         return None, crs
     return config, crs
 
@@ -317,7 +328,8 @@ def load_bundle(source: str | Path | BundlePaths) -> DatasetBundle:
     nodes, edges = _parse_network_geojson(paths.network, errors)
     bridges = _parse_rows(paths.bridges, _BRIDGE_COLUMNS, "bridge", _bridge_row, errors)
     supplies = _parse_rows(paths.supplies, _SUPPLY_COLUMNS, "supply", _supply_row, errors)
-    demands = _parse_rows(paths.demands, _DEMAND_COLUMNS, "demand", _demand_row, errors)
+    # "overall" is the whole population's group_summary.csv row, so no subgroup column may take that name.
+    demands = _parse_rows(paths.demands, _DEMAND_COLUMNS, "demand", _demand_row, errors, reserved=("overall",))
     raw_config, cfg_errors = parse_config_text(paths.config.read_text(), paths.config.name)
     errors.extend(cfg_errors)
 

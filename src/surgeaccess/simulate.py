@@ -82,14 +82,9 @@ def sample_failures(cuts: Mapping[bytes, bytes], master_seed: int, sample_index:
 _CONVERGENCE_BLOCK = 256
 
 
-def _running_mean(trace: np.ndarray) -> np.ndarray:
-    """Cumulative mean down the rows of a 2-d per-sample array."""
-    return np.cumsum(trace, axis=0) / np.arange(1, trace.shape[0] + 1, dtype=float)[:, None]
-
-
 def _running_mean_blocks(table: np.ndarray, index: np.ndarray, size: int):
-    """_running_mean(table[index]) in blocks of `size` rows, each gathered and summed when asked for. Each
-    block's cumsum starts from the sum before it, so every column adds up in one cumsum's order, to the bit."""
+    """Cumulative means down the rows of table[index], in blocks of `size` rows gathered and summed when asked for.
+    Each block's cumsum starts from the sum before it, so every column adds up in one cumsum's order, to the bit."""
     sums = table[:0]
     for start in range(0, index.size, size):  # carry the last sum in as a first row, then drop it
         sums = np.cumsum(np.concatenate([sums[-1:], table[index[start : start + size]]]), axis=0)[min(start, 1) :]
@@ -186,9 +181,8 @@ class HorizonResult:
     one row per distinct network of this horizon and one column per
     demand; sample_network maps each Monte Carlo sample to its row, and
     every row has at least one sample. sample_scores gathers the N x D
-    matrix from them on demand; running_mean gives its cumulative means,
-    the per-demand convergence trace. converged_at is the first sample
-    count at which every demand's running mean has settled, or None.
+    matrix from them on demand. converged_at is the first sample count at
+    which every demand's running mean has settled, or None.
     """
 
     horizon: str
@@ -206,10 +200,6 @@ class HorizonResult:
     @property
     def sample_scores(self) -> np.ndarray:
         return self.score_table[self.sample_network]
-
-    @property
-    def running_mean(self) -> np.ndarray:
-        return _running_mean(self.sample_scores)
 
 
 @dataclass

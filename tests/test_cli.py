@@ -93,10 +93,10 @@ def test_demand_group_named_overall_exit_3(small_fixture_dir, tmp_path, capsys):
     rows = [f"{row},{1.0 if k == 0 else 0.0}" for k, row in enumerate(rows)]
     demands.write_text("\n".join([f"{header},overall", *rows]) + "\n")
     assert cli.main(["validate", "--data", str(small_fixture_dir)]) == cli.EXIT_VALIDATION
-    assert "group name overall is reserved" in capsys.readouterr().err
+    assert "demands.csv: column overall is reserved" in capsys.readouterr().err
     out_dir = tmp_path / "results"
     assert cli.main(["run", "--data", str(small_fixture_dir), "--out", str(out_dir)]) == cli.EXIT_VALIDATION
-    assert "demands.csv:2: bad demand row" in capsys.readouterr().err
+    assert "demands.csv: column overall is reserved" in capsys.readouterr().err
     assert not out_dir.exists()
 
 
@@ -118,6 +118,12 @@ def test_alternate_config_is_read_and_named_in_errors(small_fixture_dir, tmp_pat
         assert code == cli.EXIT_VALIDATION
         err = capsys.readouterr().err
         assert "alternate.cfg: samples must be" in err and scenario_io.CONFIG_FILE not in err
+
+    # A value that parses but that the run configuration rejects names the file too.
+    alternate.write_text(text.replace("horizons = short,long\n", "horizons = soon\n"))
+    assert cli.main(["validate", "--data", str(small_fixture_dir), "--config", str(alternate)]) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "alternate.cfg: unknown horizon 'soon'" in err and scenario_io.CONFIG_FILE not in err
 
 
 def test_run_single_horizon(small_fixture_dir, tmp_path):

@@ -223,7 +223,16 @@ def test_unknown_horizon_reported_once(twin_dir):
     with pytest.raises(ValidationError) as err:
         scenario_io.load_bundle(twin_dir)
     assert len(err.value.errors) == 1
-    assert "unknown horizon 'mid'" in err.value.errors[0]
+    assert err.value.errors[0].startswith("scenario.cfg: unknown horizon 'mid'")
+
+
+def test_subgroup_column_named_overall_reported_once(small_dir):
+    demands = small_dir / scenario_io.DEMANDS_FILE
+    header, *rows = demands.read_text().splitlines()
+    demands.write_text("\n".join([f"{header},overall", *(f"{row},0.0" for row in rows)]) + "\n")
+    with pytest.raises(ValidationError) as err:
+        scenario_io.load_bundle(small_dir)
+    assert err.value.errors == ["demands.csv: column overall is reserved"]
 
 
 def test_parse_config_text():
