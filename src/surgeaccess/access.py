@@ -3,9 +3,10 @@
 Step one assigns each supply site a ratio of its capacity to the total
 population that can reach it within the catchment. Step two sums those
 ratios over the supplies each demand location can reach. Both steps sum
-densely, in list order, over the boolean reachability matrix between the
-nodes the sites snap to, once per node (see two_step). Scores are kept as
-raw ratios internally and scaled to capacity per 1,000 residents.
+in list order over the boolean reachability matrix between the nodes the
+sites snap to, once per node, as a masked reduction down a C-ordered mask
+(see two_step). Scores are kept as raw ratios internally and scaled to
+capacity per 1,000 residents.
 """
 
 from __future__ import annotations
@@ -131,8 +132,8 @@ def two_step(
     inert supply, one with no reachable population, has ratio 0. Each sum
     runs once per node, down a column of reach[d_row] or reach.T[s_col] in
     list order whatever the memory layout, and is gathered per site: every
-    site gets the bits of its column of reach[d_row][:, s_col]. A lone
-    column, which numpy would add pairwise, _column_sums adds by cumsum."""
+    site gets the bits of its column of reach[d_row][:, s_col]. Each sum is
+    a masked reduction, so no weighted copy of the matrix is built."""
     denom = _column_sums(pop, reach[d_row])[s_col]
     ratio = np.zeros(cap.size, dtype=float)
     np.divide(cap, denom, out=ratio, where=denom > 0.0)
@@ -140,12 +141,14 @@ def two_step(
 
 
 def _column_sums(weights: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """weights @ mask, adding the rows in order: numpy adds an axis-0 sum
-    of a C-ordered array row by row, and cumsum a lone column."""
-    terms = np.multiply(weights[:, None], mask, order="C")
-    if terms.shape[1] == 1 and terms.shape[0] > 1:
-        return np.cumsum(terms, axis=0)[-1]
-    return terms.sum(axis=0)
+    """weights @ mask, adding the rows in order without forming the
+    weights x mask product: numpy adds a masked axis-0 reduction of a
+    C-ordered mask row by row (an F-ordered one it adds in another order),
+    and cumsum a lone column, which a plain reduction would add pairwise."""
+    mask = np.ascontiguousarray(mask)
+    if mask.shape[1] == 1 and mask.shape[0] > 1:
+        return np.cumsum(weights * mask[:, 0])[-1:]
+    return np.add.reduce(np.broadcast_to(weights[:, None], mask.shape), axis=0, where=mask)
 
 
 def supply_ratios(

@@ -528,9 +528,11 @@ class PortalDistances:
         legs is within d0 plus the margin, a kept leg attains it, and where
         it is not, the kept minimum is not either, so neither the matrix nor
         the fallback changes."""
-        opened = self.toggled[~np.isin(self.toggled, list(closed_units))]
-        minutes = self._minutes(self._via_open(np.isin(self.chain_units, opened)))
+        # Every chain's unit is toggled, so a chain is open when its unit is not in closed_units.
+        chains = np.array([u not in closed_units for u in self.chain_units.tolist()], dtype=bool)
+        minutes = self._minutes(self._via_open(chains))
         if np.any(np.abs(minutes - self.d0_minutes) <= self.margin):
+            opened = self.toggled[~np.isin(self.toggled, list(closed_units))]
             return reachable(self.graph, self.closed & ~np.isin(self.units, opened), *self.sites, self.d0_minutes)
         reach = self.reach.copy()
         reach[self.rows, self.cols] = minutes < self.d0_minutes

@@ -348,7 +348,7 @@ def load_bundle(source: str | Path | BundlePaths) -> DatasetBundle:
             if site_id in seen:
                 errors.append(f"{name}: duplicate {kind} id {site_id}")
             seen.add(site_id)
-        if not ids:
+        if not ids and not any(e.startswith(f"{name}:") for e in errors):  # a bad column or row was reported
             errors.append(f"{name}: {empty}")
 
     config, crs = _config_from_raw(raw_config, paths, errors)

@@ -20,10 +20,12 @@ takes every edge of each touched unit. Units that lie on no within-d0
 path on the horizon's base network are left out of its keys (see
 network.live_edges). Each horizon costs three bounded Dijkstra searches,
 and each network a min-plus closure (network.PortalDistances), all on the
-distinct nodes the sites snap to; access.two_step sums once per node and
-gathers the sums back per site. Each horizon keeps its K x D score table
-(K networks, D demands) and its sample -> network index; statistics sum
-row blocks gathered through the index.
+distinct nodes the sites snap to; access.two_step sums once per node, as
+masked reductions, and gathers the sums back per site. Each horizon keeps
+its K x D score table (K networks, D demands) and its sample -> network
+index; statistics sum row blocks gathered through the index, and the
+convergence check takes each window's span of running means from maxima
+and minima over doubling spans of rows.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from itertools import compress
 from typing import Mapping, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import access, fragility, hazard, network
 from .errors import InvalidInputError
@@ -102,6 +103,16 @@ def _gathered_sum(table: np.ndarray, index: np.ndarray) -> np.ndarray:
     return total[0]
 
 
+def _window_spans(x: np.ndarray, window: int) -> np.ndarray:
+    """max - min over each run of `window` rows of x (at least `window` rows); row r covers rows r .. r + window - 1.
+    Maxima and minima over spans of 1, 2, 4, ... rows come by doubling, and two overlapping spans cover a window."""
+    hi, lo, span = x, x, 1
+    while 2 * span <= window:
+        hi, lo, span = np.maximum(hi[:-span], hi[span:]), np.minimum(lo[:-span], lo[span:]), 2 * span
+    tail = window - span
+    return np.maximum(hi[: hi.shape[0] - tail], hi[tail:]) - np.minimum(lo[: lo.shape[0] - tail], lo[tail:])
+
+
 def convergence_report(trace: np.ndarray, window: int = 100, tolerance: float = 0.01, index=None) -> int | None:
     """Smallest sample count at which every running mean has settled.
 
@@ -130,8 +141,7 @@ def convergence_report(trace: np.ndarray, window: int = 100, tolerance: float = 
         if running.shape[0] < window:
             continue
         # Row r is the window of running means ending at row r + window - 1 of `running`.
-        windows = sliding_window_view(running, window, axis=0)
-        spans = windows.max(axis=-1) - windows.min(axis=-1)
+        spans = _window_spans(running, window)
         reference = np.abs(running[window - 1 :])
         settled = np.where(reference > 0.0, spans <= tolerance * reference, spans == 0.0)
         rows = np.flatnonzero(settled.all(axis=1))

@@ -134,6 +134,33 @@ def test_two_step_matches_sequential_oracle_byte_for_byte():
                 assert g.shape == w.shape and g.tobytes() == w.tobytes(), (n_d, n_s)
 
 
+def loop_column_sums(weights, mask):
+    """Per column, the weights of its True rows added one at a time in row order."""
+    sums = []
+    for j in range(mask.shape[1]):
+        total = 0.0
+        for i in range(mask.shape[0]):
+            if mask[i, j]:
+                total += float(weights[i])
+        sums.append(total)
+    return np.array(sums, dtype=float)
+
+
+def test_column_sums_match_a_row_order_loop_byte_for_byte():
+    rng = np.random.default_rng(31)
+    shapes = [(1, 40), (40, 1), (1, 1), (0, 5), (5, 0), (0, 1), (1, 0)]
+    shapes += [(int(rng.integers(1, 80)), int(rng.integers(1, 80))) for _ in range(150)]
+    for rows, cols in shapes:
+        # Weights across sixteen decades, some zero, so any other order of the additions shows in the bits.
+        weights = 10.0 ** rng.uniform(-8.0, 8.0, rows) * (rng.random(rows) > 0.15)
+        mask = rng.random((rows, cols)) < rng.uniform(0.05, 1.0)
+        want = loop_column_sums(weights, mask)
+        # A masked reduction over an F-ordered mask adds in another order unless the mask is made C-ordered.
+        for layout in (mask, np.asfortranarray(mask), np.repeat(mask, 2, axis=1)[:, ::2]):
+            got = access._column_sums(weights, layout)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (rows, cols)
+
+
 def site_to_node(rng, nodes, sites):
     """A site -> node index of `sites` sites on `nodes` nodes, in shuffled order, using every node when it can."""
     index = np.r_[np.arange(min(nodes, sites)), rng.integers(0, nodes, max(sites - nodes, 0))]

@@ -173,10 +173,11 @@ def test_load_bundle_reports_every_file_problem(twin_dir):
         "unknown key 'mystery'",
         "expected key = value",
         "storm is required",
-        "no supply sites",
     ):
         assert fragment in text, fragment
     assert "validation error(s)" in text
+    # A site file that already reported its column or rows is not reported again as empty.
+    assert "no supply sites" not in text and "no demand locations" not in text
     # surge.csv is read even though scenario.cfg is broken, and named like every other file
     assert "surge.csv: missing column(s) h_s" in err.value.errors
 
@@ -188,6 +189,12 @@ def test_load_bundle_reports_every_file_problem(twin_dir):
         scenario_io.load_bundle(twin_dir)
     for i in range(len(odd)):
         assert f"network.geojson: feature {i}: feature, geometry and properties must be JSON objects" in err.value.errors
+
+    # A header with no rows is the one problem of its file, and is reported.
+    (twin_dir / scenario_io.SUPPLIES_FILE).write_text("supply_id,x,y,capacity\n")
+    with pytest.raises(ValidationError) as err:
+        scenario_io.load_bundle(twin_dir)
+    assert "supplies.csv: no supply sites" in err.value.errors
 
 
 def test_surge_csv_values_round_trip(twin_dir):

@@ -201,6 +201,19 @@ def test_running_mean_blocks_match_running_mean_bit_for_bit():
         assert np.concatenate(list(blocks)).tobytes() == cumsum_running_mean(table[index]).tobytes()
 
 
+def test_window_spans_match_sliding_window_max_minus_min():
+    rng = np.random.default_rng(577)
+    windows = {1, 100} | {2**k + d for k in range(1, 8) for d in (-1, 0, 1)}
+    for window in sorted(windows):
+        for rows in (window, window + 1, window + 37, 3 * window + 5):
+            x = rng.normal(rng.uniform(-5.0, 50.0), rng.uniform(0.01, 30.0), size=(rows, int(rng.integers(1, 5))))
+            x[rng.random(x.shape) < 0.2] = 0.0  # ties
+            windows_of_x = np.lib.stride_tricks.sliding_window_view(x, window, axis=0)
+            want = windows_of_x.max(axis=-1) - windows_of_x.min(axis=-1)
+            got = simulate._window_spans(x, window)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (window, rows)
+
+
 def test_convergence_growing_trace_never_settles():
     assert simulate.convergence_report(np.arange(1000, dtype=float)) is None
 
