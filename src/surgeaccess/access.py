@@ -12,6 +12,7 @@ capacity per 1,000 residents.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
@@ -199,17 +200,8 @@ def quartile_classify(scores: AccessScores) -> dict[str, str]:
         raise InvalidInputError("quartile classification needs at least one score")
     values = np.array(list(scores.scores.values()), dtype=float)
     cuts = [_nearest_rank(np.sort(values), p) for p in _QUARTILE_RANKS]
-    labels: dict[str, str] = {}
-    for demand_id, value in scores.scores.items():
-        if value <= cuts[0]:
-            labels[demand_id] = QUARTILE_LABELS[0]
-        elif value <= cuts[1]:
-            labels[demand_id] = QUARTILE_LABELS[1]
-        elif value <= cuts[2]:
-            labels[demand_id] = QUARTILE_LABELS[2]
-        else:
-            labels[demand_id] = QUARTILE_LABELS[3]
-    return labels
+    # The cuts are non-decreasing, so bisect_left counts those strictly below the value.
+    return {demand_id: QUARTILE_LABELS[bisect_left(cuts, value)] for demand_id, value in scores.scores.items()}
 
 
 def weighted_average(scores: AccessScores, weights: Mapping[str, float]) -> float:

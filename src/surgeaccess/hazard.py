@@ -4,7 +4,9 @@ All elevations share a single vertical datum and all coordinates live in
 one planar CRS measured in meters. A surge field is a set of point samples
 of storm tide elevation and significant wave height; queries resolve to the
 nearest sample, with ties broken toward the lowest sample index so results
-never depend on floating-point iteration order.
+never depend on floating-point iteration order. The exposure and closure
+rules are elementwise: each takes a float or an array of them, so a run
+calls each rule once over all bridges or all roads, not once per site.
 """
 
 from __future__ import annotations
@@ -206,36 +208,38 @@ def _nearest_brute_force(px, py, qx, qy) -> tuple[np.ndarray, np.ndarray]:
     return idx, d2
 
 
-def _require_finite(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value):
+def _require_finite(name: str, value: float | np.ndarray) -> float | np.ndarray:
+    """value as a float or a float array, all of it finite."""
+    value = np.asarray(value, dtype=float)[()]
+    if not np.all(np.isfinite(value)):
         raise InvalidInputError(f"{name} must be finite, got {value}")
     return value
 
 
-def relative_surge_elevation(h_b_m: float, h_st_m: float) -> float:
+def relative_surge_elevation(h_b_m: float | np.ndarray, h_st_m: float | np.ndarray) -> float | np.ndarray:
     """Deck elevation relative to storm tide: z_c = h_b - h_st (m)."""
     return _require_finite("h_b", h_b_m) - _require_finite("h_st", h_st_m)
 
 
-def inundation_depth(h_r_m: float, h_st_m: float) -> float:
+def inundation_depth(h_r_m: float | np.ndarray, h_st_m: float | np.ndarray) -> float | np.ndarray:
     """Water depth over a road's lowest elevation: d_in = h_st - h_r (m)."""
     return _require_finite("h_st", h_st_m) - _require_finite("h_r", h_r_m)
 
 
-def max_wave_height(h_s_m: float) -> float:
+def max_wave_height(h_s_m: float | np.ndarray) -> float | np.ndarray:
     """Design maximum wave height from significant wave height."""
     h_s_m = _require_finite("h_s", h_s_m)
-    if h_s_m < 0.0:
+    if np.any(h_s_m < 0.0):
         raise InvalidInputError(f"h_s must be >= 0, got {h_s_m}")
     return WAVE_HEIGHT_FACTOR * h_s_m
 
-def bridge_inundation_closed(z_c_m: float, thresholds: ExposureThresholds) -> bool:
+
+def bridge_inundation_closed(z_c_m: float | np.ndarray, thresholds: ExposureThresholds) -> np.bool_ | np.ndarray:
     """True when the deck sits at or below the bridge closure threshold."""
     return _require_finite("z_c", z_c_m) <= thresholds.bridge_close_zc
 
 
-def road_inundation_closed(d_in_m: float, thresholds: ExposureThresholds) -> bool:
+def road_inundation_closed(d_in_m: float | np.ndarray, thresholds: ExposureThresholds) -> np.bool_ | np.ndarray:
     """True when standing water reaches the road closure depth."""
     return _require_finite("d_in", d_in_m) >= thresholds.road_close_din
 
@@ -259,6 +263,13 @@ class ExposureSet:
     road_depth: dict[str, float]
 
 
+def _site_columns(rows: Iterable[tuple]) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
+    """Ids and the elevation, x and y float columns of (id, elevation_m, x, y) rows."""
+    rows = list(rows)
+    elevation, x, y = (np.array([row[k] for row in rows], dtype=float) for k in (1, 2, 3))
+    return [str(row[0]) for row in rows], elevation, x, y
+
+
 def evaluate_exposures(
     field: SurgeField,
     bridge_sites: Iterable[tuple[str, float, float, float]],
@@ -270,29 +281,11 @@ def evaluate_exposures(
     rows are (edge_id, lowest_elevation_m, x, y) with the location taken
     at the segment midpoint by callers.
     """
-    bridge_rows = list(bridge_sites)
-    road_rows = list(road_sites)
-
-    bridges: dict[str, BridgeExposure] = {}
-    if bridge_rows:
-        bx = np.array([r[2] for r in bridge_rows], dtype=float)
-        by = np.array([r[3] for r in bridge_rows], dtype=float)
-        h_st, h_s = field.values_at(bx, by)
-        for (bridge_id, h_b, _x, _y), st, s in zip(bridge_rows, h_st, h_s):
-            bridges[str(bridge_id)] = BridgeExposure(
-                bridge_id=str(bridge_id),
-                h_st=float(st),
-                h_s=float(s),
-                z_c=relative_surge_elevation(h_b, float(st)),
-                h_max=max_wave_height(float(s)),
-            )
-
-    road_depth: dict[str, float] = {}
-    if road_rows:
-        rx = np.array([r[2] for r in road_rows], dtype=float)
-        ry = np.array([r[3] for r in road_rows], dtype=float)
-        h_st, _h_s = field.values_at(rx, ry)
-        for (edge_id, h_r, _x, _y), st in zip(road_rows, h_st):
-            road_depth[str(edge_id)] = inundation_depth(h_r, float(st))
-
+    bridge_ids, h_b, bx, by = _site_columns(bridge_sites)
+    h_st, h_s = field.values_at(bx, by)
+    z_c, h_max = relative_surge_elevation(h_b, h_st), max_wave_height(h_s)
+    rows = zip(bridge_ids, h_st.tolist(), h_s.tolist(), z_c.tolist(), h_max.tolist())
+    bridges = {row[0]: BridgeExposure(*row) for row in rows}
+    road_ids, h_r, rx, ry = _site_columns(road_sites)
+    road_depth = dict(zip(road_ids, inundation_depth(h_r, field.values_at(rx, ry)[0]).tolist()))
     return ExposureSet(bridges=bridges, road_depth=road_depth)

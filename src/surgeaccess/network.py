@@ -294,19 +294,20 @@ def closure_mask(
             raise InvalidInputError(f"road exposure names unknown road edge {eid}")
 
     closed: dict[str, str] = {}
-    for bid in sorted(graph.bridges):
+    bridge_ids = sorted(graph.bridges)
+    for bid in bridge_ids:
         if failure_draw[bid]:
             for eid in graph.edges_for_bridge(bid):
                 closed[eid] = STRUCTURAL
     if horizon == SHORT_TERM:
-        for bid in sorted(graph.bridges):
-            exp = exposures.bridges[bid]
-            if hazard.bridge_inundation_closed(exp.z_c, thresholds):
-                for eid in graph.edges_for_bridge(bid):
-                    closed.setdefault(eid, INUNDATION)
-        for eid in sorted(exposures.road_depth):
-            if hazard.road_inundation_closed(exposures.road_depth[eid], thresholds):
+        flooded = hazard.bridge_inundation_closed([exposures.bridges[bid].z_c for bid in bridge_ids], thresholds)
+        for bid in compress(bridge_ids, flooded):
+            for eid in graph.edges_for_bridge(bid):
                 closed.setdefault(eid, INUNDATION)
+        road_ids = sorted(exposures.road_depth)
+        flooded = hazard.road_inundation_closed([exposures.road_depth[eid] for eid in road_ids], thresholds)
+        for eid in compress(road_ids, flooded):
+            closed.setdefault(eid, INUNDATION)
     return ClosureMask(provenance=closed)
 
 

@@ -181,6 +181,10 @@ class ScenarioConfig:
                 raise InvalidInputError(f"unknown horizon {horizon!r}; expected one of {network.HORIZONS}")
         if len(set(self.horizons)) != len(self.horizons):
             raise InvalidInputError("horizons must be distinct")
+        if self.convergence_window < 1:
+            raise InvalidInputError(f"convergence_window must be >= 1, got {self.convergence_window}")
+        if not (math.isfinite(self.convergence_tolerance) and self.convergence_tolerance > 0.0):
+            raise InvalidInputError(f"convergence_tolerance must be finite and > 0, got {self.convergence_tolerance}")
 
 
 @dataclass

@@ -224,6 +224,8 @@ def test_quartile_worked_examples():
     assert classify([0.0, 0.0, 5.0, 10.0]) == {"d0": "Q1", "d1": "Q1", "d2": "Q3", "d3": "Q4"}
     assert classify([1.0, 2.0, 3.0, 4.0]) == {"d0": "Q1", "d1": "Q2", "d2": "Q3", "d3": "Q4"}
     assert set(classify([7.0, 7.0, 7.0]).values()) == {"Q1"}
+    # cuts 1, 2, 2: a value at the doubled cut takes the lower class
+    assert classify([1.0, 2.0, 2.0, 9.0]) == {"d0": "Q1", "d1": "Q2", "d2": "Q2", "d3": "Q4"}
 
 
 def test_quartiles_scale_invariant():

@@ -32,6 +32,9 @@ def test_exposure_quantities():
     assert hazard.relative_surge_elevation(7.0, 2.5) == 4.5
     assert hazard.inundation_depth(1.0, 2.5) == 1.5
     assert hazard.max_wave_height(2.0) == 3.6
+    assert hazard.max_wave_height(np.array([0.0, 2.0])).tolist() == [0.0, 3.6]
+    with pytest.raises(InvalidInputError, match="h_s must be >= 0"):
+        hazard.max_wave_height(np.array([1.0, -0.5]))
     assert hazard.WAVE_HEIGHT_FACTOR == 1.8
 
 
@@ -195,7 +198,8 @@ def test_evaluate_exposures():
     exposures = hazard.evaluate_exposures(
         field,
         bridge_sites=[("b1", 3.5, 0.0, 0.0), ("b2", 2.0, 200.0, 0.0)],
-        road_sites=[("e1", 1.0, 100.0, 0.0), ("e2", 9.0, 200.0, 0.0)],
+        # e3 sits as far from sample 1 as from sample 2 and takes sample 1's surge.
+        road_sites=[("e1", 1.0, 100.0, 0.0), ("e2", 9.0, 200.0, 0.0), ("e3", 2.5, 150.0, 10.0)],
     )
     b1 = exposures.bridges["b1"]
     assert (b1.h_st, b1.h_s) == (2.0, 0.5)
@@ -204,6 +208,69 @@ def test_evaluate_exposures():
     assert exposures.bridges["b2"].z_c == -2.0
     assert exposures.road_depth["e1"] == 2.0
     assert exposures.road_depth["e2"] == -5.0
+    assert exposures.road_depth["e3"] == 0.5
+
+
+def _bits(*values):
+    return np.array(values, dtype=float).tobytes()
+
+
+finite = st.floats(-50.0, 50.0)
+site = st.tuples(finite, st.floats(-300.0, 500.0), st.floats(-200.0, 200.0))
+
+
+@given(
+    bridge_rows=st.lists(site, max_size=12),
+    road_rows=st.lists(site, max_size=12),
+    radius=st.none() | st.floats(0.0, 300.0),
+)
+def test_evaluate_exposures_matches_scalar_rules_per_site(bridge_rows, road_rows, radius):
+    field = small_field(coverage_radius_m=radius)
+    exposures = hazard.evaluate_exposures(
+        field, [(f"b{i}", *row) for i, row in enumerate(bridge_rows)], [(f"e{i}", *row) for i, row in enumerate(road_rows)]
+    )
+    assert list(exposures.bridges) == [f"b{i}" for i in range(len(bridge_rows))]
+    for i, (h_b, x, y) in enumerate(bridge_rows):
+        h_st, h_s = value_at(field, x, y)
+        exp = exposures.bridges[f"b{i}"]
+        assert exp.bridge_id == f"b{i}"
+        assert all(type(v) is float for v in (exp.h_st, exp.h_s, exp.z_c, exp.h_max))
+        want = (h_st, h_s, hazard.relative_surge_elevation(h_b, h_st), hazard.max_wave_height(h_s))
+        assert _bits(exp.h_st, exp.h_s, exp.z_c, exp.h_max) == _bits(*want)
+    assert list(exposures.road_depth) == [f"e{i}" for i in range(len(road_rows))]
+    for i, (h_r, x, y) in enumerate(road_rows):
+        depth = exposures.road_depth[f"e{i}"]
+        assert type(depth) is float
+        assert _bits(depth) == _bits(hazard.inundation_depth(h_r, value_at(field, x, y)[0]))
+
+
+@given(a=st.lists(finite, max_size=20), b=st.lists(finite, max_size=20))
+def test_rules_on_arrays_equal_their_scalar_calls(a, b):
+    a, b = a[: len(b)], b[: len(a)]
+    pairs = (
+        (hazard.relative_surge_elevation, (a, b)),
+        (hazard.inundation_depth, (a, b)),
+        (hazard.max_wave_height, ([abs(v) for v in a],)),
+        (lambda z: hazard.bridge_inundation_closed(z, THRESH), (a,)),
+        (lambda d: hazard.road_inundation_closed(d, THRESH), (a,)),
+    )
+    for rule, args in pairs:
+        whole = rule(*(np.array(arg, dtype=float) for arg in args))
+        assert whole.tobytes() == np.array([rule(*row) for row in zip(*args)], dtype=whole.dtype).tobytes()
+
+
+@pytest.mark.parametrize("name, rule", [
+    ("h_b", lambda v: hazard.relative_surge_elevation(v, np.zeros(3))),
+    ("h_st", lambda v: hazard.relative_surge_elevation(np.zeros(3), v)),
+    ("h_r", lambda v: hazard.inundation_depth(v, np.zeros(3))),
+    ("h_st", lambda v: hazard.inundation_depth(np.zeros(3), v)),
+    ("h_s", hazard.max_wave_height),
+    ("z_c", lambda v: hazard.bridge_inundation_closed(v, THRESH)),
+    ("d_in", lambda v: hazard.road_inundation_closed(v, THRESH)),
+])
+def test_rules_reject_one_nan_in_an_array(name, rule):
+    with pytest.raises(InvalidInputError, match=f"^{name} must be finite"):
+        rule(np.array([1.0, np.nan, 2.0]))
 
 
 def test_evaluate_exposures_empty_sites():

@@ -233,6 +233,21 @@ def test_unknown_horizon_reported_once(twin_dir):
     assert err.value.errors[0].startswith("scenario.cfg: unknown horizon 'mid'")
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("convergence_window", "0", "scenario.cfg: convergence_window must be >= 1, got 0"),
+    ("convergence_tolerance", "nan", "scenario.cfg: convergence_tolerance must be finite and > 0, got nan"),
+    ("convergence_tolerance", "0", "scenario.cfg: convergence_tolerance must be finite and > 0, got 0.0"),
+])
+def test_bad_convergence_setting_reported_at_load(twin_dir, key, value, message):
+    cfg = twin_dir / scenario_io.CONFIG_FILE
+    lines = [f"{key} = {value}" if line.startswith(f"{key} =") else line for line in cfg.read_text().splitlines()]
+    assert f"{key} = {value}" in lines
+    cfg.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValidationError) as err:
+        scenario_io.load_bundle(twin_dir)
+    assert err.value.errors == [message]
+
+
 def test_subgroup_column_named_overall_reported_once(small_dir):
     demands = small_dir / scenario_io.DEMANDS_FILE
     header, *rows = demands.read_text().splitlines()
