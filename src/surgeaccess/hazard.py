@@ -125,7 +125,10 @@ def nearest_points(px: np.ndarray, py: np.ndarray, qx: np.ndarray, qy: np.ndarra
     """Index of the nearest point (px, py) and its squared distance, per query point.
 
     Exact cell-grid search (Bentley & Friedman 1979). Points fall into
-    square cells about extent / sqrt(n) wide, and each query's candidates
+    square cells sqrt(w * h / n) wide (w x h their bounding box), about
+    one point per cell, and never narrower than max(w, h) / n, so a thin
+    or collinear set keeps about one point per cell along its length;
+    either way the grid has O(n) cells. Each query's candidates
     are the points in the 3 x 3 cells around its own, taken in chunks of
     queries that hold at most _SEARCH_BUDGET candidates (a query with more
     gets a chunk of its own). Points and queries take their cells from one
@@ -149,8 +152,9 @@ def nearest_points(px: np.ndarray, py: np.ndarray, qx: np.ndarray, qy: np.ndarra
         raise InvalidInputError("query coordinates must be finite")
     n = px.shape[0]
     x0, y0 = px.min(), py.min()
-    extent = max(px.max() - x0, py.max() - y0)
-    cell = extent / math.sqrt(n) if extent > 0.0 else 1.0  # coincident points share one cell
+    width, height = px.max() - x0, py.max() - y0
+    extent = max(width, height)
+    cell = max(math.sqrt(width * height / n), extent / n) if extent > 0.0 else 1.0  # coincident points share one cell
 
     # Two empty rings of cells pad the grid. A query beyond them is clipped
     # into the inner ring; every point lies a cell or more from it, so it

@@ -112,6 +112,8 @@ class RoadGraph:
         self._edge_u = np.array([self._node_pos[edges[eid].u] for eid in self.edge_ids], dtype=np.int64)
         self._edge_v = np.array([self._node_pos[edges[eid].v] for eid in self.edge_ids], dtype=np.int64)
         self._edge_minutes = np.array([edges[eid].minutes for eid in self.edge_ids], dtype=float)
+        self._road = np.array([edges[eid].kind == ROAD for eid in self.edge_ids], dtype=bool)
+        self.road_ids = frozenset(compress(self.edge_ids, self._road))
 
         self._edges_by_bridge: dict[str, tuple[str, ...]] = {}
         for eid in self.edge_ids:
@@ -156,11 +158,10 @@ class RoadGraph:
 
     def road_sites(self) -> list[tuple[str, float, float, float]]:
         """(edge_id, h_r, midpoint x, midpoint y) rows for road edges."""
-        road = np.array([self.edges[eid].kind == ROAD for eid in self.edge_ids], dtype=bool)
-        u, v = self._edge_u[road], self._edge_v[road]
+        u, v = self._edge_u[self._road], self._edge_v[self._road]
         mid_x = ((self._node_x[u] + self._node_x[v]) / 2.0).tolist()
         mid_y = ((self._node_y[u] + self._node_y[v]) / 2.0).tolist()
-        ids = compress(self.edge_ids, road)
+        ids = compress(self.edge_ids, self._road)
         return [(eid, float(self.edges[eid].h_r), x, y) for eid, x, y in zip(ids, mid_x, mid_y)]
 
 
@@ -288,10 +289,9 @@ def closure_mask(
     missing = sorted(set(graph.bridges) - set(exposures.bridges))
     if missing:
         raise InvalidInputError(f"exposures missing bridge(s): {', '.join(missing)}")
-    for eid in exposures.road_depth:
-        edge = graph.edges.get(eid)
-        if edge is None or edge.kind != ROAD:
-            raise InvalidInputError(f"road exposure names unknown road edge {eid}")
+    if not graph.road_ids.issuperset(exposures.road_depth):
+        stray = min(exposures.road_depth.keys() - graph.road_ids)
+        raise InvalidInputError(f"road exposure names unknown road edge {stray}")
 
     closed: dict[str, str] = {}
     bridge_ids = sorted(graph.bridges)
@@ -491,8 +491,8 @@ class PortalDistances:
         cells = [np.flatnonzero(~self.reach & (all_open[:, q, None] + to_supply[q] <= d0_minutes + self.margin))
                  for q in range(portals.size)]
         q = np.repeat(np.arange(portals.size), [c.size for c in cells])
-        pairs, self.pair = np.unique(np.concatenate([np.zeros(0, dtype=np.int64), *cells]), return_inverse=True)
-        self.rows, self.cols = np.divmod(pairs, len(supply_nodes))
+        self.pairs, self.pair = np.unique(np.concatenate([np.zeros(0, dtype=np.int64), *cells]), return_inverse=True)
+        self.rows, self.cols = np.divmod(self.pairs, len(supply_nodes))
         # Kept leg i: its contested pair, a flat index into a demand x portal
         # array, and its portal-to-supply minutes.
         self.flat, self.leg = self.rows[self.pair] * portals.size + q, to_supply[q, self.cols[self.pair]]
@@ -504,7 +504,10 @@ class PortalDistances:
         np.minimum.at(closure, (ends.ravel(), ends[:, ::-1].ravel()), np.repeat(self.chain_minutes[chains], 2))
         for k in range(closure.shape[0]):
             np.minimum(closure, closure[:, k, None] + closure[None, k, :], out=closure)
-        return np.min(self.via[:, :, None] + closure[None], axis=1, initial=np.inf)
+        out = np.full(self.via.shape, np.inf)
+        for p in range(closure.shape[0]):
+            np.minimum(out, self.via[:, p, None] + closure[p], out=out)
+        return out
 
     def _minutes(self, via: np.ndarray) -> np.ndarray:
         """Minutes per contested pair (rows, cols): its least kept leg, given
@@ -536,5 +539,5 @@ class PortalDistances:
             opened = self.toggled[~np.isin(self.toggled, list(closed_units))]
             return reachable(self.graph, self.closed & ~np.isin(self.units, opened), *self.sites, self.d0_minutes)
         reach = self.reach.copy()
-        reach[self.rows, self.cols] = minutes < self.d0_minutes
+        reach.ravel()[self.pairs] = minutes < self.d0_minutes
         return reach

@@ -7,14 +7,18 @@ based: the uniform for (seed, sample, bridge) is a pure hash of those
 three values, so results never depend on iteration order, worker count,
 or platform RNG state, and reruns with the same seed are bit-identical.
 failure_cuts validates each probability and encodes each bridge id once
-per run; sample_failures then draws a sample with one SHA-256 per bridge
-and compares each digest as bytes against the bridge's cut, which gives
+per run; sample_failures then draws a bridge with one SHA-256 and
+compares its digest as bytes against the bridge's cut, which gives
 exactly uniform_draw(...) < p without forming the uniform.
 
 Only bridges with a failure probability strictly between 0 and 1 are
-drawn; the rest fail always or never. Each horizon is keyed, evaluated
-and aggregated on its own. Its samples are keyed on closure units (see
-network.closure_units): samples whose closed edges touch the same units
+drawn; the rest fail always or never. A closed network depends only on
+which closure units (see network.closure_units) hold a closed edge, so
+the drawn bridges are grouped by the units they touch and each sample
+draws one outcome per group: whether any member fails, hashing the
+members likeliest first and stopping at the first failure. Each horizon
+is keyed, evaluated and aggregated on its own. Its samples are keyed on
+closure units: samples whose closed edges touch the same units
 share one network evaluation, evaluated on the canonical closed set that
 takes every edge of each touched unit. Units that lie on no within-d0
 path on the horizon's base network are left out of its keys (see
@@ -55,7 +59,8 @@ def failure_cuts(failure_probability: Mapping[str, float]) -> dict[bytes, bytes]
     A digest sorts below the cut exactly when uniform_draw's u < p: u = (x >> 11) * 2**-53 for the digest's
     first eight bytes x, so u < p exactly when x < ceil(p * 2**53) << 11, and a 32-byte digest compares against
     an 8-byte cut as its first eight bytes would. At p = 1 that cut, 2**64, does not fit, so the cut sorts above
-    every digest; at p = 0 it is all zeros and no digest sorts below it.
+    every digest; at p = 0 it is all zeros and no digest sorts below it. A group for sample_failures is a
+    tuple of these (id, cut) pairs.
     """
     cuts: dict[bytes, bytes] = {}
     for bridge_id, p in failure_probability.items():
@@ -65,18 +70,31 @@ def failure_cuts(failure_probability: Mapping[str, float]) -> dict[bytes, bytes]
     return cuts
 
 
-def sample_failures(cuts: Mapping[bytes, bytes], master_seed: int, sample_index: int) -> tuple[bool, ...]:
-    """One Bernoulli outcome per bridge for one Monte Carlo sample, in the order of failure_cuts' mapping.
+def sample_failures(
+    groups: Sequence[Sequence[tuple[bytes, bytes]]], master_seed: int, sample_index: int
+) -> tuple[bool, ...]:
+    """One Bernoulli outcome per group of bridges for one Monte Carlo sample, in the order of groups.
 
-    Outcome j is exactly uniform_draw(master_seed, sample_index, bridge_j) < p_j, drawn as one SHA-256 whose
-    digest is compared with the bridge's cut. Probabilities of 0 and 1 are honored exactly. Because each bridge
-    keeps its own uniform across probability changes, raising every probability pointwise can only grow the
-    failure set (common random numbers), which keeps paired storm comparisons noise-free.
+    Each group holds (encoded id, cut) pairs from failure_cuts, and its outcome is whether any member fails:
+    whether uniform_draw(master_seed, sample_index, bridge) < p for some member, drawn as one SHA-256 per
+    member whose digest is compared with the member's cut. Members are hashed in order, and a group stops at
+    its first failure, so listing the likeliest first hashes least. A group of one bridge is that bridge's
+    draw. Probabilities of 0 and 1 are honored exactly. Because each bridge keeps its own uniform across
+    probability changes, raising every probability pointwise can only grow the failure set (common random
+    numbers), which keeps paired storm comparisons noise-free.
     """
     if sample_index < 0:
         raise InvalidInputError(f"sample index must be >= 0, got {sample_index}")
     prefix = f"{master_seed}:{sample_index}:".encode()
-    return tuple([hashlib.sha256(prefix + key).digest() < cut for key, cut in cuts.items()])
+    failed = []
+    for group in groups:  # plain loops: any() over a generator costs more than the hash on one-bridge groups
+        for key, cut in group:
+            if hashlib.sha256(prefix + key).digest() < cut:
+                failed.append(True)
+                break
+        else:
+            failed.append(False)
+    return tuple(failed)
 
 
 # Rows per gathered block: the candidate rows convergence_report checks per step, and _gathered_sum's blocks.
@@ -253,20 +271,21 @@ def run_scenario(
 
     Exposures and failure probabilities are deterministic per storm, so
     they are computed once. Bridges with p = 1 join every sample's closed
-    set and bridges with p = 0 never do; only the rest are sampled, and
-    each sample is keyed on its pattern of failed at-risk bridges. Each
-    pattern maps, per horizon, to the closure units its closed edges
-    touch beyond the horizon's base set, less the units no demand can
-    reach within d0 on the base network (see network.live_edges). Each
-    horizon evaluates each of its distinct closed-unit keys once, from
-    its own network.PortalDistances. One pool of config.workers threads
-    serves every horizon's keys; each network's scores are a pure
-    function of its key, so any worker count gives the same bits. The
-    threads share the portals and site arrays, so nothing is pickled and
-    no process starts, and the numpy kernels release the GIL. Each
-    horizon's K x D score table (K networks, D demands) is indexed per
-    sample and aggregated in gathered row blocks. Subgroups with zero
-    total weight are left out of the group averages.
+    set and bridges with p = 0 never do; only the rest are sampled, in
+    groups that touch the same closure units, and each sample is keyed
+    on its pattern of failed groups. Each pattern maps, per horizon, to
+    the closure units its failed groups touch beyond the horizon's base
+    set, less the units no demand can reach within d0 on the base
+    network (see network.live_edges). Each horizon evaluates each of its
+    distinct closed-unit keys once, from its own network.PortalDistances.
+    One pool of config.workers threads serves every horizon's keys; each
+    network's scores are a pure function of its key, so any worker count
+    gives the same bits. The threads share the portals and site arrays,
+    so nothing is pickled and no process starts, and the numpy kernels
+    release the GIL. Each horizon's K x D score table (K networks, D
+    demands) is indexed per sample and aggregated in gathered row
+    blocks. Subgroups with zero total weight are left out of the group
+    averages.
     """
     if not sum(d.population for d in demands) > 0.0:
         raise InvalidInputError("scenario needs demand locations with a total population above zero")
@@ -289,15 +308,6 @@ def run_scenario(
     at_risk = {bid: p for bid, p in failure_probability.items() if 0.0 < p < 1.0}
     always = [bid for bid, p in failure_probability.items() if p == 1.0]
 
-    # Pass one: per-sample pattern of failed at-risk bridges, numbered in first-seen order.
-    cuts = failure_cuts(at_risk)
-    patterns: dict[tuple[bool, ...], int] = {}
-    sample_pattern = np.array(
-        [patterns.setdefault(sample_failures(cuts, config.seed, i), len(patterns)) for i in range(config.samples)],
-        dtype=np.int64,
-    )
-
-    # Pass two: patterns to closure-unit sets, one evaluation per distinct set.
     snapped = (network.snap_sites(graph, demands), network.snap_sites(graph, supplies))
     units = network.closure_units(graph, np.concatenate(snapped))
     # Sites on one node share their reach, so searches and 2SFCA sums run on the distinct (demand, supply) nodes.
@@ -306,7 +316,21 @@ def run_scenario(
     def units_of(edge_ids) -> frozenset[int]:
         return frozenset(units[graph.edge_flags(edge_ids)].tolist())
 
-    risk_units = [units_of(graph.edges_for_bridge(bid)) for bid in at_risk]
+    # Bridges that touch the same closure units close the same network, so each such group draws one outcome,
+    # its members by p descending, then by id (at_risk is in id order and a reversed sort stays stable).
+    groups: dict[frozenset[int], list[str]] = {}
+    for bid in sorted(at_risk, key=at_risk.get, reverse=True):
+        groups.setdefault(units_of(graph.edges_for_bridge(bid)), []).append(bid)
+    cuts = [tuple(failure_cuts({bid: at_risk[bid] for bid in members}).items()) for members in groups.values()]
+
+    # Pass one: per-sample pattern of failed groups, numbered in first-seen order.
+    patterns: dict[tuple[bool, ...], int] = {}
+    sample_pattern = np.array(
+        [patterns.setdefault(sample_failures(cuts, config.seed, i), len(patterns)) for i in range(config.samples)],
+        dtype=np.int64,
+    )
+
+    # Pass two: patterns to closure-unit sets, one evaluation per distinct set.
     fixed_units = units_of(eid for bid in always for eid in graph.edges_for_bridge(bid))
     no_failures = {bid: False for bid in failure_probability}
     items: list[tuple[str, frozenset[int]]] = []
@@ -317,7 +341,7 @@ def run_scenario(
         base = fixed_units | units_of(base_mask.provenance)
         base_closed = np.isin(units, sorted(base))
         live_units = frozenset(units[network.live_edges(graph, base_closed, *nodes, config.d0_minutes)].tolist())
-        live_risk = [(u & live_units) - base for u in risk_units]
+        live_risk = [(u & live_units) - base for u in groups]
         toggled = frozenset().union(*live_risk)
         portals[horizon] = network.PortalDistances(graph, base_closed, units, toggled, *nodes, config.d0_minutes)
         keys: dict[frozenset[int], int] = {}

@@ -89,7 +89,8 @@ def _naive_nearest(px, py, qx, qy):
 
 def test_nearest_points_matches_naive_argmin():
     rng = np.random.default_rng(11)
-    # 4,000 grid points in shuffled order: a chunk is 500 queries, so 1,700 queries span four chunks.
+    # 4,000 grid points in shuffled order. About a third of the 1,700 queries lie off the grid or have empty cells
+    # around them, more than the 500 queries of one brute-force chunk.
     gx, gy = np.meshgrid(np.arange(80) * 25.0, np.arange(50) * 25.0)
     order = rng.permutation(gx.size)
     px, py = gx.ravel()[order], gy.ravel()[order]
@@ -116,7 +117,7 @@ def test_nearest_points_matches_naive_argmin():
     # Queries far outside the hull, which only the brute force answers.
     far = rng.choice([-1.0, 1.0], (2, 40)) * rng.uniform(3e3, 1e7, (2, 40))
     cases.append(((px, py), (far[0], far[1])))
-    # Collinear points: zero extent across the line.
+    # Collinear points: zero extent across the line, so cells take the floor width, 1,995 / 400.
     line = rng.permutation(400) * 5.0
     cases.append((
         (line, np.full(400, 3.0)),
@@ -131,13 +132,31 @@ def test_nearest_points_matches_naive_argmin():
     cases.append(((bx[order], by[order]), (rng.integers(-4, 25, 800) * 5.0, rng.integers(-4, 25, 800) * 5.0)))
     # UTM-like coordinates: the grid and lattice queries of the first case, 3e6 m east and 4e6 m north.
     cases.append(((px + 3e6, py + 4e6), (qx + 3e6, qy + 4e6)))
-    # Found by search: x - x0 rounds so that point 0, two cells right of the query, lies under one
-    # cell width from it and ties point 1 in the block, both a hair below cell**2.
-    x0, x1 = -335.8654171988905, 242.76284337118403
+    # A 40:1 lattice, 400 x 10 points 10 apart: cells sqrt(w * h / n) = 9.5 wide, not the 63 the longer side
+    # alone gives. Half-spacing queries tie between 2 or 4 points.
+    lx, ly = np.meshgrid(np.arange(400) * 10.0, np.arange(10) * 10.0)
+    order = rng.permutation(lx.size)
     cases.append((
-        (np.r_[105.33449525600057, -71.14546972595585, x0, x1, np.linspace(x0, x1, 39)], np.r_[np.zeros(4), np.full(39, 400.0)]),
-        (np.array([17.09451276502236]), np.array([0.0])),
+        (lx.ravel()[order], ly.ravel()[order]),
+        (np.r_[rng.integers(-4, 804, 600) * 5.0, rng.uniform(-50.0, 4050.0, 600)],
+         np.r_[rng.integers(-4, 24, 600) * 5.0, rng.uniform(-50.0, 140.0, 600)]),
     ))
+    # A thin strip that is not a line, 5,000 long and 1 wide with 500 points: the floor, 5,000 / 500, sets the cell.
+    cases.append((
+        (rng.uniform(0.0, 5000.0, 500), rng.uniform(0.0, 1.0, 500)),
+        (rng.uniform(-100.0, 5100.0, 800), rng.uniform(-5.0, 6.0, 800)),
+    ))
+    # Found by search: x - x0 rounds so that point 0, two cells right of the query, lies under one
+    # cell width from it and ties point 1 in the block, both a hair below cell**2. The first case
+    # was found for cells max(w, h) / sqrt(n) wide, the second for sqrt(w * h / n).
+    for p0, p1, x0, x1, q in (
+        (105.33449525600057, -71.14546972595585, -335.8654171988905, 242.76284337118403, 17.09451276502236),
+        (53.54294124328274, -107.89381917287375, -269.33057958903026, 431.0810375281767, -27.175438964795507),
+    ):
+        cases.append((
+            (np.r_[p0, p1, x0, x1, np.linspace(x0, x1, 39)], np.r_[np.zeros(4), np.full(39, 400.0)]),
+            (np.array([q]), np.array([0.0])),
+        ))
     for (cpx, cpy), (cqx, cqy) in cases:
         idx, d2 = hazard.nearest_points(cpx, cpy, cqx, cqy)
         want_idx, want_d2 = _naive_nearest(cpx, cpy, cqx, cqy)

@@ -248,9 +248,10 @@ def test_closure_mask_input_errors():
     bare = hazard.ExposureSet(bridges={}, road_depth={})
     with pytest.raises(InvalidInputError, match="exposures missing"):
         network.closure_mask(graph, bare, thresholds, {"b": False}, "short")
-    wrong_edge = hazard.ExposureSet(bridges=exposures.bridges, road_depth={"s1": 0.0})
-    with pytest.raises(InvalidInputError, match="unknown road edge"):
-        network.closure_mask(graph, wrong_edge, thresholds, {"b": False}, "short")
+    for stray in ("s1", "nowhere"):  # a bridge edge, and no edge at all
+        wrong_edge = hazard.ExposureSet(bridges=exposures.bridges, road_depth={**exposures.road_depth, stray: 0.0})
+        with pytest.raises(InvalidInputError, match=f"unknown road edge {stray}$"):
+            network.closure_mask(graph, wrong_edge, thresholds, {"b": False}, "long")
 
 
 def test_roads_absent_from_exposures_treated_dry():

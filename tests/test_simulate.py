@@ -46,7 +46,7 @@ def test_uniform_draw_range_and_determinism():
 
 def draw(probs, seed, index):
     """sample_failures for one sample, as {bridge id: failed}."""
-    return dict(zip(probs, simulate.sample_failures(simulate.failure_cuts(probs), seed, index)))
+    return dict(zip(probs, simulate.sample_failures([(c,) for c in simulate.failure_cuts(probs).items()], seed, index)))
 
 
 def test_sample_failures_matches_per_bridge_draws():
@@ -95,6 +95,41 @@ def test_sample_failures_cut_matches_uniform_draw_at_the_boundaries():
     probs += exact + [math.nextafter(u, 1.0) for u in exact]
     for p in probs:
         assert [draw({bid: p}, seed, i)[bid] for i in indices] == [u < p for u in us], p
+
+
+def test_group_outcome_is_any_member_failing():
+    rng = np.random.default_rng(505)
+    alphabet = list("abcxyz019-_:é桥")
+    for _ in range(50):
+        ids = sorted({"".join(rng.choice(alphabet, size=int(rng.integers(0, 12)))) for _ in range(rng.integers(1, 30))})
+        probs = {bid: float(rng.choice([0.0, 1.0, rng.random(), rng.random()])) for bid in rng.permutation(ids)}
+        labels = rng.integers(0, int(rng.integers(1, len(ids) + 1)), size=len(ids))
+        members = [[bid for bid, label in zip(ids, labels) if label == group] for group in np.unique(labels)]
+        groups = [tuple(simulate.failure_cuts({bid: probs[bid] for bid in group}).items()) for group in members]
+        seed, index = int(rng.integers(0, 2**62)), int(rng.integers(0, 10**6))
+        want = tuple(any(simulate.uniform_draw(seed, index, bid) < probs[bid] for bid in group) for group in members)
+        assert simulate.sample_failures(groups, seed, index) == want
+
+
+def test_group_stops_hashing_at_its_first_failure(monkeypatch):
+    probs = {"b0": 0.0, "b1": 0.3, "b2": 1.0, "b3": 0.6, "b4": 0.0, "b5": 0.9}
+    members = [("b0", "b1", "b2", "b3"), ("b4", "b5"), ("b3",)]
+    groups = [tuple(simulate.failure_cuts({bid: probs[bid] for bid in group}).items()) for group in members]
+    want = []
+    for index in range(60):
+        fails = [[simulate.uniform_draw(7, index, bid) < probs[bid] for bid in group] for group in members]
+        want.append(sum(f.index(True) + 1 if any(f) else len(f) for f in fails))
+    hashed = []
+    real = hashlib.sha256
+    monkeypatch.setattr(hashlib, "sha256", lambda data: hashed.append(data) or real(data))
+    counts = []
+    for index in range(60):
+        before = len(hashed)
+        simulate.sample_failures(groups, 7, index)
+        counts.append(len(hashed) - before)
+    monkeypatch.undo()
+    assert counts == want
+    assert set(want) == {5, 6}  # of 7 members: b2 always stops the first group before b3, and b1 sometimes does
 
 
 def test_failure_sets_nested_under_pointwise_larger_probability():
@@ -393,10 +428,22 @@ CONSTANT_P_TABLE = fragility.FragilityTable(
 MASS_FOR_P = {0.0: 2.0, 1.0: 7.0, 0.25: 12.0, 0.5: 17.0, 0.75: 22.0}
 
 
-def river_town(samples=300):
+RIVER_CORRIDORS = (  # (west node, east node, span probabilities, deck elevation per span)
+    ("w0", "e0", (0.25, 0.5, 0.75), (10.0, 10.0, 10.0)),
+    ("w1", "e1", (0.0, 0.5), (10.0, 10.0)),
+    ("w2", "e2", (1.0, 0.25), (10.0, 1.0)),
+    ("w3", "e3", (0.5,), (10.0,)),
+    ("w3", "e2", (0.0,), (10.0,)),
+    ("w0", "e1", (1.0,), (10.0,)),
+    ("w1", "e0", (0.75, 0.25), (1.0, 10.0)),
+)
+
+
+def river_town(samples=300, corridors=RIVER_CORRIDORS):
     """Two banks joined by bridge corridors: series chains of spans and
     single spans, with p = 0, p = 1 and at-risk bridges mixed, a site on
-    one pier, a low deck and low roads that flood on the short horizon."""
+    the first pier of corridor 1, a low deck and low roads that flood on
+    the short horizon."""
     nodes = [
         network.Node(f"{bank}{i}", x, 1000.0 * i) for bank, x in (("w", 0.0), ("e", 3000.0)) for i in range(4)
     ]
@@ -406,15 +453,6 @@ def river_town(samples=300):
             h_r = 1.0 if (bank, i) in (("w", 1), ("e", 2)) else 5.0
             u, v = f"{bank}{i}", f"{bank}{i + 1}"
             edges.append(network.Edge(f"r-{u}", u, v, 1000.0, 1.0, network.ROAD, h_r=h_r))
-    corridors = (  # (west node, east node, span probabilities, deck elevation per span)
-        ("w0", "e0", (0.25, 0.5, 0.75), (10.0, 10.0, 10.0)),
-        ("w1", "e1", (0.0, 0.5), (10.0, 10.0)),
-        ("w2", "e2", (1.0, 0.25), (10.0, 1.0)),
-        ("w3", "e3", (0.5,), (10.0,)),
-        ("w3", "e2", (0.0,), (10.0,)),
-        ("w0", "e1", (1.0,), (10.0,)),
-        ("w1", "e0", (0.75, 0.25), (1.0, 10.0)),
-    )
     bridges = []
     for c, (west, east, probs, decks) in enumerate(corridors):
         y0, y1 = float(west[1:]) * 1000.0, float(east[1:]) * 1000.0
@@ -472,6 +510,31 @@ def test_unit_keys_match_raw_key_reference_on_mixed_bridges():
     )
     for horizon, hres in result.horizons.items():
         assert np.array_equal(pooled.horizons[horizon].sample_scores, hres.sample_scores)
+
+
+def test_groups_sharing_a_unit_match_raw_key_reference(monkeypatch):
+    # Long corridors through unsited piers: each corridor's spans share one closure unit (corridor 1's site on
+    # its first pier splits it in two), so each draws as one group, its likeliest spans first.
+    corridors = (
+        ("w0", "e0", (0.25, 0.0, 0.5, 0.25), (10.0,) * 4),
+        ("w1", "e1", (0.5, 0.25, 0.0, 0.75), (10.0, 10.0, 1.0, 10.0)),
+        ("w2", "e3", (0.75, 1.0, 0.5), (10.0,) * 3),
+        ("w3", "e2", (0.25,), (10.0,)),
+        ("w1", "e0", (0.25, 0.5), (1.0, 10.0)),
+    )
+    config, graph, bridges, supplies, demands = river_town(corridors=corridors)
+    calls = []
+    real = simulate.sample_failures
+    monkeypatch.setattr(simulate, "sample_failures", lambda groups, *args: calls.append(groups) or real(groups, *args))
+    result = simulate.run_scenario(config, graph, bridges, supplies, demands, CONSTANT_P_TABLE)
+    assert len(calls) == config.samples
+    assert sorted([key.decode() for key, _ in group] for group in calls[0]) == [
+        ["b02", "b00", "b03"], ["b10"], ["b13", "b11"], ["b20", "b22"], ["b30"], ["b41", "b40"],
+    ]
+    for horizon, hres in result.horizons.items():
+        reference = raw_key_sample_scores(result, config, graph, supplies, demands, horizon)
+        assert hres.sample_scores.tobytes() == reference.tobytes()
+        assert len(np.unique(reference, axis=0)) > 2  # the draws really vary the network
 
 
 def co_sited_town(samples=300):
