@@ -93,7 +93,7 @@ def _table_two_step(table: TravelTimeTable, supplies: Sequence[SupplySite], dema
     reach = np.zeros((len(demands), len(supplies)), dtype=bool)
     rows = _positions(table.demand_ids, [d.demand_id for d in demands], "demand")
     cols = _positions(table.supply_ids, [s.supply_id for s in supplies], "supply")
-    reach[rows[table.demand_index], cols[table.supply_index]] = True
+    reach[np.ix_(rows, cols)] = table.minutes <= table.d0_minutes
     return two_step(reach, np.arange(len(demands)), np.arange(len(supplies)), *site_weights(demands, supplies))
 
 

@@ -337,47 +337,29 @@ def closure_units(graph: RoadGraph, sited_nodes: np.ndarray) -> np.ndarray:
 
 
 class TravelTimeTable:
-    """Sparse demand-to-supply free-flow minutes within the catchment.
+    """Demand x supply free-flow minutes on one closed network, row i for
+    demand_ids[i] and column j for supply_ids[j]; inf beyond d0."""
 
-    Entries exist only for pairs whose shortest path is <= d0 minutes;
-    absence means unreachable for scoring purposes. Arrays are sorted by
-    (demand position, supply position) against the id tuples stored here.
-    """
-
-    __slots__ = ("demand_ids", "supply_ids", "demand_index", "supply_index", "minutes", "d0_minutes", "_lookup")
-
-    def __init__(
-        self,
-        demand_ids: tuple[str, ...],
-        supply_ids: tuple[str, ...],
-        demand_index: np.ndarray,
-        supply_index: np.ndarray,
-        minutes: np.ndarray,
-        d0_minutes: float,
-    ):
+    def __init__(self, demand_ids: tuple[str, ...], supply_ids: tuple[str, ...], minutes, d0_minutes: float):
         if not (math.isfinite(d0_minutes) and d0_minutes > 0.0):
             raise InvalidInputError(f"d0 must be finite and > 0, got {d0_minutes}")
-        demand_index = np.asarray(demand_index, dtype=np.int64)
-        supply_index = np.asarray(supply_index, dtype=np.int64)
         minutes = np.asarray(minutes, dtype=float)
-        if not (demand_index.shape == supply_index.shape == minutes.shape):
-            raise InvalidInputError("table arrays must share one shape")
-        if minutes.size and (np.min(minutes) < 0.0 or np.max(minutes) > d0_minutes):
-            raise InvalidInputError("table minutes must lie in [0, d0]")
-        order = np.lexsort((supply_index, demand_index))
+        if minutes.shape != (len(demand_ids), len(supply_ids)):
+            raise InvalidInputError("table minutes must have one row per demand and one column per supply")
+        if not np.all(((minutes >= 0.0) & (minutes <= d0_minutes)) | (minutes == np.inf)):
+            raise InvalidInputError("table minutes must lie in [0, d0] or be inf")
         self.demand_ids = demand_ids
         self.supply_ids = supply_ids
-        self.demand_index = demand_index[order]
-        self.supply_index = supply_index[order]
-        self.minutes = minutes[order]
+        self.minutes = minutes
         self.d0_minutes = float(d0_minutes)
-        self._lookup: dict[tuple[str, str], float] | None = None
+        self._rows = {did: i for i, did in enumerate(demand_ids)}
+        self._cols = {sid: j for j, sid in enumerate(supply_ids)}
 
     def get(self, demand_id: str, supply_id: str) -> float | None:
-        if self._lookup is None:
-            pairs = zip(self.demand_index, self.supply_index, self.minutes)
-            self._lookup = {(self.demand_ids[d], self.supply_ids[s]): float(t) for d, s, t in pairs}
-        return self._lookup.get((demand_id, supply_id))
+        i, j = self._rows.get(demand_id), self._cols.get(supply_id)
+        if i is None or j is None or self.minutes[i, j] > self.d0_minutes:
+            return None
+        return float(self.minutes[i, j])
 
 
 def snap_sites(graph: RoadGraph, sites: Sequence) -> np.ndarray:
@@ -394,7 +376,7 @@ def travel_time_table(
     supplies: Sequence,
     d0_minutes: float,
 ) -> TravelTimeTable:
-    """All demand-supply travel times within d0 on the masked network; sites snap to their nearest node first."""
+    """Demand x supply travel times on the masked network, inf beyond d0; sites snap to their nearest node first."""
     if not (math.isfinite(d0_minutes) and d0_minutes > 0.0):
         raise InvalidInputError(f"d0 must be finite and > 0, got {d0_minutes}")
     demand_ids = tuple(str(d.demand_id) for d in demands)
@@ -405,9 +387,8 @@ def travel_time_table(
 
     demand_nodes, supply_nodes = snap_sites(graph, demands), snap_sites(graph, supplies)
     closed = graph.edge_flags(mask.provenance) if mask is not None else None
-    pair_minutes = _site_minutes(graph, closed, demand_nodes, supply_nodes, d0_minutes)
-    within = pair_minutes <= d0_minutes  # inf fails the comparison
-    return TravelTimeTable(demand_ids, supply_ids, *np.nonzero(within), pair_minutes[within], d0_minutes)
+    minutes = _site_minutes(graph, closed, demand_nodes, supply_nodes, d0_minutes)
+    return TravelTimeTable(demand_ids, supply_ids, minutes, d0_minutes)
 
 
 def reachable(graph: RoadGraph, closed, demand_nodes, supply_nodes, d0_minutes: float) -> np.ndarray:

@@ -24,6 +24,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import hashlib
+import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -116,14 +117,6 @@ class DatasetBundle:
     input_hashes: dict[str, str] = field(default_factory=dict)
 
 
-def _sha256_file(path: Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            h.update(block)
-    return h.hexdigest()
-
-
 def _floats(rec: Mapping[str, str], names: Iterable[str]) -> list[float]:
     """The named fields of a CSV row as floats; an empty field is missing."""
     out = []
@@ -137,31 +130,34 @@ def _floats(rec: Mapping[str, str], names: Iterable[str]) -> list[float]:
 
 def _parse_rows(
     path: Path,
+    inputs: dict[Path, bytes],
     required: tuple[str, ...],
     kind: str,
     build: Callable[[dict[str, str]], Any],
     errors: list[str],
     reserved: tuple[str, ...] = (),
 ) -> list[Any]:
-    """build(row) for each row of a CSV holding the required columns,
-    reporting a missing column or a bad row by file name and line. A
-    reserved column is reported once and left out of every row."""
+    """build(row) for each row of the CSV inputs[path] holding the required
+    columns, reporting a missing column or a bad row (short, long or not
+    parsed) by file name and line; a reserved column is reported once and
+    left out of every row."""
     out: list[Any] = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = [name for name in required if name not in (reader.fieldnames or [])]
-        if missing:
-            errors.append(f"{path.name}: missing column(s) {', '.join(missing)}")
-            return out
-        clash = [name for name in reserved if name in reader.fieldnames]
-        errors.extend(f"{path.name}: column {name} is reserved" for name in clash)
-        for lineno, rec in enumerate(reader, start=2):
-            for name in clash:
-                del rec[name]
-            try:
-                out.append(build(rec))
-            except ValueError as exc:
-                errors.append(f"{path.name}:{lineno}: bad {kind} row ({exc})")
+    reader = csv.DictReader(io.StringIO(inputs[path].decode(), newline=""))
+    missing = [name for name in required if name not in (reader.fieldnames or [])]
+    if missing:
+        errors.append(f"{path.name}: missing column(s) {', '.join(missing)}")
+        return out
+    clash = [name for name in reserved if name in reader.fieldnames]
+    errors.extend(f"{path.name}: column {name} is reserved" for name in clash)
+    for lineno, rec in enumerate(reader, start=2):
+        for name in clash:
+            del rec[name]
+        try:
+            if None in rec:  # DictReader keeps the fields past the header under None
+                raise ValueError(f"{len(rec[None])} field(s) past the header")
+            out.append(build(rec))
+        except ValueError as exc:
+            errors.append(f"{path.name}:{lineno}: bad {kind} row ({exc})")
     return out
 
 
@@ -174,16 +170,15 @@ def _supply_row(rec: dict[str, str]) -> SupplySite:
 
 
 def _demand_row(rec: dict[str, str]) -> DemandSite:
-    # Every column past the required ones is a group; surplus values sit under None.
-    groups = [name for name in rec if name is not None and name not in _DEMAND_COLUMNS]
+    # Every column past the required ones is a group.
+    groups = [name for name in rec if name not in _DEMAND_COLUMNS]
     x, y, population = _floats(rec, _DEMAND_COLUMNS[1:])
     return DemandSite(str(rec["demand_id"]), x, y, population, dict(zip(groups, _floats(rec, groups))))
 
 
-def _parse_network_geojson(path: Path, errors: list[str]) -> tuple[list[Node], list[Edge]]:
+def _parse_network_geojson(path: Path, inputs: dict[Path, bytes], errors: list[str]) -> tuple[list[Node], list[Edge]]:
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
+        doc = json.loads(inputs[path].decode())
     except json.JSONDecodeError as exc:
         errors.append(f"{path.name}: not valid JSON ({exc})")
         return [], []
@@ -276,13 +271,13 @@ def parse_config_text(text: str, source: str = CONFIG_FILE) -> tuple[dict[str, s
 
 
 def _config_from_raw(
-    raw: Mapping[str, str], paths: BundlePaths, errors: list[str]
+    raw: Mapping[str, str], paths: BundlePaths, inputs: dict[Path, bytes], errors: list[str]
 ) -> tuple[ScenarioConfig | None, str]:
     """Build the run configuration and its surge field, reporting every
     bad value under the config file's name; keys the file leaves out keep
     the dataclass defaults."""
     before = len(errors)
-    surge_rows = _parse_rows(paths.surge, _SURGE_COLUMNS, "surge", lambda rec: _floats(rec, _SURGE_COLUMNS), errors)
+    surge_rows = _parse_rows(paths.surge, inputs, _SURGE_COLUMNS, "surge", lambda r: _floats(r, _SURGE_COLUMNS), errors)
     for key in ("storm", "crs"):
         if not raw.get(key):
             errors.append(f"{paths.config.name}: {key} is required")
@@ -316,21 +311,25 @@ def _config_from_raw(
 def load_bundle(source: str | Path | BundlePaths) -> DatasetBundle:
     """Load and validate a scenario bundle.
 
-    Missing files raise the underlying OSError; anything wrong with the
+    Each file is read once, before any is parsed, and hashed from the bytes
+    parsed. A missing file raises FileNotFoundError; anything wrong with the
     content is collected into one ValidationError listing every failure.
     """
     paths = source if isinstance(source, BundlePaths) else BundlePaths.in_dir(source)
+    inputs: dict[Path, bytes] = {}
     for path in paths.all_files():
-        if not path.exists():
-            raise FileNotFoundError(f"missing input file: {path}")
+        try:
+            inputs[path] = path.read_bytes()
+        except FileNotFoundError:
+            raise FileNotFoundError(f"missing input file: {path}") from None
 
     errors: list[str] = []
-    nodes, edges = _parse_network_geojson(paths.network, errors)
-    bridges = _parse_rows(paths.bridges, _BRIDGE_COLUMNS, "bridge", _bridge_row, errors)
-    supplies = _parse_rows(paths.supplies, _SUPPLY_COLUMNS, "supply", _supply_row, errors)
+    nodes, edges = _parse_network_geojson(paths.network, inputs, errors)
+    bridges = _parse_rows(paths.bridges, inputs, _BRIDGE_COLUMNS, "bridge", _bridge_row, errors)
+    supplies = _parse_rows(paths.supplies, inputs, _SUPPLY_COLUMNS, "supply", _supply_row, errors)
     # "overall" is the whole population's group_summary.csv row, so no subgroup column may take that name.
-    demands = _parse_rows(paths.demands, _DEMAND_COLUMNS, "demand", _demand_row, errors, reserved=("overall",))
-    raw_config, cfg_errors = parse_config_text(paths.config.read_text(), paths.config.name)
+    demands = _parse_rows(paths.demands, inputs, _DEMAND_COLUMNS, "demand", _demand_row, errors, reserved=("overall",))
+    raw_config, cfg_errors = parse_config_text(inputs[paths.config].decode(), paths.config.name)
     errors.extend(cfg_errors)
 
     graph: RoadGraph | None = None
@@ -351,7 +350,7 @@ def load_bundle(source: str | Path | BundlePaths) -> DatasetBundle:
         if not ids and not any(e.startswith(f"{name}:") for e in errors):  # a bad column or row was reported
             errors.append(f"{name}: {empty}")
 
-    config, crs = _config_from_raw(raw_config, paths, errors)
+    config, crs = _config_from_raw(raw_config, paths, inputs, errors)
     if errors:
         raise ValidationError(errors)
     assert graph is not None and config is not None
@@ -363,7 +362,7 @@ def load_bundle(source: str | Path | BundlePaths) -> DatasetBundle:
         demands=tuple(demands),
         config=config,
         crs=crs,
-        input_hashes={p.name: _sha256_file(p) for p in paths.all_files()},
+        input_hashes={p.name: hashlib.sha256(data).hexdigest() for p, data in inputs.items()},
     )
 
 

@@ -13,9 +13,10 @@ def make_table(demands, supplies, reachable, d0=50.0, minutes=10.0):
     """Reachability table from explicit (demand_id, supply_id) pairs."""
     dids = tuple(d.demand_id for d in demands)
     sids = tuple(s.supply_id for s in supplies)
-    di = np.array([dids.index(d) for d, _ in reachable], dtype=np.int64)
-    si = np.array([sids.index(s) for _, s in reachable], dtype=np.int64)
-    return network.TravelTimeTable(dids, sids, di, si, np.full(len(reachable), minutes), d0)
+    table = np.full((len(dids), len(sids)), np.inf)
+    for d, s in reachable:
+        table[dids.index(d), sids.index(s)] = minutes
+    return network.TravelTimeTable(dids, sids, table, d0)
 
 
 def naive_2sfca(reachable, supplies, demands):

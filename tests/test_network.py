@@ -27,12 +27,13 @@ def line_graph(n=4, spacing=60.0):
 
 
 def same_table(a, b):
-    """Two travel-time tables hold the same ids, catchment and entries, bit for bit."""
+    """Two travel-time tables hold the same ids, catchment and minutes matrix, bit for bit."""
     return (
         a.demand_ids == b.demand_ids
         and a.supply_ids == b.supply_ids
         and a.d0_minutes == b.d0_minutes
-        and all(np.array_equal(getattr(a, k), getattr(b, k)) for k in ("demand_index", "supply_index", "minutes"))
+        and a.minutes.shape == b.minutes.shape
+        and a.minutes.tobytes() == b.minutes.tobytes()
     )
 
 
@@ -288,7 +289,7 @@ def test_catchment_boundary_inclusive():
     assert at_limit.get("d", "s") == 2.0
     below = network.travel_time_table(graph, None, demands, supplies, d0_minutes=1.999)
     assert below.get("d", "s") is None
-    assert below.minutes.size == 0
+    assert below.minutes.tolist() == [[np.inf]]
 
 
 def test_matches_floyd_warshall_oracle():
@@ -334,16 +335,21 @@ def test_travel_table_validation():
     with pytest.raises(InvalidInputError, match="duplicate demand"):
         network.travel_time_table(graph, None, demands * 2, supplies, 10.0)
     empty = network.travel_time_table(graph, None, [], supplies, 10.0)
-    assert empty.minutes.size == 0 and empty.demand_ids == ()
+    assert empty.minutes.shape == (0, 1) and empty.demand_ids == ()
 
 
 def test_table_rejects_out_of_range_minutes():
-    with pytest.raises(InvalidInputError, match="minutes"):
-        network.TravelTimeTable(("d",), ("s",), np.array([0]), np.array([0]), np.array([51.0]), 50.0)
-    with pytest.raises(InvalidInputError, match="minutes"):
-        network.TravelTimeTable(("d",), ("s",), np.array([0]), np.array([0]), np.array([-0.1]), 50.0)
-    with pytest.raises(InvalidInputError, match="share one shape"):
-        network.TravelTimeTable(("d",), ("s",), np.array([0, 0]), np.array([0]), np.array([1.0]), 50.0)
+    for bad in (51.0, -0.1, np.nan, -np.inf):
+        with pytest.raises(InvalidInputError, match="lie in"):
+            network.TravelTimeTable(("d",), ("s", "t"), np.array([[1.0, bad]]), 50.0)
+    for shape in ((1,), (2, 1), (1, 2, 1)):
+        with pytest.raises(InvalidInputError, match="one row per demand"):
+            network.TravelTimeTable(("d",), ("s",), np.ones(shape), 50.0)
+    with pytest.raises(InvalidInputError, match="d0"):
+        network.TravelTimeTable(("d",), ("s",), np.ones((1, 1)), np.inf)
+    table = network.TravelTimeTable(("d",), ("s", "t"), np.array([[50.0, np.inf]]), 50.0)
+    assert table.get("d", "s") == 50.0 and table.get("d", "t") is None
+    assert table.get("e", "s") is None and table.get("d", "u") is None
 
 
 def chained_sited_graph(rng):
@@ -436,8 +442,7 @@ def test_reachable_matches_table_support_and_floyd_warshall():
         table = network.travel_time_table(
             graph, network.ClosureMask({eid: network.STRUCTURAL for eid in closed_ids}), demands, supplies, d0
         )
-        support = np.zeros((len(demands), len(supplies)), dtype=bool)
-        support[table.demand_index, table.supply_index] = True
+        support = table.minutes <= d0
         oracle = floyd_warshall_minutes(graph, frozenset(closed_ids))[np.ix_(d_idx, s_idx)]
         assert reach.dtype == bool and reach.shape == (len(demands), len(supplies))
         assert np.array_equal(reach, support)

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import builtins
 import dataclasses
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -143,8 +145,29 @@ def test_write_bundle_config_text(tmp_path):
 
 def test_load_bundle_missing_file(twin_dir):
     (twin_dir / scenario_io.SUPPLIES_FILE).unlink()
-    with pytest.raises(FileNotFoundError, match="supplies.csv"):
+    (twin_dir / scenario_io.NETWORK_FILE).write_text("not json at all")  # no file is parsed before the check
+    with pytest.raises(FileNotFoundError, match="missing input file: .*supplies.csv"):
         scenario_io.load_bundle(twin_dir)
+
+
+def test_load_bundle_reads_each_input_file_once(twin_dir, monkeypatch):
+    """The manifest hashes the very bytes that were parsed: each input is opened once."""
+    opened = []
+    path_open, builtin_open = Path.open, builtins.open
+
+    def counted(real):
+        def open_(file, *args, **kwargs):
+            opened.append(str(file))
+            return real(file, *args, **kwargs)
+        return open_
+
+    monkeypatch.setattr(Path, "open", counted(path_open))
+    monkeypatch.setattr(builtins, "open", counted(builtin_open))
+    bundle = scenario_io.load_bundle(twin_dir)
+    monkeypatch.undo()
+    paths = scenario_io.BundlePaths.in_dir(twin_dir).all_files()
+    assert sorted(opened) == sorted(str(p) for p in paths)
+    assert bundle.input_hashes == file_hashes(paths)
 
 
 def test_load_bundle_reports_every_file_problem(twin_dir):
@@ -189,6 +212,21 @@ def test_load_bundle_reports_every_file_problem(twin_dir):
         scenario_io.load_bundle(twin_dir)
     for i in range(len(odd)):
         assert f"network.geojson: feature {i}: feature, geometry and properties must be JSON objects" in err.value.errors
+
+    # A row with more fields than its header is bad in every CSV (here a thousands comma in y).
+    for name, header, row in (
+        (scenario_io.BRIDGES_FILE, "bridge_id,h_b,mass_ton_per_m,x,y", "b-main,5.0,2.0,900.0,0.0,7"),
+        (scenario_io.SURGE_FILE, "x,y,h_st,h_s", "900.0,1,000.0,1.0,0.0"),
+        (scenario_io.SUPPLIES_FILE, "supply_id,x,y,capacity", "s0000,5812.5,1000,46.0,2"),
+        (scenario_io.DEMANDS_FILE, "demand_id,x,y,population,seniors", "d1,0.0,10.0,5.0,2.0,9,8"),
+    ):
+        (twin_dir / name).write_text(f"{header}\n{row}\n")
+    with pytest.raises(ValidationError) as err:
+        scenario_io.load_bundle(twin_dir)
+    for name, kind, surplus in (
+        ("bridges", "bridge", 1), ("surge", "surge", 1), ("supplies", "supply", 1), ("demands", "demand", 2)
+    ):
+        assert f"{name}.csv:2: bad {kind} row ({surplus} field(s) past the header)" in err.value.errors
 
     # A header with no rows is the one problem of its file, and is reported.
     (twin_dir / scenario_io.SUPPLIES_FILE).write_text("supply_id,x,y,capacity\n")
