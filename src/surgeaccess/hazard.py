@@ -128,19 +128,20 @@ def nearest_points(px: np.ndarray, py: np.ndarray, qx: np.ndarray, qy: np.ndarra
     square cells sqrt(w * h / n) wide (w x h their bounding box), about
     one point per cell, and never narrower than max(w, h) / n, so a thin
     or collinear set keeps about one point per cell along its length;
-    either way the grid has O(n) cells. Each query's candidates
-    are the points in the 3 x 3 cells around its own, taken in chunks of
-    queries that hold at most _SEARCH_BUDGET candidates (a query with more
-    gets a chunk of its own). Points and queries take their cells from one
-    floor expression, monotone in the coordinate, so a point outside the
-    block lies a cell width or more from the query, short of it only by
-    the rounding of x - x0, far below 1e-9 of a cell. A query whose best
-    d2 is below cell**2 * (1 - 1e-9) therefore has its answer in the
-    block; any other query (one outside the grid, or with empty cells
-    around it) goes to the brute-force search. d2 is computed as the brute
-    force computes it, and ties go to the lowest point index among the
-    candidates at the least d2, so the result equals the brute force's bit
-    for bit.
+    either way the grid has O(n) cells. Each query's candidates are the
+    points in the 3 x 3 cells around its own, counted from the grid's cell
+    counts and taken in chunks of at most _SEARCH_BUDGET / 9 queries that
+    hold at most _SEARCH_BUDGET candidates (a query with more gets a chunk
+    of its own); only a chunk's cell blocks are built. Points and queries
+    take their cells from one floor expression, monotone in the
+    coordinate, so a point outside the block lies a cell width or more
+    from the query, short of it only by the rounding of x - x0, far below
+    1e-9 of a cell. A query whose best d2 is below cell**2 * (1 - 1e-9)
+    therefore has its answer in the block; any other query (one outside
+    the grid, or with empty cells around it) goes to the brute-force
+    search. d2 is computed as the brute force computes it, and ties go to
+    the lowest point index among the candidates at the least d2, so the
+    result equals the brute force's bit for bit.
     """
     px = np.asarray(px, dtype=float)
     py = np.asarray(py, dtype=float)
@@ -167,10 +168,9 @@ def nearest_points(px: np.ndarray, py: np.ndarray, qx: np.ndarray, qy: np.ndarra
     cell_start = np.searchsorted(point_cell[order], np.arange(nx * ny + 1))
     qcx = np.clip(np.floor((qx - x0) / cell) + 2, 1, nx - 2).astype(np.int64)
     qcy = np.clip(np.floor((qy - y0) / cell) + 2, 1, ny - 2).astype(np.int64)
-    block = (qcx[:, None] + _BLOCK_X) * ny + qcy[:, None] + _BLOCK_Y
-    first = cell_start[block]
-    count = cell_start[block + 1] - first
-    total = count.sum(axis=1)
+    # Candidates per query: the points of the 3 x 3 cells around its own.
+    in_cell = np.diff(cell_start).reshape(nx, ny)
+    total = sum(in_cell[1 + dx:nx - 1 + dx, 1 + dy:ny - 1 + dy] for dx, dy in zip(_BLOCK_X, _BLOCK_Y))[qcx - 1, qcy - 1]
 
     idx = np.zeros(qx.shape[0], dtype=np.int64)
     d2 = np.full(qx.shape[0], np.inf)
@@ -180,8 +180,10 @@ def nearest_points(px: np.ndarray, py: np.ndarray, qx: np.ndarray, qy: np.ndarra
     while start < queries.size:
         offset = ends[start] - total[queries[start]]
         stop = max(start + 1, int(np.searchsorted(ends, offset + _SEARCH_BUDGET, side="right")))
-        chunk = queries[start:stop]
-        lengths, firsts = count[chunk].ravel(), first[chunk].ravel()
+        chunk = queries[start:min(stop, start + _SEARCH_BUDGET // _BLOCK_X.size)]
+        block = (qcx[chunk, None] + _BLOCK_X) * ny + qcy[chunk, None] + _BLOCK_Y
+        firsts = cell_start[block].ravel()
+        lengths = cell_start[block + 1].ravel() - firsts
         span = total[chunk]
         # Candidates of each query as one flat run, cell after cell.
         cand = order[np.repeat(firsts - (np.cumsum(lengths) - lengths), lengths) + np.arange(span.sum())]
@@ -190,7 +192,7 @@ def nearest_points(px: np.ndarray, py: np.ndarray, qx: np.ndarray, qy: np.ndarra
         runs = np.cumsum(span) - span
         d2[chunk] = np.minimum.reduceat(dist2, runs)
         idx[chunk] = np.minimum.reduceat(np.where(dist2 == np.repeat(d2[chunk], span), cand, n), runs)
-        start = stop
+        start += chunk.size
 
     fallback = np.flatnonzero(~(d2 < cell * cell * (1.0 - 1e-9)))
     idx[fallback], d2[fallback] = _nearest_brute_force(px, py, qx[fallback], qy[fallback])

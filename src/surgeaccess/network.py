@@ -398,20 +398,31 @@ def reachable(graph: RoadGraph, closed, demand_nodes, supply_nodes, d0_minutes: 
     return _site_minutes(graph, closed, demand_nodes, supply_nodes, d0_minutes) <= d0_minutes
 
 
+# Sources per Dijkstra call in _site_minutes, bounding its distance matrix.
+_SOURCE_BLOCK = 64
+
+
 def _site_minutes(graph, closed, demand_nodes, supply_nodes, d0_minutes) -> np.ndarray:
     """Demand x supply free-flow minutes, inf beyond d0.
 
-    Dijkstra runs once, from the side with fewer distinct nodes (demands
-    on a tie), so sites and their distinct nodes search from the same side;
-    the bound makes the search prune anything past the catchment.
+    Dijkstra runs from the side with fewer distinct nodes (demands on a
+    tie), so sites and their distinct nodes search from the same side;
+    the bound makes the search prune anything past the catchment. It runs
+    _SOURCE_BLOCK sources at a time and keeps only the other side's
+    distinct node columns, so no source x all-nodes matrix is held; each
+    row is its own search, so the minutes do not depend on the blocks.
     """
     if not demand_nodes.size or not supply_nodes.size:
         return np.full((demand_nodes.size, supply_nodes.size), np.inf)
-    (d_nodes, d_row), (s_nodes, s_col) = (np.unique(n, return_inverse=True) for n in (demand_nodes, supply_nodes))
-    transposed = d_nodes.size > s_nodes.size
-    src, src_row, dst_nodes = (s_nodes, s_col, demand_nodes) if transposed else (d_nodes, d_row, supply_nodes)
-    dist = dijkstra(graph._adjacency(closed), directed=False, indices=src, limit=d0_minutes)
-    pair_minutes = dist[np.ix_(src_row, dst_nodes)]
+    demand_side, supply_side = (np.unique(n, return_inverse=True) for n in (demand_nodes, supply_nodes))
+    transposed = demand_side[0].size > supply_side[0].size
+    (src, src_row), (dst, dst_col) = (supply_side, demand_side) if transposed else (demand_side, supply_side)
+    adjacency = graph._adjacency(closed)
+    dist = np.concatenate([
+        dijkstra(adjacency, directed=False, indices=src[i:i + _SOURCE_BLOCK], limit=d0_minutes)[:, dst]
+        for i in range(0, src.size, _SOURCE_BLOCK)
+    ])
+    pair_minutes = dist[np.ix_(src_row, dst_col)]
     return pair_minutes.T if transposed else pair_minutes
 
 

@@ -13,10 +13,16 @@ Each CSV's columns are declared once and shared by the reader
 (_parse_rows) and the writer (_write_csv); every scenario.cfg key and the
 type of its value are declared once in _SETTINGS. Keys a config leaves
 out take the ScenarioConfig, ExposureThresholds and SurgeField defaults,
-and those classes check the values. Loading collects every validation
-failure across all files before raising, so one round trip reports
-everything wrong with a bundle. Writers emit byte-identical files for
-identical results: fixed key order, repr floats, no timestamps.
+and those classes check the values. Each file is read once, hashed and
+decoded as UTF-8; a file that is not UTF-8 text is reported before any
+parse. Past that, loading collects every validation failure across all
+files before raising, so one round trip reports everything wrong with a
+bundle. network.geojson decodes through an object_hook that turns each
+Feature into its Node or edge record as soon as the decoder finishes it,
+so the whole JSON tree (about 5x the file's bytes) is never held; edge
+endpoints bind to nodes once every node is known. Writers emit
+byte-identical files for identical results: fixed key order, repr
+floats, no timestamps.
 """
 
 from __future__ import annotations
@@ -130,19 +136,19 @@ def _floats(rec: Mapping[str, str], names: Iterable[str]) -> list[float]:
 
 def _parse_rows(
     path: Path,
-    inputs: dict[Path, bytes],
+    texts: dict[Path, str],
     required: tuple[str, ...],
     kind: str,
     build: Callable[[dict[str, str]], Any],
     errors: list[str],
     reserved: tuple[str, ...] = (),
 ) -> list[Any]:
-    """build(row) for each row of the CSV inputs[path] holding the required
+    """build(row) for each row of the CSV texts[path] holding the required
     columns, reporting a missing column or a bad row (short, long or not
     parsed) by file name and line; a reserved column is reported once and
     left out of every row."""
     out: list[Any] = []
-    reader = csv.DictReader(io.StringIO(inputs[path].decode(), newline=""))
+    reader = csv.DictReader(io.StringIO(texts[path], newline=""))
     missing = [name for name in required if name not in (reader.fieldnames or [])]
     if missing:
         errors.append(f"{path.name}: missing column(s) {', '.join(missing)}")
@@ -176,9 +182,63 @@ def _demand_row(rec: dict[str, str]) -> DemandSite:
     return DemandSite(str(rec["demand_id"]), x, y, population, dict(zip(groups, _floats(rec, groups))))
 
 
-def _parse_network_geojson(path: Path, inputs: dict[Path, bytes], errors: list[str]) -> tuple[list[Node], list[Edge]]:
+class _Unconverted(str):
+    """What is wrong with a network.geojson feature that did not convert."""
+
+
+def _feature(feat: Any) -> Node | tuple | _Unconverted:
+    """One network.geojson feature as the record the loader keeps.
+
+    A Point becomes its Node. A LineString becomes (ends, fields): its first
+    and last coordinates as float pairs, and its Edge fields other than u
+    and v. Conversion stops at the first failure; ends then holds the
+    coordinates converted before it, and fields is the failure. Anything
+    else becomes what is wrong with it. The caller looks the ends up in
+    order before it reports a failure in fields, so every feature reports
+    the first failure the loader's checks meet.
+    """
+    geom, props = (feat.get("geometry") or {}, feat.get("properties") or {}) if isinstance(feat, dict) else (None, None)
+    if not (isinstance(geom, dict) and isinstance(props, dict)):
+        return _Unconverted("feature, geometry and properties must be JSON objects")
+    gtype = geom.get("type")
+    if gtype == "Point":
+        try:
+            x, y = (float(c) for c in geom["coordinates"])
+            return Node(node_id=str(props["id"]), x=x, y=y)
+        except (KeyError, TypeError, ValueError) as exc:
+            return _Unconverted(f"bad node ({exc!r})")
+    if gtype != "LineString":
+        return _Unconverted(f"unsupported geometry {gtype!r}")
+    ends: list[tuple[float, float]] = []
     try:
-        doc = json.loads(inputs[path].decode())
+        coords = geom.get("coordinates") or []
+        if len(coords) < 2:
+            raise ValueError("LineString needs at least two coordinates")
+        for cx, cy in (coords[0], coords[-1]):
+            ends.append((float(cx), float(cy)))
+        bridge_id, h_r = props.get("bridge_id"), props.get("h_r")
+        return tuple(ends), (
+            str(props["id"]),
+            float(props["length_m"]),
+            float(props["speed_mps"]),
+            str(props["kind"]),
+            None if bridge_id is None else str(bridge_id),
+            None if h_r is None else float(h_r),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        return tuple(ends), _Unconverted(f"bad edge ({exc})")
+
+
+def _feature_hook(obj: dict) -> Any:
+    """json.loads' object_hook: convert each Feature as soon as it is decoded,
+    so its dicts and coordinate lists are freed before the next one."""
+    return _feature(obj) if obj.get("type") == "Feature" and "geometry" in obj else obj
+
+
+def _parse_network_geojson(path: Path, texts: dict[Path, str], errors: list[str]) -> tuple[list[Node], list[Edge]]:
+    """The nodes and edges of network.geojson; its text is dropped from texts once decoded."""
+    try:
+        doc = json.loads(texts.pop(path), object_hook=_feature_hook)
     except json.JSONDecodeError as exc:
         errors.append(f"{path.name}: not valid JSON ({exc})")
         return [], []
@@ -188,25 +248,16 @@ def _parse_network_geojson(path: Path, inputs: dict[Path, bytes], errors: list[s
         return [], []
 
     nodes: list[Node] = []
-    edge_features: list[tuple[int, dict]] = []
+    edge_features: list[tuple[int, tuple]] = []
     for i, feat in enumerate(features):
-        geom, props = (
-            (feat.get("geometry") or {}, feat.get("properties") or {}) if isinstance(feat, dict) else (None, None)
-        )
-        if not (isinstance(geom, dict) and isinstance(props, dict)):
-            errors.append(f"{path.name}: feature {i}: feature, geometry and properties must be JSON objects")
-            continue
-        gtype = geom.get("type")
-        if gtype == "Point":
-            try:
-                x, y = (float(c) for c in geom["coordinates"])
-                nodes.append(Node(node_id=str(props["id"]), x=x, y=y))
-            except (KeyError, TypeError, ValueError) as exc:
-                errors.append(f"{path.name}: feature {i}: bad node ({exc!r})")
-        elif gtype == "LineString":
+        if not isinstance(feat, (Node, tuple, _Unconverted)):  # an entry the hook left as it was
+            feat = _feature(feat)
+        if isinstance(feat, Node):
+            nodes.append(feat)
+        elif isinstance(feat, tuple):
             edge_features.append((i, feat))
         else:
-            errors.append(f"{path.name}: feature {i}: unsupported geometry {gtype!r}")
+            errors.append(f"{path.name}: feature {i}: {feat}")
 
     # Endpoints bind to nodes by exact coordinates; coincident nodes
     # resolve to the lowest node id.
@@ -217,34 +268,15 @@ def _parse_network_geojson(path: Path, inputs: dict[Path, bytes], errors: list[s
             coord_to_node[key] = node.node_id
 
     edges: list[Edge] = []
-    for i, feat in edge_features:
-        props = feat.get("properties") or {}
-        coords = (feat.get("geometry") or {}).get("coordinates") or []
-        try:
-            if len(coords) < 2:
-                raise ValueError("LineString needs at least two coordinates")
-            ends = []
-            for cx, cy in (coords[0], coords[-1]):
-                key = (float(cx), float(cy))
-                if key not in coord_to_node:
-                    raise ValueError(f"endpoint {key} matches no node")
-                ends.append(coord_to_node[key])
-            bridge_id = props.get("bridge_id")
-            h_r = props.get("h_r")
-            edges.append(
-                Edge(
-                    edge_id=str(props["id"]),
-                    u=ends[0],
-                    v=ends[1],
-                    length_m=float(props["length_m"]),
-                    speed_mps=float(props["speed_mps"]),
-                    kind=str(props["kind"]),
-                    bridge_id=None if bridge_id is None else str(bridge_id),
-                    h_r=None if h_r is None else float(h_r),
-                )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            errors.append(f"{path.name}: feature {i}: bad edge ({exc})")
+    for i, (ends, fields) in edge_features:
+        unknown = next((key for key in ends if key not in coord_to_node), None)
+        if unknown is not None:
+            fields = _Unconverted(f"bad edge (endpoint {unknown} matches no node)")
+        if isinstance(fields, _Unconverted):
+            errors.append(f"{path.name}: feature {i}: {fields}")
+        else:
+            edge_id, *rest = fields
+            edges.append(Edge(edge_id, coord_to_node[ends[0]], coord_to_node[ends[1]], *rest))
     return nodes, edges
 
 
@@ -271,13 +303,13 @@ def parse_config_text(text: str, source: str = CONFIG_FILE) -> tuple[dict[str, s
 
 
 def _config_from_raw(
-    raw: Mapping[str, str], paths: BundlePaths, inputs: dict[Path, bytes], errors: list[str]
+    raw: Mapping[str, str], paths: BundlePaths, texts: dict[Path, str], errors: list[str]
 ) -> tuple[ScenarioConfig | None, str]:
     """Build the run configuration and its surge field, reporting every
     bad value under the config file's name; keys the file leaves out keep
     the dataclass defaults."""
     before = len(errors)
-    surge_rows = _parse_rows(paths.surge, inputs, _SURGE_COLUMNS, "surge", lambda r: _floats(r, _SURGE_COLUMNS), errors)
+    surge_rows = _parse_rows(paths.surge, texts, _SURGE_COLUMNS, "surge", lambda r: _floats(r, _SURGE_COLUMNS), errors)
     for key in ("storm", "crs"):
         if not raw.get(key):
             errors.append(f"{paths.config.name}: {key} is required")
@@ -312,24 +344,34 @@ def load_bundle(source: str | Path | BundlePaths) -> DatasetBundle:
     """Load and validate a scenario bundle.
 
     Each file is read once, before any is parsed, and hashed from the bytes
-    parsed. A missing file raises FileNotFoundError; anything wrong with the
-    content is collected into one ValidationError listing every failure.
+    parsed. A missing file raises FileNotFoundError. A file that is not
+    UTF-8 text is reported before any file is parsed; past that, anything
+    wrong with the content is collected into one ValidationError listing
+    every failure.
     """
     paths = source if isinstance(source, BundlePaths) else BundlePaths.in_dir(source)
-    inputs: dict[Path, bytes] = {}
+    hashes: dict[str, str] = {}
+    texts: dict[Path, str] = {}
+    errors: list[str] = []
     for path in paths.all_files():
         try:
-            inputs[path] = path.read_bytes()
+            data = path.read_bytes()
         except FileNotFoundError:
             raise FileNotFoundError(f"missing input file: {path}") from None
+        hashes[path.name] = hashlib.sha256(data).hexdigest()
+        try:
+            texts[path] = data.decode()
+        except UnicodeDecodeError as exc:
+            errors.append(f"{path.name}: not UTF-8 text ({exc})")
+    if errors:
+        raise ValidationError(errors)
 
-    errors: list[str] = []
-    nodes, edges = _parse_network_geojson(paths.network, inputs, errors)
-    bridges = _parse_rows(paths.bridges, inputs, _BRIDGE_COLUMNS, "bridge", _bridge_row, errors)
-    supplies = _parse_rows(paths.supplies, inputs, _SUPPLY_COLUMNS, "supply", _supply_row, errors)
+    nodes, edges = _parse_network_geojson(paths.network, texts, errors)
+    bridges = _parse_rows(paths.bridges, texts, _BRIDGE_COLUMNS, "bridge", _bridge_row, errors)
+    supplies = _parse_rows(paths.supplies, texts, _SUPPLY_COLUMNS, "supply", _supply_row, errors)
     # "overall" is the whole population's group_summary.csv row, so no subgroup column may take that name.
-    demands = _parse_rows(paths.demands, inputs, _DEMAND_COLUMNS, "demand", _demand_row, errors, reserved=("overall",))
-    raw_config, cfg_errors = parse_config_text(inputs[paths.config].decode(), paths.config.name)
+    demands = _parse_rows(paths.demands, texts, _DEMAND_COLUMNS, "demand", _demand_row, errors, reserved=("overall",))
+    raw_config, cfg_errors = parse_config_text(texts[paths.config], paths.config.name)
     errors.extend(cfg_errors)
 
     graph: RoadGraph | None = None
@@ -350,7 +392,7 @@ def load_bundle(source: str | Path | BundlePaths) -> DatasetBundle:
         if not ids and not any(e.startswith(f"{name}:") for e in errors):  # a bad column or row was reported
             errors.append(f"{name}: {empty}")
 
-    config, crs = _config_from_raw(raw_config, paths, inputs, errors)
+    config, crs = _config_from_raw(raw_config, paths, texts, errors)
     if errors:
         raise ValidationError(errors)
     assert graph is not None and config is not None
@@ -362,7 +404,7 @@ def load_bundle(source: str | Path | BundlePaths) -> DatasetBundle:
         demands=tuple(demands),
         config=config,
         crs=crs,
-        input_hashes={p.name: hashlib.sha256(data).hexdigest() for p, data in inputs.items()},
+        input_hashes=hashes,
     )
 
 

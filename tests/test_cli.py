@@ -64,6 +64,15 @@ def test_validate_broken_bundle_exit_3(twin_dir, capsys):
     assert "outside supported range" in err
 
 
+@pytest.mark.parametrize("name", [scenario_io.SUPPLIES_FILE, scenario_io.NETWORK_FILE])
+def test_file_that_is_not_utf8_exit_3(twin_dir, tmp_path, capsys, name):
+    path = twin_dir / name
+    path.write_bytes(path.read_bytes() + b"\xe9")
+    for argv in (["validate"], ["run", "--out", str(tmp_path / "out")]):
+        assert cli.main([*argv, "--data", str(twin_dir)]) == cli.EXIT_VALIDATION
+        assert f"{name}: not UTF-8 text" in capsys.readouterr().err
+
+
 def test_missing_bundle_exit_5(tmp_path, capsys):
     assert cli.main(["validate", "--data", str(tmp_path / "nope")]) == cli.EXIT_IO
     assert "i/o error" in capsys.readouterr().err

@@ -87,7 +87,7 @@ def _naive_nearest(px, py, qx, qy):
     return np.array(idx), np.array(d2)
 
 
-def test_nearest_points_matches_naive_argmin():
+def test_nearest_points_matches_naive_argmin(monkeypatch):
     rng = np.random.default_rng(11)
     # 4,000 grid points in shuffled order. About a third of the 1,700 queries lie off the grid or have empty cells
     # around them, more than the 500 queries of one brute-force chunk.
@@ -162,6 +162,14 @@ def test_nearest_points_matches_naive_argmin():
         want_idx, want_d2 = _naive_nearest(cpx, cpy, cqx, cqy)
         assert np.array_equal(idx, want_idx)
         assert d2.tobytes() == want_d2.tobytes()
+    # A budget of 90 caps a chunk at 10 queries where candidates are sparse, and at one query where they are not.
+    monkeypatch.setattr(hazard, "_SEARCH_BUDGET", 90)
+    for (cpx, cpy), (cqx, cqy) in ((px, py), (qx, qy)), cases[0]:
+        idx, d2 = hazard.nearest_points(cpx, cpy, cqx, cqy)
+        want_idx, want_d2 = _naive_nearest(cpx, cpy, cqx, cqy)
+        assert np.array_equal(idx, want_idx)
+        assert d2.tobytes() == want_d2.tobytes()
+    monkeypatch.undo()
 
     one = hazard.nearest_points(np.array([3.0]), np.array([-4.0]), qx[:5], qy[:5])
     assert one[0].tolist() == [0] * 5

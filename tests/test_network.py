@@ -425,7 +425,7 @@ def test_canonical_unit_closure_scores_like_raw_closure():
             assert np.array_equal(raw_scores, canonical_scores)
 
 
-def test_reachable_matches_table_support_and_floyd_warshall():
+def test_reachable_matches_table_support_and_floyd_warshall(monkeypatch):
     rng = np.random.default_rng(5150)
     transposed = at_limit = 0
     for trial in range(60):
@@ -438,7 +438,8 @@ def test_reachable_matches_table_support_and_floyd_warshall():
             d_idx, s_idx = s_idx, d_idx
         closed_ids = {eid for eid in graph.edge_ids if rng.random() < (0.0 if trial % 3 == 0 else 0.25)}
         d0 = float(rng.integers(5, 80))
-        reach = network.reachable(graph, graph.edge_flags(closed_ids), np.array(d_idx), np.array(s_idx), d0)
+        sites = np.array(d_idx), np.array(s_idx)
+        reach = network.reachable(graph, graph.edge_flags(closed_ids), *sites, d0)
         table = network.travel_time_table(
             graph, network.ClosureMask({eid: network.STRUCTURAL for eid in closed_ids}), demands, supplies, d0
         )
@@ -446,6 +447,14 @@ def test_reachable_matches_table_support_and_floyd_warshall():
         oracle = floyd_warshall_minutes(graph, frozenset(closed_ids))[np.ix_(d_idx, s_idx)]
         assert reach.dtype == bool and reach.shape == (len(demands), len(supplies))
         assert np.array_equal(reach, support)
+        # Searching a few sources at a time gives the same minutes.
+        monkeypatch.setattr(network, "_SOURCE_BLOCK", 3)
+        assert np.array_equal(network.reachable(graph, graph.edge_flags(closed_ids), *sites, d0), reach)
+        blocked = network.travel_time_table(
+            graph, network.ClosureMask({eid: network.STRUCTURAL for eid in closed_ids}), demands, supplies, d0
+        )
+        assert blocked.minutes.tobytes() == table.minutes.tobytes()
+        monkeypatch.undo()
         assert np.array_equal(reach, oracle <= d0)
         transposed += len(demands) > len(supplies)
         at_limit += int(np.sum(oracle == d0))

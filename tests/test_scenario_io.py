@@ -6,6 +6,7 @@ import builtins
 import dataclasses
 import hashlib
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -401,6 +402,85 @@ def test_geojson_rejects_unsupported_geometry(tmp_path):
     }
     with pytest.raises(ValidationError, match="unsupported geometry 'Polygon'"):
         scenario_io.load_bundle(minimal_bundle_files(tmp_path / "poly", doc))
+
+
+def test_geojson_errors_keep_their_text_and_feature_index(tmp_path):
+    """Every network.geojson failure, in the order and words the loader has always reported them:
+    non-edge features first, then edges, each by its index in the collection."""
+    features = [
+        segment("e1", (0.0, 0.0), (60.0, 0.0)),  # edges listed before the nodes they join
+        {"type": "Feature", "geometry": {"type": "LineString", "coordinates": [[0.0, 0.0]]},
+         "properties": {"id": "e2"}},
+        segment("e3", (0.0, 0.0), (5.0, 5.0)),
+        {"type": "Feature", "geometry": {"type": "Polygon", "coordinates": []}, "properties": {}},
+        7,
+        {"geometry": {"type": "Point", "coordinates": [120.0, 0.0]}, "properties": {"id": "n3"}},  # no "type": a node
+        point("n4", "east", 0.0),
+        point("n1", 0.0, 0.0),
+        point("n2", 60.0, 0.0),
+        segment("e4", (60.0, 0.0), (120.0, 0.0)),
+        # Two failures in one edge: the first its checks meet is reported.
+        segment("e5", (9.0, 9.0), (60.0, 0.0), length_m="far"),
+        {"type": "Feature", "geometry": {"type": "LineString", "coordinates": [[0.0, 0.0], ["x", 0.0]]},
+         "properties": {"id": "e6"}},
+        segment("e7", (0.0, 0.0), (60.0, 0.0), length_m="far"),
+        # Properties that say "type": "Feature" without a geometry are read as properties.
+        {"type": "Feature", "geometry": {"type": "Point", "coordinates": [180.0, 0.0]},
+         "properties": {"id": "n5", "type": "Feature"}},
+    ]
+    doc = {"type": "FeatureCollection", "features": features}
+    with pytest.raises(ValidationError) as err:
+        scenario_io.load_bundle(minimal_bundle_files(tmp_path / "bad", doc))
+    assert err.value.errors == [
+        "network.geojson: feature 3: unsupported geometry 'Polygon'",
+        "network.geojson: feature 4: feature, geometry and properties must be JSON objects",
+        "network.geojson: feature 6: bad node (ValueError(\"could not convert string to float: 'east'\"))",
+        "network.geojson: feature 1: bad edge (LineString needs at least two coordinates)",
+        "network.geojson: feature 2: bad edge (endpoint (5.0, 5.0) matches no node)",
+        "network.geojson: feature 10: bad edge (endpoint (9.0, 9.0) matches no node)",
+        "network.geojson: feature 11: bad edge (could not convert string to float: 'x')",
+        "network.geojson: feature 12: bad edge (could not convert string to float: 'far')",
+    ]
+
+    good = [features[i] for i in (0, 5, 7, 8, 9, 13)]
+    graph = scenario_io.load_bundle(minimal_bundle_files(tmp_path / "good", {**doc, "features": good})).graph
+    assert graph.node_ids == ("n1", "n2", "n3", "n5")
+    assert (graph.edges["e1"].u, graph.edges["e1"].v, graph.edges["e4"].v) == ("n1", "n2", "n3")
+
+
+def test_geojson_object_nested_in_a_feature_that_reads_as_a_feature(tmp_path):
+    """Features are converted as they decode, wherever they sit: properties (or a geometry) that carry
+    both "type": "Feature" and a geometry read as a converted feature, not as an object."""
+    nested = {"type": "Feature", "geometry": {"type": "Point", "coordinates": [0.0, 0.0]}, "properties": {"id": "n0"}}
+    odd = point("n9", 0.0, 0.0)
+    odd["properties"] = {"id": "n9", **nested}
+    doc = {"type": "FeatureCollection", "features": [point("n1", 0.0, 0.0), odd]}
+    with pytest.raises(ValidationError) as err:
+        scenario_io.load_bundle(minimal_bundle_files(tmp_path / "nested", doc))
+    assert err.value.errors == ["network.geojson: feature 1: feature, geometry and properties must be JSON objects"]
+
+
+def test_load_bundle_traced_peak_is_a_few_times_the_network_file(small_dir):
+    """Features become nodes and edges as they decode, so the whole JSON tree (about 5x the
+    file's bytes) is never held."""
+    scenario_io.load_bundle(small_dir)  # imports and caches settle first
+    tracemalloc.start()
+    try:
+        scenario_io.load_bundle(small_dir)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * (small_dir / scenario_io.NETWORK_FILE).stat().st_size
+
+
+@pytest.mark.parametrize("name", [p.name for p in scenario_io.BundlePaths.in_dir(".").all_files()])
+def test_file_that_is_not_utf8_is_a_validation_error(twin_dir, name):
+    path = twin_dir / name
+    path.write_bytes(path.read_bytes() + b"\xe9")
+    with pytest.raises(ValidationError) as err:
+        scenario_io.load_bundle(twin_dir)
+    assert len(err.value.errors) == 1
+    assert err.value.errors[0].startswith(f"{name}: not UTF-8 text ('utf-8' codec can't decode byte 0xe9 in position ")
 
 
 def run_twin(samples=50):
