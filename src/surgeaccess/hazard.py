@@ -7,13 +7,15 @@ nearest sample, with ties broken toward the lowest sample index so results
 never depend on floating-point iteration order. The exposure and closure
 rules are elementwise: each takes a float or an array of them, so a run
 calls each rule once over all bridges or all roads, not once per site.
+evaluate_exposures takes site rows and returns float arrays row for row
+with them; which site a row belongs to is the caller's order, not ids.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -250,48 +252,26 @@ def road_inundation_closed(d_in_m: float | np.ndarray, thresholds: ExposureThres
     return _require_finite("d_in", d_in_m) >= thresholds.road_close_din
 
 
-@dataclass(frozen=True)
-class BridgeExposure:
-    """Surge quantities evaluated at one bridge location."""
-
-    bridge_id: str
-    h_st: float
-    h_s: float
-    z_c: float
-    h_max: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields: == would compare elementwise and not give a bool
 class ExposureSet:
-    """Deterministic exposure of every bridge and road to one storm."""
+    """Deterministic exposure to one storm, row for row with the sites
+    evaluated: z_c and h_max per bridge site, flood depth per road site."""
 
-    bridges: dict[str, BridgeExposure]
-    road_depth: dict[str, float]
-
-
-def _site_columns(rows: Iterable[tuple]) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
-    """Ids and the elevation, x and y float columns of (id, elevation_m, x, y) rows."""
-    rows = list(rows)
-    elevation, x, y = (np.array([row[k] for row in rows], dtype=float) for k in (1, 2, 3))
-    return [str(row[0]) for row in rows], elevation, x, y
+    z_c: np.ndarray
+    h_max: np.ndarray
+    road_depth: np.ndarray
 
 
-def evaluate_exposures(
-    field: SurgeField,
-    bridge_sites: Iterable[tuple[str, float, float, float]],
-    road_sites: Iterable[tuple[str, float, float, float]],
-) -> ExposureSet:
+def evaluate_exposures(field: SurgeField, bridge_sites, road_sites) -> ExposureSet:
     """Evaluate the surge field at every bridge and road site.
 
-    bridge_sites rows are (bridge_id, deck_elevation_m, x, y); road_sites
-    rows are (edge_id, lowest_elevation_m, x, y) with the location taken
-    at the segment midpoint by callers.
+    bridge_sites rows are (deck_elevation_m, x, y) and road_sites rows
+    (lowest_elevation_m, x, y), with the road location taken at the
+    segment midpoint by callers; each is an (n, 3) array or a sequence of
+    such rows, and any n may be 0.
     """
-    bridge_ids, h_b, bx, by = _site_columns(bridge_sites)
+    h_b, bx, by = np.asarray(bridge_sites, dtype=float).reshape(-1, 3).T
+    h_r, rx, ry = np.asarray(road_sites, dtype=float).reshape(-1, 3).T
     h_st, h_s = field.values_at(bx, by)
-    z_c, h_max = relative_surge_elevation(h_b, h_st), max_wave_height(h_s)
-    rows = zip(bridge_ids, h_st.tolist(), h_s.tolist(), z_c.tolist(), h_max.tolist())
-    bridges = {row[0]: BridgeExposure(*row) for row in rows}
-    road_ids, h_r, rx, ry = _site_columns(road_sites)
-    road_depth = dict(zip(road_ids, inundation_depth(h_r, field.values_at(rx, ry)[0]).tolist()))
-    return ExposureSet(bridges=bridges, road_depth=road_depth)
+    road_depth = inundation_depth(h_r, field.values_at(rx, ry)[0])
+    return ExposureSet(relative_surge_elevation(h_b, h_st), max_wave_height(h_s), road_depth)

@@ -4,7 +4,8 @@ The network is an undirected multigraph. Nodes are planar points, edges
 carry an authoritative length and free-flow speed, and bridge edges point
 at a bridge record that holds deck elevation and superstructure mass.
 Travel times are free-flow minutes; anything beyond the catchment radius
-d0 is treated as unreachable.
+d0 is treated as unreachable. Exposure sites, and so the exposure rows
+closure_mask reads, follow RoadGraph's bridge_ids and road_ids orders.
 
 Shortest paths run on a compressed-sparse matrix via scipy's Dijkstra,
 with closed edges given as a boolean per edge. Parallel edges between
@@ -112,15 +113,20 @@ class RoadGraph:
         self._edge_u = np.array([self._node_pos[edges[eid].u] for eid in self.edge_ids], dtype=np.int64)
         self._edge_v = np.array([self._node_pos[edges[eid].v] for eid in self.edge_ids], dtype=np.int64)
         self._edge_minutes = np.array([edges[eid].minutes for eid in self.edge_ids], dtype=float)
-        self._road = np.array([edges[eid].kind == ROAD for eid in self.edge_ids], dtype=bool)
-        self.road_ids = frozenset(compress(self.edge_ids, self._road))
+        road = np.array([edges[eid].kind == ROAD for eid in self.edge_ids], dtype=bool)
+        self.road_ids: tuple[str, ...] = tuple(compress(self.edge_ids, road))
+        self.bridge_ids: tuple[str, ...] = tuple(sorted(bridges))
 
-        self._edges_by_bridge: dict[str, tuple[str, ...]] = {}
-        for eid in self.edge_ids:
-            edge = edges[eid]
-            if edge.kind == BRIDGE and edge.bridge_id is not None:
-                cur = self._edges_by_bridge.get(edge.bridge_id, ())
-                self._edges_by_bridge[edge.bridge_id] = cur + (eid,)
+        self._edges_by_bridge: dict[str, tuple[str, ...]] = dict.fromkeys(self.bridge_ids, ())
+        for eid in compress(self.edge_ids, ~road):
+            self._edges_by_bridge[edges[eid].bridge_id] += (eid,)
+
+        rows = [(b.deck_elevation_m, b.x, b.y) for b in map(bridges.get, self.bridge_ids)]
+        self._bridge_sites = np.array(rows, dtype=float).reshape(-1, 3)
+        u, v = self._edge_u[road], self._edge_v[road]
+        mid_x, mid_y = (self._node_x[u] + self._node_x[v]) / 2.0, (self._node_y[u] + self._node_y[v]) / 2.0
+        self._road_sites = np.column_stack([[edges[eid].h_r for eid in self.road_ids], mid_x, mid_y])
+        self._bridge_sites.flags.writeable = self._road_sites.flags.writeable = False
 
         self.component_count = int(
             connected_components(self._adjacency(), directed=False, return_labels=False)
@@ -149,20 +155,13 @@ class RoadGraph:
     def edges_for_bridge(self, bridge_id: str) -> tuple[str, ...]:
         return self._edges_by_bridge.get(bridge_id, ())
 
-    def bridge_sites(self) -> list[tuple[str, float, float, float]]:
-        """(bridge_id, deck_elevation_m, x, y) rows, sorted by id."""
-        return [
-            (bid, self.bridges[bid].deck_elevation_m, self.bridges[bid].x, self.bridges[bid].y)
-            for bid in sorted(self.bridges)
-        ]
+    def bridge_sites(self) -> np.ndarray:
+        """(deck_elevation_m, x, y) rows, one per bridge in bridge_ids order; read-only."""
+        return self._bridge_sites
 
-    def road_sites(self) -> list[tuple[str, float, float, float]]:
-        """(edge_id, h_r, midpoint x, midpoint y) rows for road edges."""
-        u, v = self._edge_u[self._road], self._edge_v[self._road]
-        mid_x = ((self._node_x[u] + self._node_x[v]) / 2.0).tolist()
-        mid_y = ((self._node_y[u] + self._node_y[v]) / 2.0).tolist()
-        ids = compress(self.edge_ids, self._road)
-        return [(eid, float(self.edges[eid].h_r), x, y) for eid, x, y in zip(ids, mid_x, mid_y)]
+    def road_sites(self) -> np.ndarray:
+        """(h_r, midpoint x, midpoint y) rows, one per road edge in road_ids order; read-only."""
+        return self._road_sites
 
 
 def build_graph(
@@ -275,38 +274,28 @@ def closure_mask(
     Structural failures close a bridge's edges on both horizons. The
     short horizon also closes inundated bridges and flooded roads; the
     long horizon keeps them open because water recedes but collapsed
-    decks stay collapsed. Road edges missing from the exposure map are
-    treated as dry.
+    decks stay collapsed. exposures rows follow graph.bridge_ids and
+    graph.road_ids, as evaluate_exposures returns them for the graph's sites.
     """
     if horizon not in HORIZONS:
         raise InvalidInputError(f"unknown horizon {horizon!r}; expected one of {HORIZONS}")
-    unknown = sorted(set(failure_draw) - set(graph.bridges))
-    if unknown:
-        raise InvalidInputError(f"failure draw names unknown bridge(s): {', '.join(unknown)}")
-    missing = sorted(set(graph.bridges) - set(failure_draw))
-    if missing:
-        raise InvalidInputError(f"failure draw missing bridge(s): {', '.join(missing)}")
-    missing = sorted(set(graph.bridges) - set(exposures.bridges))
-    if missing:
-        raise InvalidInputError(f"exposures missing bridge(s): {', '.join(missing)}")
-    if not graph.road_ids.issuperset(exposures.road_depth):
-        stray = min(exposures.road_depth.keys() - graph.road_ids)
-        raise InvalidInputError(f"road exposure names unknown road edge {stray}")
+    drawn, known = set(failure_draw), set(graph.bridges)
+    for problem, ids in (("names unknown", drawn - known), ("missing", known - drawn)):
+        if ids:
+            raise InvalidInputError(f"failure draw {problem} bridge(s): {', '.join(sorted(ids))}")
+    shapes = (np.shape(exposures.z_c), np.shape(exposures.road_depth))
+    if shapes != ((len(graph.bridge_ids),), (len(graph.road_ids),)):
+        raise InvalidInputError(f"exposures need one z_c per bridge and one depth per road, got shapes {shapes}")
 
     closed: dict[str, str] = {}
-    bridge_ids = sorted(graph.bridges)
-    for bid in bridge_ids:
+    for bid in graph.bridge_ids:
         if failure_draw[bid]:
-            for eid in graph.edges_for_bridge(bid):
-                closed[eid] = STRUCTURAL
+            closed.update(dict.fromkeys(graph.edges_for_bridge(bid), STRUCTURAL))
     if horizon == SHORT_TERM:
-        flooded = hazard.bridge_inundation_closed([exposures.bridges[bid].z_c for bid in bridge_ids], thresholds)
-        for bid in compress(bridge_ids, flooded):
+        for bid in compress(graph.bridge_ids, hazard.bridge_inundation_closed(exposures.z_c, thresholds)):
             for eid in graph.edges_for_bridge(bid):
                 closed.setdefault(eid, INUNDATION)
-        road_ids = sorted(exposures.road_depth)
-        flooded = hazard.road_inundation_closed([exposures.road_depth[eid] for eid in road_ids], thresholds)
-        for eid in compress(road_ids, flooded):
+        for eid in compress(graph.road_ids, hazard.road_inundation_closed(exposures.road_depth, thresholds)):
             closed.setdefault(eid, INUNDATION)
     return ClosureMask(provenance=closed)
 
@@ -364,8 +353,6 @@ class TravelTimeTable:
 
 def snap_sites(graph: RoadGraph, sites: Sequence) -> np.ndarray:
     """Nearest network node (index into graph.node_ids) per site; ties go to the lowest node id."""
-    if not sites:
-        return np.array([], dtype=np.int64)
     return hazard.nearest_points(graph._node_x, graph._node_y, [s.x for s in sites], [s.y for s in sites])[0]
 
 

@@ -14,15 +14,15 @@ Each CSV's columns are declared once and shared by the reader
 type of its value are declared once in _SETTINGS. Keys a config leaves
 out take the ScenarioConfig, ExposureThresholds and SurgeField defaults,
 and those classes check the values. Each file is read once, hashed and
-decoded as UTF-8; a file that is not UTF-8 text is reported before any
-parse. Past that, loading collects every validation failure across all
-files before raising, so one round trip reports everything wrong with a
-bundle. network.geojson decodes through an object_hook that turns each
-Feature into its Node or edge record as soon as the decoder finishes it,
-so the whole JSON tree (about 5x the file's bytes) is never held; edge
-endpoints bind to nodes once every node is known. Writers emit
-byte-identical files for identical results: fixed key order, repr
-floats, no timestamps.
+decoded as UTF-8, less any leading byte-order mark; a file that is not
+UTF-8 text is reported before any parse. Past that, loading collects
+every validation failure across all files before raising, so one round
+trip reports everything wrong with a bundle. network.geojson decodes
+through an object_hook that turns each Feature into its Node or edge
+record as soon as the decoder finishes it, so the whole JSON tree (about
+5x the file's bytes) is never held; edge endpoints bind to nodes once
+every node is known. Writers emit byte-identical files for identical
+results: fixed key order, repr floats, no timestamps.
 """
 
 from __future__ import annotations
@@ -146,12 +146,17 @@ def _parse_rows(
     """build(row) for each row of the CSV texts[path] holding the required
     columns, reporting a missing column or a bad row (short, long or not
     parsed) by file name and line; a reserved column is reported once and
-    left out of every row."""
+    left out of every row. A missing or repeated column is reported and
+    no row of the file is read."""
     out: list[Any] = []
     reader = csv.DictReader(io.StringIO(texts[path], newline=""))
-    missing = [name for name in required if name not in (reader.fieldnames or [])]
-    if missing:
-        errors.append(f"{path.name}: missing column(s) {', '.join(missing)}")
+    header = reader.fieldnames or []
+    missing = [name for name in required if name not in header]
+    repeated = list(dict.fromkeys(name for name in header if header.count(name) > 1))
+    for problem, names in (("missing", missing), ("repeated", repeated)):
+        if names:
+            errors.append(f"{path.name}: {problem} column(s) {', '.join(names)}")
+    if missing or repeated:
         return out
     clash = [name for name in reserved if name in reader.fieldnames]
     errors.extend(f"{path.name}: column {name} is reserved" for name in clash)
@@ -360,7 +365,7 @@ def load_bundle(source: str | Path | BundlePaths) -> DatasetBundle:
             raise FileNotFoundError(f"missing input file: {path}") from None
         hashes[path.name] = hashlib.sha256(data).hexdigest()
         try:
-            texts[path] = data.decode()
+            texts[path] = data.decode("utf-8-sig")  # a byte-order mark, as spreadsheets write, is not content
         except UnicodeDecodeError as exc:
             errors.append(f"{path.name}: not UTF-8 text ({exc})")
     if errors:

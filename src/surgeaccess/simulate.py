@@ -297,13 +297,11 @@ def run_scenario(
         raise InvalidInputError("bridge records do not match the graph's bridges")
     table = fragility_table if fragility_table is not None else fragility.default_table()
 
-    bridge_rows = sorted(bridges, key=lambda b: b.bridge_id)
     exposures = hazard.evaluate_exposures(config.surge, graph.bridge_sites(), graph.road_sites())
     failure_probability: dict[str, float] = {}
-    for rec in bridge_rows:
-        exp = exposures.bridges[rec.bridge_id]
-        row = table.coefficients_for(rec.mass_ton_per_m)
-        failure_probability[rec.bridge_id] = fragility.uplift_probability(row, exp.h_max, exp.z_c)
+    for bid, h_max, z_c in zip(graph.bridge_ids, exposures.h_max.tolist(), exposures.z_c.tolist()):
+        row = table.coefficients_for(graph.bridges[bid].mass_ton_per_m)
+        failure_probability[bid] = fragility.uplift_probability(row, h_max, z_c)
     # u < 0 never holds and u < 1 always does, so only 0 < p < 1 needs a draw.
     at_risk = {bid: p for bid, p in failure_probability.items() if 0.0 < p < 1.0}
     always = [bid for bid, p in failure_probability.items() if p == 1.0]

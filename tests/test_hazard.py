@@ -224,18 +224,13 @@ def test_evaluate_exposures():
     field = small_field()
     exposures = hazard.evaluate_exposures(
         field,
-        bridge_sites=[("b1", 3.5, 0.0, 0.0), ("b2", 2.0, 200.0, 0.0)],
-        # e3 sits as far from sample 1 as from sample 2 and takes sample 1's surge.
-        road_sites=[("e1", 1.0, 100.0, 0.0), ("e2", 9.0, 200.0, 0.0), ("e3", 2.5, 150.0, 10.0)],
+        bridge_sites=np.array([(3.5, 0.0, 0.0), (2.0, 200.0, 0.0)]),
+        # Row 2 sits as far from sample 1 as from sample 2 and takes sample 1's surge.
+        road_sites=np.array([(1.0, 100.0, 0.0), (9.0, 200.0, 0.0), (2.5, 150.0, 10.0)]),
     )
-    b1 = exposures.bridges["b1"]
-    assert (b1.h_st, b1.h_s) == (2.0, 0.5)
-    assert b1.z_c == 1.5
-    assert b1.h_max == 0.9
-    assert exposures.bridges["b2"].z_c == -2.0
-    assert exposures.road_depth["e1"] == 2.0
-    assert exposures.road_depth["e2"] == -5.0
-    assert exposures.road_depth["e3"] == 0.5
+    assert exposures.z_c.tolist() == [1.5, -2.0]
+    assert exposures.h_max.tolist() == [0.9, 2.7]
+    assert exposures.road_depth.tolist() == [2.0, -5.0, 0.5]
 
 
 def _bits(*values):
@@ -253,22 +248,16 @@ site = st.tuples(finite, st.floats(-300.0, 500.0), st.floats(-200.0, 200.0))
 )
 def test_evaluate_exposures_matches_scalar_rules_per_site(bridge_rows, road_rows, radius):
     field = small_field(coverage_radius_m=radius)
-    exposures = hazard.evaluate_exposures(
-        field, [(f"b{i}", *row) for i, row in enumerate(bridge_rows)], [(f"e{i}", *row) for i, row in enumerate(road_rows)]
-    )
-    assert list(exposures.bridges) == [f"b{i}" for i in range(len(bridge_rows))]
+    exposures = hazard.evaluate_exposures(field, bridge_rows, road_rows)
+    assert exposures.z_c.shape == exposures.h_max.shape == (len(bridge_rows),)
+    assert exposures.road_depth.shape == (len(road_rows),)
     for i, (h_b, x, y) in enumerate(bridge_rows):
         h_st, h_s = value_at(field, x, y)
-        exp = exposures.bridges[f"b{i}"]
-        assert exp.bridge_id == f"b{i}"
-        assert all(type(v) is float for v in (exp.h_st, exp.h_s, exp.z_c, exp.h_max))
-        want = (h_st, h_s, hazard.relative_surge_elevation(h_b, h_st), hazard.max_wave_height(h_s))
-        assert _bits(exp.h_st, exp.h_s, exp.z_c, exp.h_max) == _bits(*want)
-    assert list(exposures.road_depth) == [f"e{i}" for i in range(len(road_rows))]
+        want = (hazard.relative_surge_elevation(h_b, h_st), hazard.max_wave_height(h_s))
+        assert _bits(exposures.z_c[i], exposures.h_max[i]) == _bits(*want)
     for i, (h_r, x, y) in enumerate(road_rows):
-        depth = exposures.road_depth[f"e{i}"]
-        assert type(depth) is float
-        assert _bits(depth) == _bits(hazard.inundation_depth(h_r, value_at(field, x, y)[0]))
+        want = hazard.inundation_depth(h_r, value_at(field, x, y)[0])
+        assert _bits(exposures.road_depth[i]) == _bits(want)
 
 
 @given(a=st.lists(finite, max_size=20), b=st.lists(finite, max_size=20))
@@ -301,8 +290,9 @@ def test_rules_reject_one_nan_in_an_array(name, rule):
 
 
 def test_evaluate_exposures_empty_sites():
-    exposures = hazard.evaluate_exposures(small_field(), [], [])
-    assert exposures.bridges == {} and exposures.road_depth == {}
+    for sites in ([], np.zeros((0, 3))):
+        exposures = hazard.evaluate_exposures(small_field(), sites, sites)
+        assert exposures.z_c.shape == exposures.h_max.shape == exposures.road_depth.shape == (0,)
 
 
 @given(

@@ -162,19 +162,28 @@ def test_nearest_nodes_tie_breaks_to_lowest_id():
     graph = line_graph(3)  # nodes at x = 0, 60, 120
     idx = network.snap_sites(graph, [access.SupplySite("s", 30.0, 0.0, 1.0)])  # equidistant n00 / n01
     assert graph.node_ids[idx[0]] == "n00"
+    assert network.snap_sites(graph, []).dtype == np.int64 and network.snap_sites(graph, []).shape == (0,)
 
 
 def test_road_and_bridge_sites():
-    nodes = mk_nodes([(0, 0), (60, 0)])
+    nodes = mk_nodes([(0, 0), (60, 0), (120, 0)])
     edges = [
-        network.Edge("br", "n00", "n01", 60.0, 1.0, kind=network.BRIDGE, bridge_id="b"),
+        network.Edge("br", "n01", "n02", 60.0, 1.0, kind=network.BRIDGE, bridge_id="b"),
+        network.Edge("ar", "n00", "n01", 60.0, 1.0, kind=network.BRIDGE, bridge_id="a"),
         road("rd", "n00", "n01", 60.0, h_r=1.25),
+        road("rc", "n01", "n02", 60.0, h_r=-0.5),
     ]
-    graph = network.build_graph(nodes, edges, [network.BridgeRecord("b", 7.0, 12.0, 30.0, 0.0)])
-    assert graph.bridge_sites() == [("b", 7.0, 30.0, 0.0)]
-    assert graph.road_sites() == [("rd", 1.25, 30.0, 0.0)]
+    bridges = [network.BridgeRecord("b", 7.0, 12.0, 90.0, 0.0), network.BridgeRecord("a", 6.0, 12.0, 30.0, 0.0)]
+    graph = network.build_graph(nodes, edges, bridges)
+    assert graph.bridge_ids == ("a", "b")
+    assert graph.road_ids == ("rc", "rd")
+    assert graph.bridge_sites().tolist() == [[6.0, 30.0, 0.0], [7.0, 90.0, 0.0]]
+    assert graph.road_sites().tolist() == [[-0.5, 90.0, 0.0], [1.25, 30.0, 0.0]]
+    assert not graph.bridge_sites().flags.writeable and not graph.road_sites().flags.writeable
     assert graph.edges_for_bridge("b") == ("br",)
     assert graph.edges_for_bridge("zz") == ()
+    bare = line_graph(2)
+    assert bare.bridge_ids == () and bare.bridge_sites().shape == (0, 3)
 
 
 def spanned_graph():
@@ -197,8 +206,9 @@ def test_closure_mask_horizons_and_provenance():
     graph, exposures = spanned_graph()
     thresholds = hazard.ExposureThresholds()
     # surge 1.0 over r2 (h_r 0.2) floods it; bridge deck at 5.0 stays clear
-    assert exposures.road_depth["r2"] == pytest.approx(0.8)
-    assert exposures.bridges["b"].z_c == pytest.approx(4.0)
+    assert graph.road_ids == ("r1", "r2", "r3")
+    assert exposures.road_depth.tolist() == pytest.approx([-1.0, 0.8, -1.0])
+    assert exposures.z_c.tolist() == pytest.approx([4.0])
 
     intact = {"b": False}
     failed = {"b": True}
@@ -208,11 +218,11 @@ def test_closure_mask_horizons_and_provenance():
     long_failed = network.closure_mask(graph, exposures, thresholds, failed, "long")
     assert long_failed.provenance == {"s1": network.STRUCTURAL, "s2": network.STRUCTURAL}
     short_failed = network.closure_mask(graph, exposures, thresholds, failed, "short")
-    assert short_failed.provenance == {
-        "s1": network.STRUCTURAL,
-        "s2": network.STRUCTURAL,
-        "r2": network.INUNDATION,
-    }
+    assert list(short_failed.provenance.items()) == [
+        ("s1", network.STRUCTURAL),
+        ("s2", network.STRUCTURAL),
+        ("r2", network.INUNDATION),
+    ]
 
 
 def test_structural_label_wins_over_inundation():
@@ -246,20 +256,50 @@ def test_closure_mask_input_errors():
         network.closure_mask(graph, exposures, thresholds, {}, "short")
     with pytest.raises(InvalidInputError, match="unknown bridge"):
         network.closure_mask(graph, exposures, thresholds, {"b": False, "zz": True}, "short")
-    bare = hazard.ExposureSet(bridges={}, road_depth={})
-    with pytest.raises(InvalidInputError, match="exposures missing"):
-        network.closure_mask(graph, bare, thresholds, {"b": False}, "short")
-    for stray in ("s1", "nowhere"):  # a bridge edge, and no edge at all
-        wrong_edge = hazard.ExposureSet(bridges=exposures.bridges, road_depth={**exposures.road_depth, stray: 0.0})
-        with pytest.raises(InvalidInputError, match=f"unknown road edge {stray}$"):
-            network.closure_mask(graph, wrong_edge, thresholds, {"b": False}, "long")
+    short_bridges = hazard.ExposureSet(exposures.z_c[:0], exposures.h_max[:0], exposures.road_depth)
+    long_roads = hazard.ExposureSet(exposures.z_c, exposures.h_max, np.append(exposures.road_depth, 0.0))
+    for wrong, shapes in ((short_bridges, "((0,), (3,))"), (long_roads, "((1,), (4,))")):
+        with pytest.raises(InvalidInputError, match="one z_c per bridge and one depth per road") as err:
+            network.closure_mask(graph, wrong, thresholds, {"b": False}, "long")
+        assert str(err.value).endswith(f"got shapes {shapes}")
 
 
-def test_roads_absent_from_exposures_treated_dry():
-    graph, exposures = spanned_graph()
-    partial = hazard.ExposureSet(bridges=exposures.bridges, road_depth={})
-    mask = network.closure_mask(graph, partial, hazard.ExposureThresholds(), {"b": False}, "short")
-    assert mask.provenance == {}
+def _nearest_surge(field, x, y):
+    """h_st of the field's nearest sample to (x, y), by a scan of every sample; no surge outside coverage."""
+    d2 = (field.x - x) ** 2 + (field.y - y) ** 2
+    i = int(np.argmin(d2))
+    if field.coverage_radius_m is not None and d2[i] > field.coverage_radius_m**2:
+        return hazard.NO_SURGE[0]
+    return float(field.h_st[i])
+
+
+def test_storm2_short_provenance_matches_scalar_rules_per_site(storm2_bundle):
+    graph, config = storm2_bundle.graph, storm2_bundle.config
+    exposures = hazard.evaluate_exposures(config.surge, graph.bridge_sites(), graph.road_sites())
+    bridge_ids = sorted(graph.bridges)
+    draws = ({bid: False for bid in bridge_ids}, {bid: i % 3 == 0 for i, bid in enumerate(bridge_ids)})
+    for draw in draws:
+        want: dict[str, str] = {}
+        for bid in bridge_ids:
+            if draw[bid]:
+                want.update((eid, network.STRUCTURAL) for eid in graph.edges_for_bridge(bid))
+        for bid in bridge_ids:
+            rec = graph.bridges[bid]
+            z_c = hazard.relative_surge_elevation(rec.deck_elevation_m, _nearest_surge(config.surge, rec.x, rec.y))
+            if hazard.bridge_inundation_closed(z_c, config.thresholds):
+                for eid in graph.edges_for_bridge(bid):
+                    want.setdefault(eid, network.INUNDATION)
+        for eid in sorted(graph.edges):
+            edge = graph.edges[eid]
+            if edge.kind != network.ROAD:
+                continue
+            u, v = graph.nodes[edge.u], graph.nodes[edge.v]
+            h_st = _nearest_surge(config.surge, (u.x + v.x) / 2.0, (u.y + v.y) / 2.0)
+            if hazard.road_inundation_closed(hazard.inundation_depth(edge.h_r, h_st), config.thresholds):
+                want.setdefault(eid, network.INUNDATION)
+        got = network.closure_mask(graph, exposures, config.thresholds, draw, network.SHORT_TERM).provenance
+        assert list(got.items()) == list(want.items())
+    assert list(want.values()).count(network.INUNDATION) > 1000  # storm 2 floods many roads
 
 
 def test_parallel_edges_use_the_fastest_open_one():

@@ -296,6 +296,35 @@ def test_subgroup_column_named_overall_reported_once(small_dir):
     assert err.value.errors == ["demands.csv: column overall is reserved"]
 
 
+@pytest.mark.parametrize("name, column", [
+    (scenario_io.SUPPLIES_FILE, "capacity"), (scenario_io.DEMANDS_FILE, "age65plus"), (scenario_io.SURGE_FILE, "x"),
+])
+def test_repeated_csv_column_reported_and_no_row_read(small_dir, name, column):
+    path = small_dir / name
+    header, *rows = path.read_text().splitlines()
+    # The last copy would win, and its bad value would be reported, if any row were read.
+    path.write_text("\n".join([f"{header},{column}", *(f"{row},1.0" for row in rows[:-1]), f"{rows[-1]},oops"]) + "\n")
+    with pytest.raises(ValidationError) as err:
+        scenario_io.load_bundle(small_dir)
+    assert err.value.errors == [f"{name}: repeated column(s) {column}"]
+
+
+def test_byte_order_mark_is_not_content(twin_dir):
+    """A UTF-8 byte-order mark, as spreadsheet programs write one, changes
+    nothing that loads; the input hash covers the raw bytes."""
+    def content(b):
+        return b.graph.nodes, b.graph.edges, b.bridges, b.supplies, b.demands, b.config, b.crs
+
+    plain = content(scenario_io.load_bundle(twin_dir))
+    for path in scenario_io.BundlePaths.in_dir(twin_dir).all_files():
+        original = path.read_bytes()
+        path.write_bytes(b"\xef\xbb\xbf" + original)
+        bundle = scenario_io.load_bundle(twin_dir)
+        assert content(bundle) == plain, path.name
+        assert bundle.input_hashes[path.name] == hashlib.sha256(b"\xef\xbb\xbf" + original).hexdigest()
+        path.write_bytes(original)
+
+
 def test_parse_config_text():
     raw, errors = scenario_io.parse_config_text(
         "# comment\nstorm = alpha # trailing\n\nseed=7\nstorm = beta\n"
