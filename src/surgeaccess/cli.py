@@ -51,7 +51,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     graph = bundle.graph
     print(f"bundle ok: {args.data}")
     print(
-        f"  nodes={len(graph.nodes)} edges={len(graph.edges)} bridges={len(graph.bridges)}"
+        f"  nodes={len(graph.node_ids)} edges={len(graph.edge_ids)} bridges={len(graph.bridge_ids)}"
         f" components={graph.component_count}"
     )
     print(f"  supplies={len(bundle.supplies)} demands={len(bundle.demands)} surge_samples={len(bundle.config.surge)}")

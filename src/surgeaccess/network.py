@@ -4,8 +4,10 @@ The network is an undirected multigraph. Nodes are planar points, edges
 carry an authoritative length and free-flow speed, and bridge edges point
 at a bridge record that holds deck elevation and superstructure mass.
 Travel times are free-flow minutes; anything beyond the catchment radius
-d0 is treated as unreachable. Exposure sites, and so the exposure rows
-closure_mask reads, follow RoadGraph's bridge_ids and road_ids orders.
+d0 is treated as unreachable. RoadGraph holds nodes and edges as id
+tuples and arrays, which build_graph (from records) and graph_from_columns
+(from a decoded file) validate alike. Exposure sites, and so the exposure
+rows closure_mask reads, follow RoadGraph's bridge_ids and road_ids orders.
 
 Shortest paths run on a compressed-sparse matrix via scipy's Dijkstra,
 with closed edges given as a boolean per edge. Parallel edges between
@@ -26,8 +28,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -87,50 +90,56 @@ class BridgeRecord:
 
 
 class RoadGraph:
-    """A validated network, immutable after construction.
+    """A validated network held as columns, immutable after construction.
 
-    Construct through build_graph; the constructor assumes inputs have
-    already passed validation.
+    Nodes are the sorted node_ids with x and y arrays. Edges are the sorted
+    edge_ids with endpoint node indices, length_m and speed_mps arrays, a
+    road flag, the bridge id of each bridge edge and h_r of each road (the
+    first column of road_sites). nodes and edges build the Node and Edge
+    mappings on first access. Construct through build_graph or
+    graph_from_columns, which validate and sort the columns.
     """
 
-    def __init__(
-        self,
-        nodes: dict[str, Node],
-        edges: dict[str, Edge],
-        bridges: dict[str, BridgeRecord],
-    ):
-        self.nodes = nodes
-        self.edges = edges
+    def __init__(self, node_ids, node_x, node_y, edge_ids, edge_u, edge_v, length_m, speed_mps, road,
+                 edge_bridge_ids, h_r, bridges: dict[str, BridgeRecord]):
+        self.node_ids: tuple[str, ...] = node_ids
+        self._node_x, self._node_y = node_x, node_y
+        self.edge_ids: tuple[str, ...] = edge_ids
+        self._edge_pos = {eid: i for i, eid in enumerate(edge_ids)}
+        self._edge_u, self._edge_v, self._edge_length, self._edge_speed = edge_u, edge_v, length_m, speed_mps
+        self._edge_minutes = length_m / speed_mps / 60.0
+        self._edge_road, self._edge_bridge = road, edge_bridge_ids
+        self.road_ids: tuple[str, ...] = tuple(compress(edge_ids, road))
         self.bridges = bridges
-
-        self.node_ids: tuple[str, ...] = tuple(sorted(nodes))
-        self._node_pos = {nid: i for i, nid in enumerate(self.node_ids)}
-        self._node_x = np.array([nodes[nid].x for nid in self.node_ids], dtype=float)
-        self._node_y = np.array([nodes[nid].y for nid in self.node_ids], dtype=float)
-
-        self.edge_ids: tuple[str, ...] = tuple(sorted(edges))
-        self._edge_pos = {eid: i for i, eid in enumerate(self.edge_ids)}
-        self._edge_u = np.array([self._node_pos[edges[eid].u] for eid in self.edge_ids], dtype=np.int64)
-        self._edge_v = np.array([self._node_pos[edges[eid].v] for eid in self.edge_ids], dtype=np.int64)
-        self._edge_minutes = np.array([edges[eid].minutes for eid in self.edge_ids], dtype=float)
-        road = np.array([edges[eid].kind == ROAD for eid in self.edge_ids], dtype=bool)
-        self.road_ids: tuple[str, ...] = tuple(compress(self.edge_ids, road))
         self.bridge_ids: tuple[str, ...] = tuple(sorted(bridges))
-
         self._edges_by_bridge: dict[str, tuple[str, ...]] = dict.fromkeys(self.bridge_ids, ())
-        for eid in compress(self.edge_ids, ~road):
-            self._edges_by_bridge[edges[eid].bridge_id] += (eid,)
+        for eid, bid in zip(compress(edge_ids, ~road), edge_bridge_ids):
+            self._edges_by_bridge[bid] += (eid,)
 
         rows = [(b.deck_elevation_m, b.x, b.y) for b in map(bridges.get, self.bridge_ids)]
         self._bridge_sites = np.array(rows, dtype=float).reshape(-1, 3)
-        u, v = self._edge_u[road], self._edge_v[road]
-        mid_x, mid_y = (self._node_x[u] + self._node_x[v]) / 2.0, (self._node_y[u] + self._node_y[v]) / 2.0
-        self._road_sites = np.column_stack([[edges[eid].h_r for eid in self.road_ids], mid_x, mid_y])
+        u, v = edge_u[road], edge_v[road]
+        mid_x, mid_y = (node_x[u] + node_x[v]) / 2.0, (node_y[u] + node_y[v]) / 2.0
+        self._road_sites = np.column_stack([h_r, mid_x, mid_y])
         self._bridge_sites.flags.writeable = self._road_sites.flags.writeable = False
+        self.component_count = int(connected_components(self._adjacency(), directed=False, return_labels=False))
 
-        self.component_count = int(
-            connected_components(self._adjacency(), directed=False, return_labels=False)
-        )
+    @cached_property
+    def nodes(self) -> dict[str, Node]:
+        return {nid: Node(nid, x, y) for nid, x, y in zip(self.node_ids, self._node_x.tolist(), self._node_y.tolist())}
+
+    @cached_property
+    def edges(self) -> dict[str, Edge]:
+        return {eid: Edge(eid, self.node_ids[u], self.node_ids[v], *rest) for eid, u, v, *rest in self.edge_rows()}
+
+    def edge_rows(self) -> Iterator[tuple]:
+        """(edge_id, u, v, length_m, speed_mps, kind, bridge_id, h_r) per edge in edge_ids order, u and v as
+        indices into node_ids; bridge_id is None on a road and h_r None on a bridge."""
+        bridge_id, h_r = np.full((2, len(self.edge_ids)), None, dtype=object)
+        bridge_id[~self._edge_road], h_r[self._edge_road] = self._edge_bridge, self._road_sites[:, 0].tolist()
+        kinds = [ROAD if road else BRIDGE for road in self._edge_road.tolist()]
+        return zip(self.edge_ids, self._edge_u.tolist(), self._edge_v.tolist(), self._edge_length.tolist(),
+                   self._edge_speed.tolist(), kinds, bridge_id.tolist(), h_r.tolist())
 
     def _adjacency(self, closed: np.ndarray | None = None) -> csr_matrix:
         """Upper-triangle sparse minutes matrix without the closed edges
@@ -164,24 +173,56 @@ class RoadGraph:
         return self._road_sites
 
 
-def build_graph(
-    nodes: Iterable[Node],
-    edges: Iterable[Edge],
-    bridges: Iterable[BridgeRecord],
-) -> RoadGraph:
-    """Validate and assemble a RoadGraph, reporting every failure at once."""
-    errors: list[str] = []
+def build_graph(nodes: Iterable[Node], edges: Iterable[Edge], bridges: Iterable[BridgeRecord]) -> RoadGraph:
+    """Validate and assemble a RoadGraph from records: graph_from_columns on their fields."""
+    nodes, edges = list(nodes), list(edges)
+    row, unknown = {node.node_id: i for i, node in enumerate(nodes)}, {}  # unknown: names no node has, first met first
+    ends = [np.array([row[n] if n in row else ~unknown.setdefault(n, len(unknown)) for n in names], dtype=np.int64)
+            for names in ([e.u for e in edges], [e.v for e in edges])]
+    floats = [np.array([getattr(r, name) for r in records], dtype=float)  # a None h_r becomes nan
+              for records, names in ((nodes, ("x", "y")), (edges, ("length_m", "speed_mps", "h_r"))) for name in names]
+    return graph_from_columns([n.node_id for n in nodes], *floats[:2], [e.edge_id for e in edges], *ends, *floats[2:],
+                              [e.kind for e in edges], [e.bridge_id for e in edges], bridges, list(unknown))
 
-    node_map: dict[str, Node] = {}
-    for node in nodes:
-        if node.node_id in node_map:
-            errors.append(f"duplicate node id {node.node_id}")
-            continue
-        if not (math.isfinite(node.x) and math.isfinite(node.y)):
-            errors.append(f"node {node.node_id}: non-finite coordinates")
-            continue
-        node_map[node.node_id] = node
-    if not node_map and not errors:
+
+# What can be wrong with an edge, in the order build_graph reports it.
+_EDGE_PROBLEMS = (
+    "unknown endpoint node {u}", "unknown endpoint node {v}", "self-loop at node {u}",
+    "length must be finite and > 0, got {length}", "speed must be finite and > 0, got {speed}", "unknown kind {kind!r}",
+    "bridge edge without bridge_id", "unknown bridge {bid}", "road edge carries bridge_id {bid}",
+    "road edge needs a finite lowest elevation h_r",
+)
+
+
+def _id_groups(ids: Sequence[str], ok: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The stable order that sorts ids and, per row, its id's rank among the
+    distinct ids and the first ok row with that id (len(ids) if none)."""
+    rank = np.unique(np.array(ids, dtype=object), return_inverse=True)[1]
+    first_ok = np.full(len(ids), len(ids))
+    np.minimum.at(first_ok, rank[ok], np.flatnonzero(ok))
+    return np.argsort(rank, kind="stable"), rank, first_ok[rank]
+
+
+def graph_from_columns(
+    node_ids: Sequence[str], node_x: np.ndarray, node_y: np.ndarray, edge_ids: Sequence[str], edge_u: np.ndarray,
+    edge_v: np.ndarray, length_m: np.ndarray, speed_mps: np.ndarray, h_r: np.ndarray, kinds: Sequence[str],
+    bridge_of: Sequence[str | None], bridges: Iterable[BridgeRecord], unknown_nodes: Sequence[str] = (),
+) -> RoadGraph:
+    """Validate and assemble a RoadGraph from node and edge columns,
+    reporting every failure at once: nodes, bridges, then edges, each in
+    input order with its failures together. edge_u and edge_v are node
+    rows, ~k standing for unknown_nodes[k], a name no node has; h_r is nan
+    where absent. A row whose id an earlier valid row holds is a duplicate,
+    checked no further; an endpoint or bridge is known if a valid node or
+    bridge has its id.
+    """
+    errors: list[str] = []
+    n = len(node_ids)
+    node_order, node_rank, node_first = _id_groups(node_ids, np.isfinite(node_x) & np.isfinite(node_y))
+    for i in np.flatnonzero(node_first != np.arange(n)).tolist():  # a repeated id or non-finite coordinates
+        nid = node_ids[i]
+        errors.append(f"duplicate node id {nid}" if node_first[i] < i else f"node {nid}: non-finite coordinates")
+    if not n:
         errors.append("network has no nodes")
 
     bridge_map: dict[str, BridgeRecord] = {}
@@ -189,70 +230,53 @@ def build_graph(
         if rec.bridge_id in bridge_map:
             errors.append(f"duplicate bridge id {rec.bridge_id}")
             continue
-        bad = [
-            name
-            for name in ("deck_elevation_m", "mass_ton_per_m", "x", "y")
-            if not math.isfinite(getattr(rec, name))
-        ]
+        bad = [name for name in ("deck_elevation_m", "mass_ton_per_m", "x", "y")
+               if not math.isfinite(getattr(rec, name))]
         if bad:
             errors.append(f"bridge {rec.bridge_id}: non-finite {', '.join(bad)}")
             continue
         if not 0.0 < rec.mass_ton_per_m <= 35.0:
-            errors.append(
-                f"bridge {rec.bridge_id}: mass {rec.mass_ton_per_m} ton/m outside supported range (0, 35]"
-            )
+            errors.append(f"bridge {rec.bridge_id}: mass {rec.mass_ton_per_m} ton/m outside supported range (0, 35]")
             continue
         bridge_map[rec.bridge_id] = rec
 
-    edge_map: dict[str, Edge] = {}
-    referenced_bridges: set[str] = set()
-    for edge in edges:
-        ok = True
-        if edge.edge_id in edge_map:
-            errors.append(f"duplicate edge id {edge.edge_id}")
+    # Per edge end: is it a known node, and which id does it name (unknown names stay negative)?
+    ends = np.stack([edge_u, edge_v])
+    at = np.where(ends >= 0, ends, n)
+    known, name = np.append(node_first < n, False)[at], np.where(ends >= 0, np.append(node_rank, 0)[at], ends)
+    road, bridge, has_bridge, known_bridge = (np.array(flags, dtype=bool) for flags in (
+        [k == ROAD for k in kinds], [k == BRIDGE for k in kinds], [b is not None for b in bridge_of],
+        [b in bridge_map for b in bridge_of]))
+    failed = np.stack([  # per _EDGE_PROBLEMS entry and edge
+        ~known[0], ~known[1], name[0] == name[1], ~(np.isfinite(length_m) & (length_m > 0.0)),
+        ~(np.isfinite(speed_mps) & (speed_mps > 0.0)), ~road & ~bridge, bridge & ~has_bridge,
+        bridge & has_bridge & ~known_bridge, road & has_bridge, road & ~np.isfinite(h_r),
+    ])
+    ok = ~failed.any(axis=0)
+    edge_order, _, edge_first = _id_groups(edge_ids, ok)
+    duplicate = edge_first < np.arange(len(edge_ids))
+    for i in np.flatnonzero(duplicate | ~ok).tolist():
+        if duplicate[i]:
+            errors.append(f"duplicate edge id {edge_ids[i]}")
             continue
-        for endpoint in (edge.u, edge.v):
-            if endpoint not in node_map:
-                errors.append(f"edge {edge.edge_id}: unknown endpoint node {endpoint}")
-                ok = False
-        if edge.u == edge.v:
-            errors.append(f"edge {edge.edge_id}: self-loop at node {edge.u}")
-            ok = False
-        if not (math.isfinite(edge.length_m) and edge.length_m > 0.0):
-            errors.append(f"edge {edge.edge_id}: length must be finite and > 0, got {edge.length_m}")
-            ok = False
-        if not (math.isfinite(edge.speed_mps) and edge.speed_mps > 0.0):
-            errors.append(f"edge {edge.edge_id}: speed must be finite and > 0, got {edge.speed_mps}")
-            ok = False
-        if edge.kind not in EDGE_KINDS:
-            errors.append(f"edge {edge.edge_id}: unknown kind {edge.kind!r}")
-            ok = False
-        elif edge.kind == BRIDGE:
-            if edge.bridge_id is None:
-                errors.append(f"edge {edge.edge_id}: bridge edge without bridge_id")
-                ok = False
-            elif edge.bridge_id not in bridge_map:
-                errors.append(f"edge {edge.edge_id}: unknown bridge {edge.bridge_id}")
-                ok = False
-            else:
-                referenced_bridges.add(edge.bridge_id)
-        else:
-            if edge.bridge_id is not None:
-                errors.append(f"edge {edge.edge_id}: road edge carries bridge_id {edge.bridge_id}")
-                ok = False
-            if edge.h_r is None or not math.isfinite(edge.h_r):
-                errors.append(f"edge {edge.edge_id}: road edge needs a finite lowest elevation h_r")
-                ok = False
-        if ok:
-            edge_map[edge.edge_id] = edge
+        u, v = (node_ids[e] if e >= 0 else unknown_nodes[~e] for e in ends[:, i].tolist())
+        fields = dict(u=u, v=v, length=float(length_m[i]), speed=float(speed_mps[i]), kind=kinds[i], bid=bridge_of[i])
+        errors += [f"edge {edge_ids[i]}: " + _EDGE_PROBLEMS[c].format(**fields) for c in np.flatnonzero(failed[:, i])]
 
+    referenced = {bridge_of[i] for i in np.flatnonzero(bridge & known_bridge & ~duplicate).tolist()}
     for bid in sorted(bridge_map):
-        if bid not in referenced_bridges:
+        if bid not in referenced:
             errors.append(f"bridge {bid}: no edge references it")
 
     if errors:
         raise ValidationError(errors)
-    return RoadGraph(node_map, edge_map, bridge_map)
+    # Every id is now unique, so an id's rank is its index in the sorted ids.
+    road, edge_bridge = road[edge_order], [bridge_of[i] for i in edge_order[~road[edge_order]].tolist()]
+    return RoadGraph(
+        tuple(node_ids[i] for i in node_order.tolist()), node_x[node_order], node_y[node_order],
+        tuple(edge_ids[i] for i in edge_order.tolist()), name[0, edge_order], name[1, edge_order],
+        length_m[edge_order], speed_mps[edge_order], road, tuple(edge_bridge), h_r[edge_order][road], bridge_map,
+    )
 
 
 @dataclass(frozen=True)

@@ -18,11 +18,11 @@ decoded as UTF-8, less any leading byte-order mark; a file that is not
 UTF-8 text is reported before any parse. Past that, loading collects
 every validation failure across all files before raising, so one round
 trip reports everything wrong with a bundle. network.geojson decodes
-through an object_hook that turns each Feature into its Node or edge
-record as soon as the decoder finishes it, so the whole JSON tree (about
-5x the file's bytes) is never held; edge endpoints bind to nodes once
-every node is known. Writers emit byte-identical files for identical
-results: fixed key order, repr floats, no timestamps.
+through an object_hook that writes each Feature into node and edge
+columns as soon as the decoder finishes it, so neither the JSON tree
+(about 5x the file's bytes) nor a record per feature is held; edge ends
+bind to nodes once every node is known. Writers emit byte-identical
+files for identical results: fixed key order, repr floats, no timestamps.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ import hashlib
 import io
 import json
 import math
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping
@@ -43,7 +44,7 @@ from . import __version__
 from .access import DemandSite, SupplySite
 from .errors import InvalidInputError, InvalidSpecError, ValidationError
 from .hazard import ExposureThresholds, SurgeField
-from .network import BRIDGE, ROAD, BridgeRecord, Edge, Node, RoadGraph, build_graph
+from .network import BRIDGE, EDGE_KINDS, ROAD, BridgeRecord, Edge, Node, RoadGraph, build_graph, graph_from_columns
 from .simulate import ScenarioConfig, ScenarioResult
 
 NETWORK_FILE = "network.geojson"
@@ -187,102 +188,126 @@ def _demand_row(rec: dict[str, str]) -> DemandSite:
     return DemandSite(str(rec["demand_id"]), x, y, population, dict(zip(groups, _floats(rec, groups))))
 
 
-class _Unconverted(str):
-    """What is wrong with a network.geojson feature that did not convert."""
+class _Feature(int):
+    """A network.geojson Feature where it sat in the decoded document: its node row r, or ~r for edge row r."""
+    __slots__ = ()
 
 
-def _feature(feat: Any) -> Node | tuple | _Unconverted:
-    """One network.geojson feature as the record the loader keeps.
+_KINDS = {kind: kind for kind in EDGE_KINDS}  # one string object per known kind
 
-    A Point becomes its Node. A LineString becomes (ends, fields): its first
-    and last coordinates as float pairs, and its Edge fields other than u
-    and v. Conversion stops at the first failure; ends then holds the
-    coordinates converted before it, and fields is the failure. Anything
-    else becomes what is wrong with it. The caller looks the ends up in
-    order before it reports a failure in fields, so every feature reports
-    the first failure the loader's checks meet.
+
+class _NetworkColumns:
+    """network.geojson's features, written into node and edge columns.
+
+    As json.loads' object_hook, it converts each Feature as soon as the
+    decoder finishes it and leaves a _Feature in its place, so neither the
+    JSON tree nor a record per feature is held. A LineString becomes an edge
+    row (id, kind, bridge_id, and as floats the x, y of its first and last
+    coordinates, length_m, speed_mps and h_r, nan if absent); anything else
+    a node row (a Point's id, x and y). Conversion stops at the first
+    failure, kept in failures by _Feature with the edge ends converted before it.
     """
-    geom, props = (feat.get("geometry") or {}, feat.get("properties") or {}) if isinstance(feat, dict) else (None, None)
-    if not (isinstance(geom, dict) and isinstance(props, dict)):
-        return _Unconverted("feature, geometry and properties must be JSON objects")
-    gtype = geom.get("type")
-    if gtype == "Point":
+
+    def __init__(self) -> None:
+        self.node_ids, self.edge_ids, self.kinds, self.bridge_of = [], [], [], []
+        self.node_xy, self.edge_floats = array("d"), array("d")  # x, y; x0, y0, x1, y1, length_m, speed_mps, h_r
+        self.failures: dict[int, tuple[int, str]] = {}
+
+    def __call__(self, obj: dict) -> Any:
+        return self.feature(obj) if obj.get("type") == "Feature" and "geometry" in obj else obj
+
+    def feature(self, feat: Any) -> _Feature:
+        geom, props = (feat.get("geometry") or {}, feat.get("properties") or {}) if isinstance(feat, dict) else ("", "")
+        objects = isinstance(geom, dict) and isinstance(props, dict)
+        if objects and geom.get("type") == "LineString":
+            return self._edge(geom, props)
+        row, node_id, x, y = len(self.node_ids), "", math.nan, math.nan
+        if not objects:
+            self.failures[row] = (0, "feature, geometry and properties must be JSON objects")
+        elif geom.get("type") != "Point":
+            self.failures[row] = (0, f"unsupported geometry {geom.get('type')!r}")
+        else:
+            try:
+                x, y = (float(c) for c in geom["coordinates"])
+                node_id = str(props["id"])
+            except (KeyError, TypeError, ValueError) as exc:
+                self.failures[row] = (0, f"bad node ({exc!r})")
+        self.node_ids.append(node_id)
+        self.node_xy.extend((x, y))
+        return _Feature(row)
+
+    def _edge(self, geom: dict, props: dict) -> _Feature:
+        row, ends = len(self.edge_ids), []
         try:
-            x, y = (float(c) for c in geom["coordinates"])
-            return Node(node_id=str(props["id"]), x=x, y=y)
+            coords = geom.get("coordinates") or []
+            if len(coords) < 2:
+                raise ValueError("LineString needs at least two coordinates")
+            for cx, cy in (coords[0], coords[-1]):
+                ends += float(cx), float(cy)
+            bridge_id, h_r = props.get("bridge_id"), props.get("h_r")
+            edge_id, length_m, speed_mps = str(props["id"]), float(props["length_m"]), float(props["speed_mps"])
+            kind, bridge_id = str(props["kind"]), None if bridge_id is None else str(bridge_id)
+            h_r = math.nan if h_r is None else float(h_r)
         except (KeyError, TypeError, ValueError) as exc:
-            return _Unconverted(f"bad node ({exc!r})")
-    if gtype != "LineString":
-        return _Unconverted(f"unsupported geometry {gtype!r}")
-    ends: list[tuple[float, float]] = []
+            self.failures[~row] = (len(ends) // 2, f"bad edge ({exc})")
+            edge_id, kind, bridge_id, length_m, speed_mps, h_r = "", "", None, math.nan, math.nan, math.nan
+        self.edge_ids.append(edge_id)
+        self.kinds.append(_KINDS.get(kind, kind))
+        self.bridge_of.append(bridge_id)
+        self.edge_floats.extend(ends + [math.nan] * (4 - len(ends)) + [length_m, speed_mps, h_r])
+        return _Feature(~row)
+
+
+def _node_rows(x: np.ndarray, y: np.ndarray, qx: np.ndarray, qy: np.ndarray) -> np.ndarray:
+    """Per query point (qx, qy), the first row of a node at exactly that point, or -1 (nan matches nothing)."""
+    points, queries = np.empty(x.size, dtype=complex), np.empty(qx.shape, dtype=complex)
+    points.real, points.imag, queries.real, queries.imag = x, y, qx, qy  # complex numbers sort by x, then y
+    points, rows = np.unique(points, return_index=True)
+    at = np.searchsorted(points, queries)
+    return np.where(np.r_[points, np.nan][at] == queries, np.r_[rows, -1][at], -1)
+
+
+def _parse_network_geojson(path: Path, texts: dict[Path, str], errors: list[str]) -> tuple | None:
+    """network.geojson as graph_from_columns' node and edge arguments, or
+    None if it is not a FeatureCollection; its text is dropped from texts
+    once decoded. A failed feature is reported by its index in the
+    collection: the failures that are not edges first, then the edges."""
+    columns = _NetworkColumns()
     try:
-        coords = geom.get("coordinates") or []
-        if len(coords) < 2:
-            raise ValueError("LineString needs at least two coordinates")
-        for cx, cy in (coords[0], coords[-1]):
-            ends.append((float(cx), float(cy)))
-        bridge_id, h_r = props.get("bridge_id"), props.get("h_r")
-        return tuple(ends), (
-            str(props["id"]),
-            float(props["length_m"]),
-            float(props["speed_mps"]),
-            str(props["kind"]),
-            None if bridge_id is None else str(bridge_id),
-            None if h_r is None else float(h_r),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        return tuple(ends), _Unconverted(f"bad edge ({exc})")
-
-
-def _feature_hook(obj: dict) -> Any:
-    """json.loads' object_hook: convert each Feature as soon as it is decoded,
-    so its dicts and coordinate lists are freed before the next one."""
-    return _feature(obj) if obj.get("type") == "Feature" and "geometry" in obj else obj
-
-
-def _parse_network_geojson(path: Path, texts: dict[Path, str], errors: list[str]) -> tuple[list[Node], list[Edge]]:
-    """The nodes and edges of network.geojson; its text is dropped from texts once decoded."""
-    try:
-        doc = json.loads(texts.pop(path), object_hook=_feature_hook)
+        doc = json.loads(texts.pop(path), object_hook=columns)
     except json.JSONDecodeError as exc:
         errors.append(f"{path.name}: not valid JSON ({exc})")
-        return [], []
+        return None
     features = doc.get("features", []) if isinstance(doc, dict) else None
     if not isinstance(features, list) or doc.get("type") != "FeatureCollection":
         errors.append(f"{path.name}: expected a GeoJSON FeatureCollection")
-        return [], []
-
-    nodes: list[Node] = []
-    edge_features: list[tuple[int, tuple]] = []
-    for i, feat in enumerate(features):
-        if not isinstance(feat, (Node, tuple, _Unconverted)):  # an entry the hook left as it was
-            feat = _feature(feat)
-        if isinstance(feat, Node):
-            nodes.append(feat)
-        elif isinstance(feat, tuple):
-            edge_features.append((i, feat))
-        else:
-            errors.append(f"{path.name}: feature {i}: {feat}")
-
-    # Endpoints bind to nodes by exact coordinates; coincident nodes
-    # resolve to the lowest node id.
-    coord_to_node: dict[tuple[float, float], str] = {}
-    for node in nodes:
-        key = (node.x, node.y)
-        if key not in coord_to_node or node.node_id < coord_to_node[key]:
-            coord_to_node[key] = node.node_id
-
-    edges: list[Edge] = []
-    for i, (ends, fields) in edge_features:
-        unknown = next((key for key in ends if key not in coord_to_node), None)
+        return None
+    # An entry the hook left as it was converts now; rows a Feature nested elsewhere wrote are left out.
+    number = np.array([f if isinstance(f, _Feature) else columns.feature(f) for f in features], dtype=np.int64)
+    del doc, features
+    failed = np.isin(number, list(columns.failures))
+    errors += [f"{path.name}: feature {i}: {columns.failures[number[i]][1]}"
+               for i in np.flatnonzero(failed & (number >= 0)).tolist()]
+    nodes = number[~failed & (number >= 0)]
+    node_ids = [columns.node_ids[r] for r in nodes.tolist()]
+    x, y = np.frombuffer(columns.node_xy).reshape(-1, 2)[nodes].T
+    # Edge ends bind to nodes by exact coordinates, coincident nodes to the lowest id.
+    at = np.flatnonzero(number < 0)
+    edges = np.frombuffer(columns.edge_floats).reshape(-1, 7)[~number[at]]
+    by_id = np.array(sorted(range(len(node_ids)), key=node_ids.__getitem__), dtype=np.int64)
+    ends = np.r_[by_id, -1][_node_rows(x[by_id], y[by_id], edges[:, 0:4:2], edges[:, 1:4:2])]
+    bad = (ends < 0).any(axis=1) | failed[at]
+    for k in np.flatnonzero(bad).tolist():
+        converted, failure = columns.failures.get(int(number[at[k]]), (2, ""))
+        unknown = next((e for e in range(converted) if ends[k, e] < 0), None)
         if unknown is not None:
-            fields = _Unconverted(f"bad edge (endpoint {unknown} matches no node)")
-        if isinstance(fields, _Unconverted):
-            errors.append(f"{path.name}: feature {i}: {fields}")
-        else:
-            edge_id, *rest = fields
-            edges.append(Edge(edge_id, coord_to_node[ends[0]], coord_to_node[ends[1]], *rest))
-    return nodes, edges
+            failure = f"bad edge (endpoint {tuple(edges[k, 2 * unknown : 2 * unknown + 2].tolist())} matches no node)"
+        errors.append(f"{path.name}: feature {at[k]}: {failure}")
+    rows = (~number[at[~bad]]).tolist()
+    return (
+        node_ids, x, y, [columns.edge_ids[r] for r in rows], *ends[~bad].T, *edges[~bad, 4:].T,
+        [columns.kinds[r] for r in rows], [columns.bridge_of[r] for r in rows],
+    )
 
 
 def parse_config_text(text: str, source: str = CONFIG_FILE) -> tuple[dict[str, str], list[str]]:
@@ -371,7 +396,7 @@ def load_bundle(source: str | Path | BundlePaths) -> DatasetBundle:
     if errors:
         raise ValidationError(errors)
 
-    nodes, edges = _parse_network_geojson(paths.network, texts, errors)
+    network = _parse_network_geojson(paths.network, texts, errors)
     bridges = _parse_rows(paths.bridges, texts, _BRIDGE_COLUMNS, "bridge", _bridge_row, errors)
     supplies = _parse_rows(paths.supplies, texts, _SUPPLY_COLUMNS, "supply", _supply_row, errors)
     # "overall" is the whole population's group_summary.csv row, so no subgroup column may take that name.
@@ -381,7 +406,7 @@ def load_bundle(source: str | Path | BundlePaths) -> DatasetBundle:
 
     graph: RoadGraph | None = None
     try:
-        graph = build_graph(nodes, edges, bridges)
+        graph = graph_from_columns(*network, bridges) if network else build_graph([], [], bridges)
     except ValidationError as exc:
         errors.extend(exc.errors)
 
@@ -522,33 +547,12 @@ def write_bundle(bundle: DatasetBundle, out_dir: str | Path) -> BundlePaths:
     paths = BundlePaths.in_dir(out)
     graph = bundle.graph
 
-    features: list[dict] = []
-    for nid in graph.node_ids:
-        node = graph.nodes[nid]
-        features.append(
-            {
-                "type": "Feature",
-                "geometry": {"type": "Point", "coordinates": [node.x, node.y]},
-                "properties": {"id": nid},
-            }
-        )
-    for eid in graph.edge_ids:
-        edge = graph.edges[eid]
-        a, b = graph.nodes[edge.u], graph.nodes[edge.v]
-        features.append(
-            {
-                "type": "Feature",
-                "geometry": {"type": "LineString", "coordinates": [[a.x, a.y], [b.x, b.y]]},
-                "properties": {
-                    "id": eid,
-                    "length_m": edge.length_m,
-                    "speed_mps": edge.speed_mps,
-                    "kind": edge.kind,
-                    "bridge_id": edge.bridge_id,
-                    "h_r": edge.h_r,
-                },
-            }
-        )
+    xy = np.column_stack([graph._node_x, graph._node_y]).tolist()
+    features = [{"type": "Feature", "geometry": {"type": "Point", "coordinates": at}, "properties": {"id": nid}}
+                for nid, at in zip(graph.node_ids, xy)]
+    features += [{"type": "Feature", "geometry": {"type": "LineString", "coordinates": [xy[u], xy[v]]},
+                  "properties": dict(zip(("id", "length_m", "speed_mps", "kind", "bridge_id", "h_r"), (eid, *rest)))}
+                 for eid, u, v, *rest in graph.edge_rows()]
     _json_dump({"type": "FeatureCollection", "features": features}, paths.network)
 
     bridges = sorted(bundle.bridges, key=lambda r: r.bridge_id)

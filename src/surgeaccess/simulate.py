@@ -99,6 +99,7 @@ def sample_failures(
 
 # Rows per gathered block: the candidate rows convergence_report checks per step, and _gathered_sum's blocks.
 _CONVERGENCE_BLOCK = 256
+_CONVERGENCE_COLUMNS = 16  # columns convergence_report takes window spans over at once
 
 
 def _running_mean_blocks(table: np.ndarray, index: np.ndarray, size: int):
@@ -158,11 +159,15 @@ def convergence_report(trace: np.ndarray, window: int = 100, tolerance: float = 
         running = np.concatenate([running[max(0, running.shape[0] - window + 1) :], block])
         if running.shape[0] < window:
             continue
-        # Row r is the window of running means ending at row r + window - 1 of `running`.
-        spans = _window_spans(running, window)
-        reference = np.abs(running[window - 1 :])
-        settled = np.where(reference > 0.0, spans <= tolerance * reference, spans == 0.0)
-        rows = np.flatnonzero(settled.all(axis=1))
+        # Row r is the window of running means ending at row r + window - 1 of `running`; columns settle on their own.
+        settled = np.ones(running.shape[0] - window + 1, dtype=bool)
+        for start in range(0, running.shape[1], _CONVERGENCE_COLUMNS):
+            columns = running[:, start : start + _CONVERGENCE_COLUMNS]
+            spans, reference = _window_spans(columns, window), np.abs(columns[window - 1 :])
+            settled &= np.where(reference > 0.0, spans <= tolerance * reference, spans == 0.0).all(axis=1)
+            if not settled.any():  # no later column can settle a row
+                break
+        rows = np.flatnonzero(settled)
         if rows.size:
             return number * _CONVERGENCE_BLOCK + block.shape[0] - running.shape[0] + int(rows[0]) + window
     return None

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import builtins
 import dataclasses
+import gc
 import hashlib
 import json
 import tracemalloc
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from surgeaccess import fragility, hazard, scenario_io, simulate
+from surgeaccess import fragility, hazard, network, scenario_io, simulate
 from surgeaccess.errors import InvalidSpecError, ValidationError
 
 
@@ -500,6 +501,53 @@ def test_load_bundle_traced_peak_is_a_few_times_the_network_file(small_dir):
     finally:
         tracemalloc.stop()
     assert peak < 4 * (small_dir / scenario_io.NETWORK_FILE).stat().st_size
+
+
+def test_load_bundle_keeps_no_node_or_edge_records(default_fixture_dir):
+    """The graph holds its nodes and edges as columns: a load leaves no Node or Edge alive, and what it
+    still holds, the whole bundle included, is less than network.geojson's bytes."""
+    def records():
+        gc.collect()
+        return sum(isinstance(obj, (network.Node, network.Edge)) for obj in gc.get_objects())
+
+    scenario_io.load_bundle(default_fixture_dir)  # imports and caches settle first
+    before = records()
+    tracemalloc.start()
+    try:
+        bundle = scenario_io.load_bundle(default_fixture_dir)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert records() == before
+    assert held < (default_fixture_dir / scenario_io.NETWORK_FILE).stat().st_size
+    assert len(bundle.graph.edge_ids) > 3500
+
+
+def test_load_bundle_and_build_graph_build_the_same_graph(tmp_path, monkeypatch):
+    """The columns network.geojson decodes into and the generator's Node and Edge records give the
+    same graph, array for array and bit for bit, and its edges read back as the records."""
+    records, real = [], scenario_io.build_graph
+
+    def build_graph(*args):
+        records.extend(map(list, args))
+        return real(*records)
+
+    monkeypatch.setattr(scenario_io, "build_graph", build_graph)
+    scenario_io.generate_fixture(small_spec(), tmp_path / "small")
+    monkeypatch.undo()
+    nodes, edges, bridges = records
+    built, loaded = network.build_graph(nodes, edges, bridges), scenario_io.load_bundle(tmp_path / "small").graph
+    assert (loaded.node_ids, loaded.edge_ids, loaded.road_ids, loaded.bridge_ids) == (
+        built.node_ids, built.edge_ids, built.road_ids, built.bridge_ids
+    )
+    for name in ("_node_x", "_node_y", "_edge_u", "_edge_v", "_edge_minutes"):
+        a, b = getattr(loaded, name), getattr(built, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    for a, b in ((loaded.road_sites(), built.road_sites()), (loaded.bridge_sites(), built.bridge_sites())):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert any(edge.kind == network.BRIDGE for edge in edges)
+    assert all(loaded.edges[edge.edge_id] == edge for edge in edges)
+    assert all(loaded.nodes[node.node_id] == node for node in nodes)
 
 
 @pytest.mark.parametrize("name", [p.name for p in scenario_io.BundlePaths.in_dir(".").all_files()])

@@ -203,6 +203,24 @@ def test_convergence_matches_naive_scan_around_block_boundaries():
         assert indexed_report(never, window) is None
 
 
+def test_convergence_in_column_blocks_matches_all_columns_at_once(monkeypatch):
+    """Window spans taken _CONVERGENCE_COLUMNS columns at a time settle at the same sample count as all
+    columns at once, whether or not the column count is a multiple of the block."""
+    rng = np.random.default_rng(23)
+    block = simulate._CONVERGENCE_COLUMNS
+    traces = []
+    for columns in (1, block - 1, block, block + 1, 2 * block + 5):
+        for _ in range(4):
+            trace = rng.choice([0.0, 1.0, 5.0], size=(int(rng.integers(300, 1500)), columns))
+            if columns > 1:
+                trace[:, rng.integers(columns)] = 0.0  # a column that settles on zero range
+            traces.append(trace * rng.uniform(0.5, 2.0, size=columns))
+    blocked = [simulate.convergence_report(trace, 60, 0.04) for trace in traces]
+    monkeypatch.setattr(simulate, "_CONVERGENCE_COLUMNS", 10**6)
+    assert blocked == [simulate.convergence_report(trace, 60, 0.04) for trace in traces]
+    assert None in blocked and len(set(blocked)) > 10
+
+
 def test_convergence_matches_naive_scan_around_running_mean_blocks():
     block = simulate._CONVERGENCE_BLOCK
     for window in (100, block + 44):
