@@ -616,6 +616,50 @@ def test_write_results_byte_identical_across_reruns(tmp_path):
         assert pa[key].read_bytes() == pb[key].read_bytes()
 
 
+# sha256 of each write_results file at seed 42 and N=1000, manifest.json without its package_version line.
+# A change that means to move an output updates these digests and says so.
+GOLDEN_DIGESTS = {
+    "storm-1": {
+        "results_short.geojson": "10ef130af50e8759b3abfe690752a62819dc6a0bbf214bfb08b00c5da350b9b7",
+        "results_long.geojson": "068b0e22e2771e544e12573395e1e9b3ffe281e62278ed830dc6caf9c848ab80",
+        "group_summary.csv": "ab188f001dbc2a13c162304210cd4ee05b45e5f7b00daff98d8ff97f866937b8",
+        "manifest.json": "f860a4151840b24a5a5d8c242989ccae4331059c8e8568c618315b08eb2e815e",
+    },
+    "storm-2": {
+        "results_short.geojson": "baba9179c9b1a16760eb1953d24a144f1a0378020b15d87a1b7cab6c83354bf4",
+        "results_long.geojson": "4e55b62fe2a109abf0c073f18fe5ee09397663aadc75d31f0dadf8665768eb21",
+        "group_summary.csv": "4b266c7b6fb69970ec637768b1a028d9036fcf28444d6c7cb55176ca56e15ba4",
+        "manifest.json": "99021df9473aa53fbcb71c8699e39c1bec0b929dcae8c280c0776eba4beecc5b",
+    },
+    "twin": {
+        "results_short.geojson": "d2bf07e9562edbc83c5414561df1b5798815c950162295174b06ab3057c95c71",
+        "results_long.geojson": "5175a3d56ecf4da6f1e3e65385d3e8e231f7b5de9710ae47563a7b553a131b87",
+        "group_summary.csv": "609f4b570b79acaee7053a35e80e2bb8027fc35167c152844604640066225e7a",
+        "manifest.json": "d328af2089cb2547d49ee85ae11068e2bfa69292dbea2b3443a0055130c2e7aa",
+    },
+}
+
+
+def result_digests(result, bundle, out):
+    digests = {}
+    for path in scenario_io.write_results(result, bundle, out).values():
+        lines = path.read_bytes().splitlines(keepends=True)
+        if path.name == "manifest.json":
+            lines = [line for line in lines if not line.lstrip().startswith(b'"package_version":')]
+        digests[path.name] = hashlib.sha256(b"".join(lines)).hexdigest()
+    return digests
+
+
+def test_write_results_bytes_match_the_golden_digests(default_bundle, storm1_run, storm2_bundle, storm2_run, tmp_path):
+    twin = scenario_io.generate_twin_town(seed=42)
+    twin_result = simulate.run_scenario(twin.config, twin.graph, twin.bridges, twin.supplies, twin.demands)
+    runs = {"storm-1": (storm1_run[0], default_bundle), "storm-2": (storm2_run[0], storm2_bundle),
+            "twin": (twin_result, twin)}
+    for name, (result, bundle) in runs.items():
+        assert (result.seed, result.samples) == (42, 1000)
+        assert result_digests(result, bundle, tmp_path / name) == GOLDEN_DIGESTS[name], name
+
+
 def test_twin_town_guardrails():
     with pytest.raises(InvalidSpecError):
         scenario_io.generate_twin_town(p_fail=0.8)
