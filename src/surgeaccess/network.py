@@ -27,6 +27,7 @@ least of the few portal legs that lie within d0 with every unit open.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
@@ -41,7 +42,6 @@ from .errors import InvalidInputError, ValidationError
 
 ROAD = "road"
 BRIDGE = "bridge"
-EDGE_KINDS = (ROAD, BRIDGE)
 
 SHORT_TERM = "short"
 LONG_TERM = "long"
@@ -93,32 +93,28 @@ class RoadGraph:
     """A validated network held as columns, immutable after construction.
 
     Nodes are the sorted node_ids with x and y arrays. Edges are the sorted
-    edge_ids with endpoint node indices, length_m and speed_mps arrays, a
-    road flag, the bridge id of each bridge edge and h_r of each road (the
-    first column of road_sites). nodes and edges build the Node and Edge
-    mappings on first access. Construct through build_graph or
-    graph_from_columns, which validate and sort the columns.
+    edge_ids with endpoint node indices, length_m and speed_mps arrays,
+    bridge_rows (each edge's row in bridge_ids, -1 on a road) and h_r per
+    road (road_sites' first column); bridges maps bridge_ids, sorted, to
+    their records. nodes and edges build the Node and Edge mappings when
+    first read. build_graph and graph_from_columns validate and sort them.
     """
 
-    def __init__(self, node_ids, node_x, node_y, edge_ids, edge_u, edge_v, length_m, speed_mps, road,
-                 edge_bridge_ids, h_r, bridges: dict[str, BridgeRecord]):
+    def __init__(self, node_ids, node_x, node_y, edge_ids, edge_u, edge_v, length_m, speed_mps, bridge_rows, h_r,
+                 bridges: dict[str, BridgeRecord]):
         self.node_ids: tuple[str, ...] = node_ids
         self._node_x, self._node_y = node_x, node_y
         self.edge_ids: tuple[str, ...] = edge_ids
-        self._edge_pos = {eid: i for i, eid in enumerate(edge_ids)}
         self._edge_u, self._edge_v, self._edge_length, self._edge_speed = edge_u, edge_v, length_m, speed_mps
         self._edge_minutes = length_m / speed_mps / 60.0
-        self._edge_road, self._edge_bridge = road, edge_bridge_ids
-        self.road_ids: tuple[str, ...] = tuple(compress(edge_ids, road))
+        self.bridge_rows, self._edge_road = bridge_rows, bridge_rows < 0
+        self.road_ids: tuple[str, ...] = tuple(compress(edge_ids, self._edge_road))
         self.bridges = bridges
-        self.bridge_ids: tuple[str, ...] = tuple(sorted(bridges))
-        self._edges_by_bridge: dict[str, tuple[str, ...]] = dict.fromkeys(self.bridge_ids, ())
-        for eid, bid in zip(compress(edge_ids, ~road), edge_bridge_ids):
-            self._edges_by_bridge[bid] += (eid,)
+        self.bridge_ids: tuple[str, ...] = tuple(bridges)
 
-        rows = [(b.deck_elevation_m, b.x, b.y) for b in map(bridges.get, self.bridge_ids)]
+        rows = [(b.deck_elevation_m, b.x, b.y) for b in bridges.values()]
         self._bridge_sites = np.array(rows, dtype=float).reshape(-1, 3)
-        u, v = edge_u[road], edge_v[road]
+        u, v = edge_u[self._edge_road], edge_v[self._edge_road]
         mid_x, mid_y = (node_x[u] + node_x[v]) / 2.0, (node_y[u] + node_y[v]) / 2.0
         self._road_sites = np.column_stack([h_r, mid_x, mid_y])
         self._bridge_sites.flags.writeable = self._road_sites.flags.writeable = False
@@ -135,8 +131,9 @@ class RoadGraph:
     def edge_rows(self) -> Iterator[tuple]:
         """(edge_id, u, v, length_m, speed_mps, kind, bridge_id, h_r) per edge in edge_ids order, u and v as
         indices into node_ids; bridge_id is None on a road and h_r None on a bridge."""
-        bridge_id, h_r = np.full((2, len(self.edge_ids)), None, dtype=object)
-        bridge_id[~self._edge_road], h_r[self._edge_road] = self._edge_bridge, self._road_sites[:, 0].tolist()
+        bridge_id = np.array([*self.bridge_ids, None], dtype=object)[self.bridge_rows]  # a road's -1 reads None
+        h_r = np.full(len(self.edge_ids), None, dtype=object)
+        h_r[self._edge_road] = self._road_sites[:, 0].tolist()
         kinds = [ROAD if road else BRIDGE for road in self._edge_road.tolist()]
         return zip(self.edge_ids, self._edge_u.tolist(), self._edge_v.tolist(), self._edge_length.tolist(),
                    self._edge_speed.tolist(), kinds, bridge_id.tolist(), h_r.tolist())
@@ -156,13 +153,15 @@ class RoadGraph:
         return csr_matrix((w_min, (key[starts] // n, key[starts] % n)), shape=(n, n))
 
     def edge_flags(self, edge_ids: Iterable[str]) -> np.ndarray:
-        """Boolean per edge, aligned with edge_ids, set for the named edges the graph holds."""
+        """Boolean per edge, aligned with edge_ids, set for the named edges the graph holds (found by bisection)."""
         flags = np.zeros(len(self.edge_ids), dtype=bool)
-        flags[[self._edge_pos[eid] for eid in edge_ids if eid in self._edge_pos]] = True
+        at = ((bisect_left(self.edge_ids, eid), eid) for eid in edge_ids)
+        flags[[i for i, eid in at if self.edge_ids[i : i + 1] == (eid,)]] = True
         return flags
 
     def edges_for_bridge(self, bridge_id: str) -> tuple[str, ...]:
-        return self._edges_by_bridge.get(bridge_id, ())
+        row = self.bridge_ids.index(bridge_id) if bridge_id in self.bridges else len(self.bridge_ids)  # no edge's row
+        return tuple(compress(self.edge_ids, self.bridge_rows == row))
 
     def bridge_sites(self) -> np.ndarray:
         """(deck_elevation_m, x, y) rows, one per bridge in bridge_ids order; read-only."""
@@ -203,6 +202,22 @@ def _id_groups(ids: Sequence[str], ok: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return np.argsort(rank, kind="stable"), rank, first_ok[rank]
 
 
+def valid_bridges(bridges: Iterable[BridgeRecord], errors: list[str]) -> dict[str, BridgeRecord]:
+    """The valid bridge records in id order; a repeated id, non-finite field or mass outside (0, 35] goes to errors."""
+    valid: dict[str, BridgeRecord] = {}
+    for rec in bridges:
+        bad = [f for f in ("deck_elevation_m", "mass_ton_per_m", "x", "y") if not math.isfinite(getattr(rec, f))]
+        if rec.bridge_id in valid:
+            errors.append(f"duplicate bridge id {rec.bridge_id}")
+        elif bad:
+            errors.append(f"bridge {rec.bridge_id}: non-finite {', '.join(bad)}")
+        elif not 0.0 < rec.mass_ton_per_m <= 35.0:
+            errors.append(f"bridge {rec.bridge_id}: mass {rec.mass_ton_per_m} ton/m outside supported range (0, 35]")
+        else:
+            valid[rec.bridge_id] = rec
+    return dict(sorted(valid.items()))
+
+
 def graph_from_columns(
     node_ids: Sequence[str], node_x: np.ndarray, node_y: np.ndarray, edge_ids: Sequence[str], edge_u: np.ndarray,
     edge_v: np.ndarray, length_m: np.ndarray, speed_mps: np.ndarray, h_r: np.ndarray, kinds: Sequence[str],
@@ -224,21 +239,7 @@ def graph_from_columns(
         errors.append(f"duplicate node id {nid}" if node_first[i] < i else f"node {nid}: non-finite coordinates")
     if not n:
         errors.append("network has no nodes")
-
-    bridge_map: dict[str, BridgeRecord] = {}
-    for rec in bridges:
-        if rec.bridge_id in bridge_map:
-            errors.append(f"duplicate bridge id {rec.bridge_id}")
-            continue
-        bad = [name for name in ("deck_elevation_m", "mass_ton_per_m", "x", "y")
-               if not math.isfinite(getattr(rec, name))]
-        if bad:
-            errors.append(f"bridge {rec.bridge_id}: non-finite {', '.join(bad)}")
-            continue
-        if not 0.0 < rec.mass_ton_per_m <= 35.0:
-            errors.append(f"bridge {rec.bridge_id}: mass {rec.mass_ton_per_m} ton/m outside supported range (0, 35]")
-            continue
-        bridge_map[rec.bridge_id] = rec
+    bridge_map = valid_bridges(bridges, errors)
 
     # Per edge end: is it a known node, and which id does it name (unknown names stay negative)?
     ends = np.stack([edge_u, edge_v])
@@ -264,18 +265,17 @@ def graph_from_columns(
         errors += [f"edge {edge_ids[i]}: " + _EDGE_PROBLEMS[c].format(**fields) for c in np.flatnonzero(failed[:, i])]
 
     referenced = {bridge_of[i] for i in np.flatnonzero(bridge & known_bridge & ~duplicate).tolist()}
-    for bid in sorted(bridge_map):
-        if bid not in referenced:
-            errors.append(f"bridge {bid}: no edge references it")
+    errors += [f"bridge {bid}: no edge references it" for bid in bridge_map if bid not in referenced]
 
     if errors:
         raise ValidationError(errors)
     # Every id is now unique, so an id's rank is its index in the sorted ids.
-    road, edge_bridge = road[edge_order], [bridge_of[i] for i in edge_order[~road[edge_order]].tolist()]
+    row_of = {bid: row for row, bid in enumerate(bridge_map)}
+    bridge_rows = np.array([row_of.get(bridge_of[i], -1) for i in edge_order.tolist()], dtype=np.int64)
     return RoadGraph(
         tuple(node_ids[i] for i in node_order.tolist()), node_x[node_order], node_y[node_order],
         tuple(edge_ids[i] for i in edge_order.tolist()), name[0, edge_order], name[1, edge_order],
-        length_m[edge_order], speed_mps[edge_order], road, tuple(edge_bridge), h_r[edge_order][road], bridge_map,
+        length_m[edge_order], speed_mps[edge_order], bridge_rows, h_r[edge_order][bridge_rows < 0], bridge_map,
     )
 
 
@@ -300,6 +300,8 @@ def closure_mask(
     long horizon keeps them open because water recedes but collapsed
     decks stay collapsed. exposures rows follow graph.bridge_ids and
     graph.road_ids, as evaluate_exposures returns them for the graph's sites.
+    Each rule is one boolean array; the provenance lists structural, then
+    inundated bridge, then flooded road edges, each in edge_ids order.
     """
     if horizon not in HORIZONS:
         raise InvalidInputError(f"unknown horizon {horizon!r}; expected one of {HORIZONS}")
@@ -311,16 +313,14 @@ def closure_mask(
     if shapes != ((len(graph.bridge_ids),), (len(graph.road_ids),)):
         raise InvalidInputError(f"exposures need one z_c per bridge and one depth per road, got shapes {shapes}")
 
-    closed: dict[str, str] = {}
-    for bid in graph.bridge_ids:
-        if failure_draw[bid]:
-            closed.update(dict.fromkeys(graph.edges_for_bridge(bid), STRUCTURAL))
+    # A road's bridge row -1 reads the False appended to each per-bridge rule.
+    structural = np.array([failure_draw[bid] for bid in graph.bridge_ids] + [False], dtype=bool)[graph.bridge_rows]
+    closed = dict.fromkeys(compress(graph.edge_ids, structural), STRUCTURAL)
     if horizon == SHORT_TERM:
-        for bid in compress(graph.bridge_ids, hazard.bridge_inundation_closed(exposures.z_c, thresholds)):
-            for eid in graph.edges_for_bridge(bid):
-                closed.setdefault(eid, INUNDATION)
-        for eid in compress(graph.road_ids, hazard.road_inundation_closed(exposures.road_depth, thresholds)):
-            closed.setdefault(eid, INUNDATION)
+        inundated = np.append(hazard.bridge_inundation_closed(exposures.z_c, thresholds), False)[graph.bridge_rows]
+        flooded = hazard.road_inundation_closed(exposures.road_depth, thresholds)
+        closed.update(dict.fromkeys(compress(graph.edge_ids, inundated & ~structural), INUNDATION))
+        closed.update(dict.fromkeys(compress(graph.road_ids, flooded), INUNDATION))
     return ClosureMask(provenance=closed)
 
 

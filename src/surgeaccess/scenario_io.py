@@ -44,7 +44,7 @@ from . import __version__
 from .access import DemandSite, SupplySite
 from .errors import InvalidInputError, InvalidSpecError, ValidationError
 from .hazard import ExposureThresholds, SurgeField
-from .network import BRIDGE, EDGE_KINDS, ROAD, BridgeRecord, Edge, Node, RoadGraph, build_graph, graph_from_columns
+from .network import BRIDGE, ROAD, BridgeRecord, Edge, Node, RoadGraph, build_graph, graph_from_columns, valid_bridges
 from .simulate import ScenarioConfig, ScenarioResult
 
 NETWORK_FILE = "network.geojson"
@@ -116,12 +116,15 @@ class DatasetBundle:
     """A fully validated scenario dataset plus its run configuration."""
 
     graph: RoadGraph
-    bridges: tuple[BridgeRecord, ...]
     supplies: tuple[SupplySite, ...]
     demands: tuple[DemandSite, ...]
     config: ScenarioConfig
     crs: str
     input_hashes: dict[str, str] = field(default_factory=dict)
+
+    @property
+    def bridges(self) -> tuple[BridgeRecord, ...]:  # the graph's records, in bridge_ids order
+        return tuple(self.graph.bridges.values())
 
 
 def _floats(rec: Mapping[str, str], names: Iterable[str]) -> list[float]:
@@ -193,7 +196,7 @@ class _Feature(int):
     __slots__ = ()
 
 
-_KINDS = {kind: kind for kind in EDGE_KINDS}  # one string object per known kind
+_KINDS = {ROAD: ROAD, BRIDGE: BRIDGE}  # one string object per known kind
 
 
 class _NetworkColumns:
@@ -406,9 +409,11 @@ def load_bundle(source: str | Path | BundlePaths) -> DatasetBundle:
 
     graph: RoadGraph | None = None
     try:
-        graph = graph_from_columns(*network, bridges) if network else build_graph([], [], bridges)
+        graph = graph_from_columns(*network, bridges) if network else None
     except ValidationError as exc:
         errors.extend(exc.errors)
+    if network is None:  # its parse failure is reported alone, not again as an empty network's
+        valid_bridges(bridges, errors)
 
     for name, kind, ids, empty in (
         (SUPPLIES_FILE, "supply", [s.supply_id for s in supplies], "no supply sites"),
@@ -429,7 +434,6 @@ def load_bundle(source: str | Path | BundlePaths) -> DatasetBundle:
 
     return DatasetBundle(
         graph=graph,
-        bridges=tuple(sorted(bridges, key=lambda b: b.bridge_id)),
         supplies=tuple(supplies),
         demands=tuple(demands),
         config=config,
@@ -555,10 +559,7 @@ def write_bundle(bundle: DatasetBundle, out_dir: str | Path) -> BundlePaths:
                  for eid, u, v, *rest in graph.edge_rows()]
     _json_dump({"type": "FeatureCollection", "features": features}, paths.network)
 
-    bridges = sorted(bundle.bridges, key=lambda r: r.bridge_id)
-    _write_csv(
-        paths.bridges, _BRIDGE_COLUMNS, ([r.bridge_id, r.deck_elevation_m, r.mass_ton_per_m, r.x, r.y] for r in bridges)
-    )
+    _write_csv(paths.bridges, _BRIDGE_COLUMNS, map(dataclasses.astuple, bundle.bridges))
     cfg = bundle.config
     surge = cfg.surge
     _write_csv(paths.surge, _SURGE_COLUMNS, np.column_stack([surge.x, surge.y, surge.h_st, surge.h_s]).tolist())
@@ -823,7 +824,6 @@ def generate_fixture(spec: SyntheticFixtureSpec, out_dir: str | Path) -> BundleP
     )
     bundle = DatasetBundle(
         graph=graph,
-        bridges=tuple(sorted(bridges, key=lambda b: b.bridge_id)),
         supplies=tuple(supplies),
         demands=tuple(demands),
         config=config,
@@ -874,7 +874,6 @@ def generate_twin_town(p_fail: float = 0.5, samples: int = 1000, seed: int = 7) 
     config = ScenarioConfig(storm="twin", surge=surge, samples=samples, seed=seed)
     return DatasetBundle(
         graph=graph,
-        bridges=tuple(bridges),
         supplies=supplies,
         demands=demands,
         config=config,

@@ -245,7 +245,6 @@ class ScenarioResult:
     seed: int
     samples: int
     d0_minutes: float
-    demand_ids: tuple[str, ...]
     failure_probability: dict[str, float]
     exposures: hazard.ExposureSet
     fragility_checksum: str
@@ -307,24 +306,26 @@ def run_scenario(
     for bid, h_max, z_c in zip(graph.bridge_ids, exposures.h_max.tolist(), exposures.z_c.tolist()):
         row = table.coefficients_for(graph.bridges[bid].mass_ton_per_m)
         failure_probability[bid] = fragility.uplift_probability(row, h_max, z_c)
-    # u < 0 never holds and u < 1 always does, so only 0 < p < 1 needs a draw.
-    at_risk = {bid: p for bid, p in failure_probability.items() if 0.0 < p < 1.0}
-    always = [bid for bid, p in failure_probability.items() if p == 1.0]
 
     snapped = (network.snap_sites(graph, demands), network.snap_sites(graph, supplies))
     units = network.closure_units(graph, np.concatenate(snapped))
     # Sites on one node share their reach, so searches and 2SFCA sums run on the distinct (demand, supply) nodes.
     nodes, (d_row, s_col) = zip(*(np.unique(sites, return_inverse=True) for sites in snapped))
+    bridge_units: list[set[int]] = [set() for _ in graph.bridge_ids]  # the closure units of each bridge's edges
+    on_bridge = graph.bridge_rows >= 0
+    for row, unit in zip(graph.bridge_rows[on_bridge].tolist(), units[on_bridge].tolist()):
+        bridge_units[row].add(unit)
 
-    def units_of(edge_ids) -> frozenset[int]:
-        return frozenset(units[graph.edge_flags(edge_ids)].tolist())
-
+    # u < 0 never holds and u < 1 always does, so only 0 < p < 1 needs a draw; p = 1 closes its units always.
     # Bridges that touch the same closure units close the same network, so each such group draws one outcome,
-    # its members by p descending, then by id (at_risk is in id order and a reversed sort stays stable).
-    groups: dict[frozenset[int], list[str]] = {}
-    for bid in sorted(at_risk, key=at_risk.get, reverse=True):
-        groups.setdefault(units_of(graph.edges_for_bridge(bid)), []).append(bid)
-    cuts = [tuple(failure_cuts({bid: at_risk[bid] for bid in members}).items()) for members in groups.values()]
+    # its members by p descending, then by id (bridges are in id order and a reversed sort stays stable).
+    bridges_p = list(zip(graph.bridge_ids, failure_probability.values(), bridge_units))
+    fixed_units = set().union(*(touched for _, p, touched in bridges_p if p == 1.0))
+    groups: dict[frozenset[int], dict[str, float]] = {}
+    for bid, p, touched in sorted(bridges_p, key=lambda b: b[1], reverse=True):
+        if 0.0 < p < 1.0:
+            groups.setdefault(frozenset(touched), {})[bid] = p
+    cuts = [tuple(failure_cuts(members).items()) for members in groups.values()]
 
     # Pass one: per-sample pattern of failed groups, numbered in first-seen order.
     patterns: dict[tuple[bool, ...], int] = {}
@@ -334,14 +335,13 @@ def run_scenario(
     )
 
     # Pass two: patterns to closure-unit sets, one evaluation per distinct set.
-    fixed_units = units_of(eid for bid in always for eid in graph.edges_for_bridge(bid))
     no_failures = {bid: False for bid in failure_probability}
     items: list[tuple[str, frozenset[int]]] = []
     portals: dict[str, network.PortalDistances] = {}
     sample_network: dict[str, np.ndarray] = {}
     for horizon in config.horizons:
         base_mask = network.closure_mask(graph, exposures, config.thresholds, no_failures, horizon)
-        base = fixed_units | units_of(base_mask.provenance)
+        base = fixed_units | set(units[graph.edge_flags(base_mask.provenance)].tolist())
         base_closed = np.isin(units, sorted(base))
         live_units = frozenset(units[network.live_edges(graph, base_closed, *nodes, config.d0_minutes)].tolist())
         live_risk = [(u & live_units) - base for u in groups]
@@ -366,7 +366,6 @@ def run_scenario(
         seed=config.seed,
         samples=config.samples,
         d0_minutes=config.d0_minutes,
-        demand_ids=demand_ids,
         failure_probability=failure_probability,
         exposures=exposures,
         fragility_checksum=table.checksum(),

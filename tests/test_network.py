@@ -264,6 +264,80 @@ def test_closure_mask_input_errors():
         assert str(err.value).endswith(f"got shapes {shapes}")
 
 
+def random_bridged_graph(rng):
+    """Random multigraph with roads and bridges of one to three edges each, exposures for its sites, and
+    the bridge id each input edge names (None on a road).
+
+    Edge ids are a shuffled numbering, so a bridge's edges sort apart from each other and in another
+    order than the bridge ids do."""
+    n = int(rng.integers(3, 10))
+    nodes = mk_nodes(rng.uniform(0.0, 1000.0, size=(n, 2)))
+    spans = rng.integers(1, 4, size=int(rng.integers(0, 6)))
+    owners = [f"b{k}" for k in rng.permutation(spans.size)]  # bridge ids in shuffled order too
+    kinds = [owners[k] for k in range(spans.size) for _ in range(spans[k])] + [None] * int(rng.integers(1, 8))
+    edges = []
+    for name, bridge_id in zip(rng.permutation(len(kinds)).tolist(), kinds):
+        u, v = (nodes[i].node_id for i in rng.choice(n, size=2, replace=False))
+        if bridge_id is None:
+            edges.append(road(f"e{name:02d}", u, v, 60.0, h_r=float(rng.uniform(0.0, 2.0))))
+        else:
+            edges.append(network.Edge(f"e{name:02d}", u, v, 60.0, 1.0, kind=network.BRIDGE, bridge_id=bridge_id))
+    bridges = [network.BridgeRecord(bid, 5.0, 10.0, 0.0, 0.0) for bid in owners]
+    graph = network.build_graph(nodes, edges, bridges)
+    z_c = rng.choice([-2.0, -0.6, -0.5, 1.0], size=len(graph.bridge_ids))
+    depth = rng.choice([-1.0, 0.5, 0.6, 2.0], size=len(graph.road_ids))
+    return graph, hazard.ExposureSet(z_c, np.zeros_like(z_c), depth), {e.edge_id: e.bridge_id for e in edges}
+
+
+def scalar_closure_reference(graph, bridge_of, exposures, thresholds, draw, horizon):
+    """closure_mask's provenance from each bridge's and each road's own scalar rule, with a bridge's edges
+    found in the input edges' bridge ids (bridge_of): structural, then inundated bridge, then flooded road
+    edges, each in edge id order."""
+    structural, inundated, flooded = [], [], []
+    for row, bid in enumerate(graph.bridge_ids):
+        spans = [eid for eid, owner in bridge_of.items() if owner == bid]
+        if draw[bid]:
+            structural += spans
+        elif horizon == network.SHORT_TERM and exposures.z_c[row] <= thresholds.bridge_close_zc:
+            inundated += spans
+    for row, eid in enumerate(graph.road_ids):
+        if horizon == network.SHORT_TERM and exposures.road_depth[row] >= thresholds.road_close_din:
+            flooded.append(eid)
+    return [*((eid, network.STRUCTURAL) for eid in sorted(structural)),
+            *((eid, network.INUNDATION) for eid in sorted(inundated) + sorted(flooded))]
+
+
+def test_closure_mask_matches_per_bridge_scalar_rules_on_random_graphs():
+    rng = np.random.default_rng(2024)
+    thresholds = hazard.ExposureThresholds()
+    orders_differ = multi_edge = 0
+    for _ in range(150):
+        graph, exposures, bridge_of = random_bridged_graph(rng)
+        first_edge = [min(eid for eid, owner in bridge_of.items() if owner == bid) for bid in graph.bridge_ids]
+        orders_differ += first_edge != sorted(first_edge)
+        multi_edge += any(graph.bridge_rows.tolist().count(row) > 1 for row in range(len(graph.bridge_ids)))
+        for horizon in network.HORIZONS:
+            draw = {bid: bool(rng.random() < 0.4) for bid in graph.bridge_ids}
+            got = network.closure_mask(graph, exposures, thresholds, draw, horizon).provenance
+            assert list(got.items()) == scalar_closure_reference(graph, bridge_of, exposures, thresholds, draw, horizon)
+    assert orders_differ > 30 and multi_edge > 30  # the cases the edge arrays must get right do occur
+
+
+def test_edge_flags_finds_known_ids_and_skips_unknown_ones():
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        graph, _, _ = random_bridged_graph(rng)
+        known = [graph.edge_ids[i] for i in rng.integers(0, len(graph.edge_ids), size=int(rng.integers(0, 8)))]
+        # Unknown ids that sort before, between and after the graph's ids, and known ids named twice.
+        names = known + known[:2] + ["a", "e", "e00x", f"{graph.edge_ids[-1]}x", "z", ""]
+        rng.shuffle(names)
+        want = np.isin(np.array(graph.edge_ids), known)
+        for given in (names, tuple(names), (name for name in names)):
+            assert np.array_equal(graph.edge_flags(given), want)
+    assert not line_graph(2).edge_flags(["e00x", "a"]).any()
+    assert network.build_graph(mk_nodes([(0, 0)]), [], []).edge_flags(["e00"]).shape == (0,)
+
+
 def _nearest_surge(field, x, y):
     """h_st of the field's nearest sample to (x, y), by a scan of every sample; no surge outside coverage."""
     d2 = (field.x - x) ** 2 + (field.y - y) ** 2

@@ -173,6 +173,7 @@ def test_load_bundle_reads_each_input_file_once(twin_dir, monkeypatch):
 
 
 def test_load_bundle_reports_every_file_problem(twin_dir):
+    valid = {path: path.read_bytes() for path in scenario_io.BundlePaths.in_dir(twin_dir).all_files()}
     (twin_dir / scenario_io.NETWORK_FILE).write_text("not json at all")
     (twin_dir / scenario_io.BRIDGES_FILE).write_text(
         "bridge_id,h_b,mass_ton_per_m,x,y\nb-main,oops,2.0,900.0,0.0\n"
@@ -235,6 +236,28 @@ def test_load_bundle_reports_every_file_problem(twin_dir):
     with pytest.raises(ValidationError) as err:
         scenario_io.load_bundle(twin_dir)
     assert "supplies.csv: no supply sites" in err.value.errors
+
+    # A network file that does not parse is reported alone, not again as an empty network with unreferenced
+    # bridges; the bridge records are still checked.
+    for path, data in valid.items():
+        path.write_bytes(data)
+    bridges_file = twin_dir / scenario_io.BRIDGES_FILE
+    bad_bridges = "b-main,5.0,40.0,900.0,0.0\nb-nan,nan,2.0,0.0,0.0\nb-ok,5.0,2.0,0.0,0.0\nb-ok,5.0,2.0,0.0,0.0\n"
+    for text, problem in (('{"type": "FeatureCollection", "features": [', "not valid JSON"),
+                          ("[]", "expected a GeoJSON FeatureCollection")):
+        network_file.write_text(text)
+        bridges_file.write_bytes(valid[bridges_file])
+        with pytest.raises(ValidationError) as err:
+            scenario_io.load_bundle(twin_dir)
+        assert len(err.value.errors) == 1 and err.value.errors[0].startswith(f"network.geojson: {problem}")
+        bridges_file.write_text("bridge_id,h_b,mass_ton_per_m,x,y\n" + bad_bridges)
+        with pytest.raises(ValidationError) as err:
+            scenario_io.load_bundle(twin_dir)
+        assert err.value.errors[1:] == [
+            "bridge b-main: mass 40.0 ton/m outside supported range (0, 35]",
+            "bridge b-nan: non-finite deck_elevation_m",
+            "duplicate bridge id b-ok",
+        ]
 
 
 def test_surge_csv_values_round_trip(twin_dir):
