@@ -5,9 +5,10 @@ carry an authoritative length and free-flow speed, and bridge edges point
 at a bridge record that holds deck elevation and superstructure mass.
 Travel times are free-flow minutes; anything beyond the catchment radius
 d0 is treated as unreachable. RoadGraph holds nodes and edges as id
-tuples and arrays, which build_graph (from records) and graph_from_columns
-(from a decoded file) validate alike. Exposure sites, and so the exposure
-rows closure_mask reads, follow RoadGraph's bridge_ids and road_ids orders.
+tuples and arrays; its one constructor validates the columns it is given,
+whether build_graph takes them from records or load_bundle from a decoded
+file. Exposure sites, and so the exposure rows closure_mask reads, follow
+RoadGraph's bridge_ids and road_ids orders.
 
 Shortest paths run on a compressed-sparse matrix via scipy's Dijkstra,
 with closed edges given as a boolean per edge. Parallel edges between
@@ -73,10 +74,6 @@ class Edge:
     bridge_id: str | None = None
     h_r: float | None = None
 
-    @property
-    def minutes(self) -> float:
-        return self.length_m / self.speed_mps / 60.0
-
 
 @dataclass(frozen=True)
 class BridgeRecord:
@@ -89,40 +86,127 @@ class BridgeRecord:
     y: float
 
 
+# What can be wrong with an edge, in the order RoadGraph reports it.
+_EDGE_PROBLEMS = (
+    "unknown endpoint node {u}", "unknown endpoint node {v}", "self-loop at node {u}",
+    "length must be finite and > 0, got {length}", "speed must be finite and > 0, got {speed}", "unknown kind {kind!r}",
+    "bridge edge without bridge_id", "unknown bridge {bid}", "road edge carries bridge_id {bid}",
+    "road edge needs a finite lowest elevation h_r",
+)
+
+
+def _id_groups(ids: Sequence[str], ok: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The stable order that sorts ids and, per row, its id's rank among the
+    distinct ids and the first ok row with that id (len(ids) if none)."""
+    rank = np.unique(np.array(ids, dtype=object), return_inverse=True)[1]
+    first_ok = np.full(len(ids), len(ids))
+    np.minimum.at(first_ok, rank[ok], np.flatnonzero(ok))
+    return np.argsort(rank, kind="stable"), rank, first_ok[rank]
+
+
+def valid_bridges(bridges: Iterable[BridgeRecord], errors: list[str]) -> dict[str, BridgeRecord]:
+    """The valid bridge records in id order; a repeated id, non-finite field or mass outside (0, 35] goes to errors."""
+    valid: dict[str, BridgeRecord] = {}
+    for rec in bridges:
+        bad = [f for f in ("deck_elevation_m", "mass_ton_per_m", "x", "y") if not math.isfinite(getattr(rec, f))]
+        if rec.bridge_id in valid:
+            errors.append(f"duplicate bridge id {rec.bridge_id}")
+        elif bad:
+            errors.append(f"bridge {rec.bridge_id}: non-finite {', '.join(bad)}")
+        elif not 0.0 < rec.mass_ton_per_m <= 35.0:
+            errors.append(f"bridge {rec.bridge_id}: mass {rec.mass_ton_per_m} ton/m outside supported range (0, 35]")
+        else:
+            valid[rec.bridge_id] = rec
+    return dict(sorted(valid.items()))
+
+
 class RoadGraph:
     """A validated network held as columns, immutable after construction.
 
-    Nodes are the sorted node_ids with x and y arrays. Edges are the sorted
-    edge_ids with endpoint node indices, length_m and speed_mps arrays,
-    bridge_rows (each edge's row in bridge_ids, -1 on a road) and h_r per
-    road (road_sites' first column); bridges maps bridge_ids, sorted, to
-    their records. nodes and edges build the Node and Edge mappings when
-    first read. build_graph and graph_from_columns validate and sort them.
+    Built from node and edge columns in any order, it reports every
+    failure at once: nodes, bridges, then edges, each in input order with
+    its failures together. edge_u and edge_v are node rows, ~k standing for
+    unknown_nodes[k], a name no node has; h_r is nan where absent. A row
+    whose id an earlier valid row holds is a duplicate, checked no further;
+    an endpoint or bridge is known if a valid node or bridge has its id.
+
+    Nodes are kept as the sorted node_ids with node_x and node_y arrays.
+    Edges are the sorted edge_ids with endpoint node indices, length_m and
+    speed_mps arrays, bridge_rows (each edge's row in bridge_ids, -1 on a
+    road) and h_r per road (road_sites' first column); bridges maps
+    bridge_ids, sorted, to their records. nodes and edges build the Node and
+    Edge mappings when first read.
     """
 
-    def __init__(self, node_ids, node_x, node_y, edge_ids, edge_u, edge_v, length_m, speed_mps, bridge_rows, h_r,
-                 bridges: dict[str, BridgeRecord]):
-        self.node_ids: tuple[str, ...] = node_ids
-        self._node_x, self._node_y = node_x, node_y
-        self.edge_ids: tuple[str, ...] = edge_ids
-        self._edge_u, self._edge_v, self._edge_length, self._edge_speed = edge_u, edge_v, length_m, speed_mps
-        self._edge_minutes = length_m / speed_mps / 60.0
-        self.bridge_rows, self._edge_road = bridge_rows, bridge_rows < 0
-        self.road_ids: tuple[str, ...] = tuple(compress(edge_ids, self._edge_road))
-        self.bridges = bridges
-        self.bridge_ids: tuple[str, ...] = tuple(bridges)
+    def __init__(
+        self, node_ids: Sequence[str], node_x: np.ndarray, node_y: np.ndarray, edge_ids: Sequence[str],
+        edge_u: np.ndarray, edge_v: np.ndarray, length_m: np.ndarray, speed_mps: np.ndarray, h_r: np.ndarray,
+        kinds: Sequence[str], bridge_of: Sequence[str | None], bridges: Iterable[BridgeRecord],
+        unknown_nodes: Sequence[str] = (),
+    ):
+        errors: list[str] = []
+        n = len(node_ids)
+        node_order, node_rank, node_first = _id_groups(node_ids, np.isfinite(node_x) & np.isfinite(node_y))
+        for i in np.flatnonzero(node_first != np.arange(n)).tolist():  # a repeated id or non-finite coordinates
+            nid = node_ids[i]
+            errors.append(f"duplicate node id {nid}" if node_first[i] < i else f"node {nid}: non-finite coordinates")
+        if not n:
+            errors.append("network has no nodes")
+        self.bridges = bridge_map = valid_bridges(bridges, errors)
 
-        rows = [(b.deck_elevation_m, b.x, b.y) for b in bridges.values()]
+        # Per edge end: is it a known node, and which id does it name (unknown names stay negative)?
+        ends = np.stack([edge_u, edge_v])
+        at = np.where(ends >= 0, ends, n)
+        known, name = np.append(node_first < n, False)[at], np.where(ends >= 0, np.append(node_rank, 0)[at], ends)
+        road, bridge, has_bridge, known_bridge = (np.array(flags, dtype=bool) for flags in (
+            [k == ROAD for k in kinds], [k == BRIDGE for k in kinds], [b is not None for b in bridge_of],
+            [b in bridge_map for b in bridge_of]))
+        failed = np.stack([  # per _EDGE_PROBLEMS entry and edge
+            ~known[0], ~known[1], name[0] == name[1], ~(np.isfinite(length_m) & (length_m > 0.0)),
+            ~(np.isfinite(speed_mps) & (speed_mps > 0.0)), ~road & ~bridge, bridge & ~has_bridge,
+            bridge & has_bridge & ~known_bridge, road & has_bridge, road & ~np.isfinite(h_r),
+        ])
+        ok = ~failed.any(axis=0)
+        edge_order, _, edge_first = _id_groups(edge_ids, ok)
+        duplicate = edge_first < np.arange(len(edge_ids))
+        for i in np.flatnonzero(duplicate | ~ok).tolist():
+            if duplicate[i]:
+                errors.append(f"duplicate edge id {edge_ids[i]}")
+                continue
+            u, v = (node_ids[e] if e >= 0 else unknown_nodes[~e] for e in ends[:, i].tolist())
+            vals = dict(u=u, v=v, length=float(length_m[i]), speed=float(speed_mps[i]), kind=kinds[i], bid=bridge_of[i])
+            errors += [f"edge {edge_ids[i]}: " + _EDGE_PROBLEMS[c].format(**vals) for c in np.flatnonzero(failed[:, i])]
+
+        referenced = {bridge_of[i] for i in np.flatnonzero(bridge & known_bridge & ~duplicate).tolist()}
+        errors += [f"bridge {bid}: no edge references it" for bid in bridge_map if bid not in referenced]
+
+        if errors:
+            raise ValidationError(errors)
+
+        # Every id is now unique, so an id's rank is its index in the sorted ids.
+        self.node_ids: tuple[str, ...] = tuple(node_ids[i] for i in node_order.tolist())
+        self.node_x, self.node_y = node_x[node_order], node_y[node_order]
+        self.edge_ids: tuple[str, ...] = tuple(edge_ids[i] for i in edge_order.tolist())
+        self._edge_u, self._edge_v = name[0, edge_order], name[1, edge_order]
+        self._edge_length, self._edge_speed = length_m[edge_order], speed_mps[edge_order]
+        self._edge_minutes = self._edge_length / self._edge_speed / 60.0
+        row_of = {bid: row for row, bid in enumerate(bridge_map)}
+        self.bridge_rows = np.array([row_of.get(bridge_of[i], -1) for i in edge_order.tolist()], dtype=np.int64)
+        self._edge_road = self.bridge_rows < 0
+        self.road_ids: tuple[str, ...] = tuple(compress(self.edge_ids, self._edge_road))
+        self.bridge_ids: tuple[str, ...] = tuple(bridge_map)
+
+        rows = [(b.deck_elevation_m, b.x, b.y) for b in bridge_map.values()]
         self._bridge_sites = np.array(rows, dtype=float).reshape(-1, 3)
-        u, v = edge_u[self._edge_road], edge_v[self._edge_road]
-        mid_x, mid_y = (node_x[u] + node_x[v]) / 2.0, (node_y[u] + node_y[v]) / 2.0
-        self._road_sites = np.column_stack([h_r, mid_x, mid_y])
+        u, v = self._edge_u[self._edge_road], self._edge_v[self._edge_road]
+        mid_x, mid_y = (self.node_x[u] + self.node_x[v]) / 2.0, (self.node_y[u] + self.node_y[v]) / 2.0
+        self._road_sites = np.column_stack([h_r[edge_order][self._edge_road], mid_x, mid_y])
         self._bridge_sites.flags.writeable = self._road_sites.flags.writeable = False
         self.component_count = int(connected_components(self._adjacency(), directed=False, return_labels=False))
 
     @cached_property
     def nodes(self) -> dict[str, Node]:
-        return {nid: Node(nid, x, y) for nid, x, y in zip(self.node_ids, self._node_x.tolist(), self._node_y.tolist())}
+        return {nid: Node(nid, x, y) for nid, x, y in zip(self.node_ids, self.node_x.tolist(), self.node_y.tolist())}
 
     @cached_property
     def edges(self) -> dict[str, Edge]:
@@ -159,10 +243,6 @@ class RoadGraph:
         flags[[i for i, eid in at if self.edge_ids[i : i + 1] == (eid,)]] = True
         return flags
 
-    def edges_for_bridge(self, bridge_id: str) -> tuple[str, ...]:
-        row = self.bridge_ids.index(bridge_id) if bridge_id in self.bridges else len(self.bridge_ids)  # no edge's row
-        return tuple(compress(self.edge_ids, self.bridge_rows == row))
-
     def bridge_sites(self) -> np.ndarray:
         """(deck_elevation_m, x, y) rows, one per bridge in bridge_ids order; read-only."""
         return self._bridge_sites
@@ -173,110 +253,15 @@ class RoadGraph:
 
 
 def build_graph(nodes: Iterable[Node], edges: Iterable[Edge], bridges: Iterable[BridgeRecord]) -> RoadGraph:
-    """Validate and assemble a RoadGraph from records: graph_from_columns on their fields."""
+    """Validate and assemble a RoadGraph from records, their fields taken as its columns."""
     nodes, edges = list(nodes), list(edges)
     row, unknown = {node.node_id: i for i, node in enumerate(nodes)}, {}  # unknown: names no node has, first met first
     ends = [np.array([row[n] if n in row else ~unknown.setdefault(n, len(unknown)) for n in names], dtype=np.int64)
             for names in ([e.u for e in edges], [e.v for e in edges])]
     floats = [np.array([getattr(r, name) for r in records], dtype=float)  # a None h_r becomes nan
               for records, names in ((nodes, ("x", "y")), (edges, ("length_m", "speed_mps", "h_r"))) for name in names]
-    return graph_from_columns([n.node_id for n in nodes], *floats[:2], [e.edge_id for e in edges], *ends, *floats[2:],
-                              [e.kind for e in edges], [e.bridge_id for e in edges], bridges, list(unknown))
-
-
-# What can be wrong with an edge, in the order build_graph reports it.
-_EDGE_PROBLEMS = (
-    "unknown endpoint node {u}", "unknown endpoint node {v}", "self-loop at node {u}",
-    "length must be finite and > 0, got {length}", "speed must be finite and > 0, got {speed}", "unknown kind {kind!r}",
-    "bridge edge without bridge_id", "unknown bridge {bid}", "road edge carries bridge_id {bid}",
-    "road edge needs a finite lowest elevation h_r",
-)
-
-
-def _id_groups(ids: Sequence[str], ok: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The stable order that sorts ids and, per row, its id's rank among the
-    distinct ids and the first ok row with that id (len(ids) if none)."""
-    rank = np.unique(np.array(ids, dtype=object), return_inverse=True)[1]
-    first_ok = np.full(len(ids), len(ids))
-    np.minimum.at(first_ok, rank[ok], np.flatnonzero(ok))
-    return np.argsort(rank, kind="stable"), rank, first_ok[rank]
-
-
-def valid_bridges(bridges: Iterable[BridgeRecord], errors: list[str]) -> dict[str, BridgeRecord]:
-    """The valid bridge records in id order; a repeated id, non-finite field or mass outside (0, 35] goes to errors."""
-    valid: dict[str, BridgeRecord] = {}
-    for rec in bridges:
-        bad = [f for f in ("deck_elevation_m", "mass_ton_per_m", "x", "y") if not math.isfinite(getattr(rec, f))]
-        if rec.bridge_id in valid:
-            errors.append(f"duplicate bridge id {rec.bridge_id}")
-        elif bad:
-            errors.append(f"bridge {rec.bridge_id}: non-finite {', '.join(bad)}")
-        elif not 0.0 < rec.mass_ton_per_m <= 35.0:
-            errors.append(f"bridge {rec.bridge_id}: mass {rec.mass_ton_per_m} ton/m outside supported range (0, 35]")
-        else:
-            valid[rec.bridge_id] = rec
-    return dict(sorted(valid.items()))
-
-
-def graph_from_columns(
-    node_ids: Sequence[str], node_x: np.ndarray, node_y: np.ndarray, edge_ids: Sequence[str], edge_u: np.ndarray,
-    edge_v: np.ndarray, length_m: np.ndarray, speed_mps: np.ndarray, h_r: np.ndarray, kinds: Sequence[str],
-    bridge_of: Sequence[str | None], bridges: Iterable[BridgeRecord], unknown_nodes: Sequence[str] = (),
-) -> RoadGraph:
-    """Validate and assemble a RoadGraph from node and edge columns,
-    reporting every failure at once: nodes, bridges, then edges, each in
-    input order with its failures together. edge_u and edge_v are node
-    rows, ~k standing for unknown_nodes[k], a name no node has; h_r is nan
-    where absent. A row whose id an earlier valid row holds is a duplicate,
-    checked no further; an endpoint or bridge is known if a valid node or
-    bridge has its id.
-    """
-    errors: list[str] = []
-    n = len(node_ids)
-    node_order, node_rank, node_first = _id_groups(node_ids, np.isfinite(node_x) & np.isfinite(node_y))
-    for i in np.flatnonzero(node_first != np.arange(n)).tolist():  # a repeated id or non-finite coordinates
-        nid = node_ids[i]
-        errors.append(f"duplicate node id {nid}" if node_first[i] < i else f"node {nid}: non-finite coordinates")
-    if not n:
-        errors.append("network has no nodes")
-    bridge_map = valid_bridges(bridges, errors)
-
-    # Per edge end: is it a known node, and which id does it name (unknown names stay negative)?
-    ends = np.stack([edge_u, edge_v])
-    at = np.where(ends >= 0, ends, n)
-    known, name = np.append(node_first < n, False)[at], np.where(ends >= 0, np.append(node_rank, 0)[at], ends)
-    road, bridge, has_bridge, known_bridge = (np.array(flags, dtype=bool) for flags in (
-        [k == ROAD for k in kinds], [k == BRIDGE for k in kinds], [b is not None for b in bridge_of],
-        [b in bridge_map for b in bridge_of]))
-    failed = np.stack([  # per _EDGE_PROBLEMS entry and edge
-        ~known[0], ~known[1], name[0] == name[1], ~(np.isfinite(length_m) & (length_m > 0.0)),
-        ~(np.isfinite(speed_mps) & (speed_mps > 0.0)), ~road & ~bridge, bridge & ~has_bridge,
-        bridge & has_bridge & ~known_bridge, road & has_bridge, road & ~np.isfinite(h_r),
-    ])
-    ok = ~failed.any(axis=0)
-    edge_order, _, edge_first = _id_groups(edge_ids, ok)
-    duplicate = edge_first < np.arange(len(edge_ids))
-    for i in np.flatnonzero(duplicate | ~ok).tolist():
-        if duplicate[i]:
-            errors.append(f"duplicate edge id {edge_ids[i]}")
-            continue
-        u, v = (node_ids[e] if e >= 0 else unknown_nodes[~e] for e in ends[:, i].tolist())
-        fields = dict(u=u, v=v, length=float(length_m[i]), speed=float(speed_mps[i]), kind=kinds[i], bid=bridge_of[i])
-        errors += [f"edge {edge_ids[i]}: " + _EDGE_PROBLEMS[c].format(**fields) for c in np.flatnonzero(failed[:, i])]
-
-    referenced = {bridge_of[i] for i in np.flatnonzero(bridge & known_bridge & ~duplicate).tolist()}
-    errors += [f"bridge {bid}: no edge references it" for bid in bridge_map if bid not in referenced]
-
-    if errors:
-        raise ValidationError(errors)
-    # Every id is now unique, so an id's rank is its index in the sorted ids.
-    row_of = {bid: row for row, bid in enumerate(bridge_map)}
-    bridge_rows = np.array([row_of.get(bridge_of[i], -1) for i in edge_order.tolist()], dtype=np.int64)
-    return RoadGraph(
-        tuple(node_ids[i] for i in node_order.tolist()), node_x[node_order], node_y[node_order],
-        tuple(edge_ids[i] for i in edge_order.tolist()), name[0, edge_order], name[1, edge_order],
-        length_m[edge_order], speed_mps[edge_order], bridge_rows, h_r[edge_order][bridge_rows < 0], bridge_map,
-    )
+    return RoadGraph([n.node_id for n in nodes], *floats[:2], [e.edge_id for e in edges], *ends, *floats[2:],
+                     [e.kind for e in edges], [e.bridge_id for e in edges], bridges, list(unknown))
 
 
 @dataclass(frozen=True)
@@ -377,7 +362,7 @@ class TravelTimeTable:
 
 def snap_sites(graph: RoadGraph, sites: Sequence) -> np.ndarray:
     """Nearest network node (index into graph.node_ids) per site; ties go to the lowest node id."""
-    return hazard.nearest_points(graph._node_x, graph._node_y, [s.x for s in sites], [s.y for s in sites])[0]
+    return hazard.nearest_points(graph.node_x, graph.node_y, [s.x for s in sites], [s.y for s in sites])[0]
 
 
 def travel_time_table(

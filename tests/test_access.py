@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -270,6 +272,21 @@ def test_demand_site_validation():
         access.DemandSite("d", 0, 0, population=10.0, subgroups={"kids": 11.0})
     with pytest.raises(InvalidInputError, match="capacity"):
         access.SupplySite("s", 0, 0, capacity=-1.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidInputError, match="supply s: x must be finite"):
+            access.SupplySite("s", bad, 0, capacity=1.0)
+        with pytest.raises(InvalidInputError, match="supply s: capacity must be finite"):
+            access.SupplySite("s", 0, 0, capacity=bad)
+        with pytest.raises(InvalidInputError, match="demand d: y must be finite"):
+            access.DemandSite("d", 0, bad, population=1.0)
+        with pytest.raises(InvalidInputError, match="demand d: population must be finite"):
+            access.DemandSite("d", 0, 0, population=bad)
+        with pytest.raises(InvalidInputError, match="demand d: group kids weight must be finite and >= 0"):
+            access.DemandSite("d", 0, 0, population=10.0, subgroups={"kids": bad})
+    with pytest.raises(InvalidInputError, match="demand d: group kids weight must be finite and >= 0"):
+        access.DemandSite("d", 0, 0, population=10.0, subgroups={"kids": -1.0})
+    with pytest.raises(InvalidInputError, match="demand d: group name overall is reserved"):
+        access.DemandSite("d", 0, 0, population=10.0, subgroups={"overall": 1.0})
 
 
 def test_group_names_sorted_union():

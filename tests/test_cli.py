@@ -223,6 +223,25 @@ def test_report_compares_runs(tmp_path, capsys):
     assert lines[1] == row.encode()
 
 
+def test_report_counts_quartile_drops_and_skips_demands_missing_from_other(tmp_path, capsys):
+    base, other = result_dir(tmp_path, "base", 0.3), result_dir(tmp_path, "other", 0.3)
+    for run, edit in ((base, lambda features: features[0]["properties"].update(quartile="Q4")),
+                      (other, lambda features: [features[0]["properties"].update(quartile="Q3"), features.pop(1)])):
+        path = run / "results_short.geojson"
+        doc = json.loads(path.read_text())
+        assert [f["properties"]["demand_id"] for f in doc["features"]] == ["d1", "d2"]
+        edit(doc["features"])
+        path.write_text(json.dumps(doc))
+    deltas = tmp_path / "deltas.csv"
+    assert cli.main(["report", str(base), str(other), "--out", str(deltas)]) == cli.EXIT_OK
+    out = capsys.readouterr().out
+    assert [line for line in out.splitlines() if "quartile drops" in line] == [
+        "  quartile drops: 1", "  quartile drops: 0"  # short: d1 went Q4 -> Q3, d2 is not in other; long: none
+    ]
+    rows = [line.split(",")[:2] for line in deltas.read_text().splitlines()[1:]]
+    assert rows == [["d1", "short"], ["d1", "long"], ["d2", "long"]]
+
+
 def test_report_missing_dir_exit_5(tmp_path, capsys):
     base = result_dir(tmp_path, "only", 0.3)
     assert cli.main(["report", str(base), str(tmp_path / "ghost")]) == cli.EXIT_IO

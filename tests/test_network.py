@@ -47,9 +47,9 @@ def floyd_warshall_minutes(graph, closed=frozenset()):
         if eid in closed:
             continue
         e = graph.edges[eid]
-        i, j = pos[e.u], pos[e.v]
-        if e.minutes < dist[i, j]:
-            dist[i, j] = dist[j, i] = e.minutes
+        i, j, minutes = pos[e.u], pos[e.v], e.length_m / e.speed_mps / 60.0
+        if minutes < dist[i, j]:
+            dist[i, j] = dist[j, i] = minutes
     for k in range(n):
         np.minimum(dist, dist[:, k, None] + dist[None, k, :], out=dist)
     return dist
@@ -86,11 +86,6 @@ def random_sited_graph(rng, max_nodes=20):
     d_idx = [pos[nodes[i].node_id] for i in d_nodes]
     s_idx = [pos[nodes[i].node_id] for i in s_nodes]
     return graph, demands, supplies, d_idx, s_idx
-
-
-def test_minutes_from_length_and_speed():
-    e = road("e", "a", "b", length=600.0, speed=2.0)
-    assert e.minutes == 5.0
 
 
 def test_build_graph_reports_every_problem_at_once():
@@ -180,8 +175,7 @@ def test_road_and_bridge_sites():
     assert graph.bridge_sites().tolist() == [[6.0, 30.0, 0.0], [7.0, 90.0, 0.0]]
     assert graph.road_sites().tolist() == [[-0.5, 90.0, 0.0], [1.25, 30.0, 0.0]]
     assert not graph.bridge_sites().flags.writeable and not graph.road_sites().flags.writeable
-    assert graph.edges_for_bridge("b") == ("br",)
-    assert graph.edges_for_bridge("zz") == ()
+    assert graph.edge_ids == ("ar", "br", "rc", "rd") and graph.bridge_rows.tolist() == [0, 1, -1, -1]
     bare = line_graph(2)
     assert bare.bridge_ids == () and bare.bridge_sites().shape == (0, 3)
 
@@ -351,17 +345,20 @@ def test_storm2_short_provenance_matches_scalar_rules_per_site(storm2_bundle):
     graph, config = storm2_bundle.graph, storm2_bundle.config
     exposures = hazard.evaluate_exposures(config.surge, graph.bridge_sites(), graph.road_sites())
     bridge_ids = sorted(graph.bridges)
+    spans: dict[str, list[str]] = {}  # a bridge's edges, from the Edge records
+    for eid, edge in graph.edges.items():
+        spans.setdefault(edge.bridge_id, []).append(eid)
     draws = ({bid: False for bid in bridge_ids}, {bid: i % 3 == 0 for i, bid in enumerate(bridge_ids)})
     for draw in draws:
         want: dict[str, str] = {}
         for bid in bridge_ids:
             if draw[bid]:
-                want.update((eid, network.STRUCTURAL) for eid in graph.edges_for_bridge(bid))
+                want.update((eid, network.STRUCTURAL) for eid in spans[bid])
         for bid in bridge_ids:
             rec = graph.bridges[bid]
             z_c = hazard.relative_surge_elevation(rec.deck_elevation_m, _nearest_surge(config.surge, rec.x, rec.y))
             if hazard.bridge_inundation_closed(z_c, config.thresholds):
-                for eid in graph.edges_for_bridge(bid):
+                for eid in spans[bid]:
                     want.setdefault(eid, network.INUNDATION)
         for eid in sorted(graph.edges):
             edge = graph.edges[eid]
@@ -783,7 +780,8 @@ def test_portals_search_past_d0_for_legs_summed_the_other_way():
     lengths = (18.0, 12.0, 6.0, 3e-15)
     edges = [road(f"e{i}", f"n{i:02d}", f"n{i + 1:02d}", m) for i, m in enumerate(lengths)]
     graph = network.build_graph(nodes, edges + [road("spur", "n03", "n05", 6000.0)], [])
-    d0 = ((0.3 + 0.2) + 0.1) + graph.edges["e3"].minutes
+    e3 = graph.edges["e3"]
+    d0 = ((0.3 + 0.2) + 0.1) + e3.length_m / e3.speed_mps / 60.0
     assert d0 == 0.6 < (0.1 + 0.2) + 0.3
     d_nodes, s_nodes = np.array([0]), np.array([4])
     units = network.closure_units(graph, np.array([0, 4]))

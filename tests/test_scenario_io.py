@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from surgeaccess import fragility, hazard, network, scenario_io, simulate
+from surgeaccess import access, fragility, hazard, network, scenario_io, simulate
 from surgeaccess.errors import InvalidSpecError, ValidationError
 
 
@@ -77,6 +77,37 @@ def test_fixture_storm_presets_differ(tmp_path):
     assert two.config.surge.h_st.max() > one.config.surge.h_st.max()
     with pytest.raises(InvalidSpecError):
         scenario_io.generate_fixture(small_spec(storm="storm-9-like"), tmp_path / "s9")
+
+
+@pytest.mark.parametrize("change, message", [
+    (dict(grid_width=1), "grid must be at least 2 x 4"),
+    (dict(grid_height=3), "grid must be at least 2 x 4"),
+    (dict(spacing_m=0.0), "spacing must be finite and > 0, got 0.0"),
+    (dict(spacing_m=float("inf")), "spacing must be finite and > 0, got inf"),
+    (dict(bridge_count=0, spans_per_corridor=1), "bridge count must be >= 1, got 0"),
+    (dict(spans_per_corridor=0), "spans per corridor must be in [1, 12], got 0"),
+    (dict(spans_per_corridor=13), "spans per corridor must be in [1, 12], got 13"),
+    (dict(grid_width=3, bridge_count=10, spans_per_corridor=2), "5 crossing corridors do not fit a grid 3 wide"),
+    (dict(demand_count=0), "demand count must be >= 1, got 0"),
+    (dict(supply_count=0), "supply count must be >= 1, got 0"),
+    (dict(samples=0), "samples must be >= 1, got 0"),
+    (dict(storm="calm", surge_peak_m=4.0), "storm 'calm' has no preset; set surge_peak_m and surge_decay_m"),
+    (dict(surge_peak_m=-1.0), "surge peak must be >= 0 and decay > 0, got -1.0, 9000.0"),
+    (dict(surge_decay_m=0.0), "surge peak must be >= 0 and decay > 0, got 6.5, 0.0"),
+])
+def test_fixture_spec_checks(tmp_path, change, message):
+    with pytest.raises(InvalidSpecError) as err:
+        scenario_io.generate_fixture(small_spec(**change), tmp_path / "bad")
+    assert str(err.value) == message
+    assert not (tmp_path / "bad").exists()
+
+
+def test_corridors_that_crowd_the_grid_take_every_column(tmp_path):
+    # Five corridors on a grid five wide: spreading them between the edges would repeat columns.
+    spec = small_spec(grid_width=5, bridge_count=10, spans_per_corridor=2)
+    bundle = scenario_io.load_bundle(scenario_io.generate_fixture(spec, tmp_path / "narrow"))
+    assert sorted({b.x for b in bundle.bridges}) == [i * spec.spacing_m for i in range(5)]
+    assert len(bundle.bridges) == 10
 
 
 def test_small_fixture_loads_and_runs(tmp_path):
@@ -258,6 +289,16 @@ def test_load_bundle_reports_every_file_problem(twin_dir):
             "bridge b-nan: non-finite deck_elevation_m",
             "duplicate bridge id b-ok",
         ]
+
+
+def test_load_bundle_reports_repeated_site_ids(twin_dir):
+    (twin_dir / scenario_io.SUPPLIES_FILE).write_text("supply_id,x,y,capacity\ns1,0,0,1\ns2,0,0,1\ns1,0,0,1\n")
+    (twin_dir / scenario_io.DEMANDS_FILE).write_text("demand_id,x,y,population\nd1,0,0,1\nd1,0,0,1\nd1,0,0,1\n")
+    with pytest.raises(ValidationError) as err:
+        scenario_io.load_bundle(twin_dir)
+    assert err.value.errors == [
+        "supplies.csv: duplicate supply id s1", "demands.csv: duplicate demand id d1", "demands.csv: duplicate demand id d1"
+    ]
 
 
 def test_surge_csv_values_round_trip(twin_dir):
@@ -563,7 +604,7 @@ def test_load_bundle_and_build_graph_build_the_same_graph(tmp_path, monkeypatch)
     assert (loaded.node_ids, loaded.edge_ids, loaded.road_ids, loaded.bridge_ids) == (
         built.node_ids, built.edge_ids, built.road_ids, built.bridge_ids
     )
-    for name in ("_node_x", "_node_y", "_edge_u", "_edge_v", "_edge_minutes"):
+    for name in ("node_x", "node_y", "_edge_u", "_edge_v", "_edge_minutes"):
         a, b = getattr(loaded, name), getattr(built, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
     for a, b in ((loaded.road_sites(), built.road_sites()), (loaded.bridge_sites(), built.bridge_sites())):
@@ -639,7 +680,20 @@ def test_write_results_byte_identical_across_reruns(tmp_path):
         assert pa[key].read_bytes() == pb[key].read_bytes()
 
 
-# sha256 of each write_results file at seed 42 and N=1000, manifest.json without its package_version line.
+def test_group_weights_add_in_demand_order(tmp_path):
+    """The overall weight is added demand by demand, as the subgroup weights and weighted_average's
+    denominator are, so it does not depend on whether sum() compensates (it does from Python 3.12)."""
+    bundle = scenario_io.generate_twin_town(samples=1)
+    demands = [access.DemandSite(f"d{k}", 0.0, 0.0, pop, {"group": pop}) for k, pop in enumerate((0.1, 0.2, 0.3))]
+    bundle = dataclasses.replace(bundle, demands=tuple(demands))
+    result = simulate.run_scenario(bundle.config, bundle.graph, bundle.bridges, bundle.supplies, bundle.demands)
+    scenario_io.write_results(result, bundle, tmp_path / "out")
+    weights = {row["group"]: row["weight"] for row in scenario_io.read_results(tmp_path / "out")["groups"]}
+    assert weights == {"overall": "0.6000000000000001", "group": "0.6000000000000001"}
+
+
+# sha256 of each write_results file at seed 42, manifest.json without its package_version line: storm-1,
+# storm-2 and the twin town at N=1000, and perfbench's calm-sampling workload at N=20,000.
 # A change that means to move an output updates these digests and says so.
 GOLDEN_DIGESTS = {
     "storm-1": {
@@ -660,6 +714,12 @@ GOLDEN_DIGESTS = {
         "group_summary.csv": "609f4b570b79acaee7053a35e80e2bb8027fc35167c152844604640066225e7a",
         "manifest.json": "d328af2089cb2547d49ee85ae11068e2bfa69292dbea2b3443a0055130c2e7aa",
     },
+    "calm-sampling": {
+        "results_short.geojson": "6f87f21ebed5da0b4aaa17880c9266c43f5ff4848084e254c4a5a24a72c4c62d",
+        "results_long.geojson": "c347f41929a4b450a1e57e021096653301a658b063cffd0132bc6e1b83ed8dd9",
+        "group_summary.csv": "6cb914eabe9e77112ea139d58094aef6f0f9d62d00991a514acc34a57527f605",
+        "manifest.json": "524c791f7beb9cdfba2d173bcf6e1e4c2a2789c4801296bdcb967a3d6e01fe3c",
+    },
 }
 
 
@@ -676,10 +736,14 @@ def result_digests(result, bundle, out):
 def test_write_results_bytes_match_the_golden_digests(default_bundle, storm1_run, storm2_bundle, storm2_run, tmp_path):
     twin = scenario_io.generate_twin_town(seed=42)
     twin_result = simulate.run_scenario(twin.config, twin.graph, twin.bridges, twin.supplies, twin.demands)
+    calm_spec = scenario_io.SyntheticFixtureSpec(storm="calm", surge_peak_m=4.0, surge_decay_m=9000.0, samples=20_000)
+    scenario_io.generate_fixture(calm_spec, tmp_path / "calm")
+    calm = scenario_io.load_bundle(tmp_path / "calm")
+    calm_result = simulate.run_scenario(calm.config, calm.graph, calm.bridges, calm.supplies, calm.demands)
     runs = {"storm-1": (storm1_run[0], default_bundle), "storm-2": (storm2_run[0], storm2_bundle),
-            "twin": (twin_result, twin)}
+            "twin": (twin_result, twin), "calm-sampling": (calm_result, calm)}
     for name, (result, bundle) in runs.items():
-        assert (result.seed, result.samples) == (42, 1000)
+        assert (result.seed, result.samples) == (42, 20_000 if name == "calm-sampling" else 1000)
         assert result_digests(result, bundle, tmp_path / name) == GOLDEN_DIGESTS[name], name
 
 

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import math
 import multiprocessing.process
+import statistics
 import tracemalloc
 
 import numpy as np
@@ -431,6 +433,10 @@ def test_run_scenario_input_errors():
     moved = [dataclasses.replace(b, x=b.x + 1.0) for b in bundle.bridges]
     with pytest.raises(InvalidInputError, match="bridge records"):
         simulate.run_scenario(bundle.config, bundle.graph, moved, bundle.supplies, bundle.demands)
+    with pytest.raises(InvalidInputError, match="duplicate demand ids"):
+        simulate.run_scenario(bundle.config, bundle.graph, bundle.bridges, bundle.supplies, bundle.demands * 2)
+    with pytest.raises(InvalidInputError, match="duplicate supply ids"):
+        simulate.run_scenario(bundle.config, bundle.graph, bundle.bridges, bundle.supplies[:1] * 2, bundle.demands)
 
 
 # Mass bands whose failure probability is the constant a: p = 0, 1, 0.25, 0.5, 0.75.
@@ -593,6 +599,58 @@ def test_unit_keys_match_raw_key_reference_on_storm2(storm2_bundle):
     for horizon, hres in result.horizons.items():
         reference = raw_key_sample_scores(result, config, bundle.graph, bundle.supplies, bundle.demands, horizon)
         assert np.array_equal(hres.sample_scores, reference)
+
+
+def exact_moments(bundle, result):
+    """The run's groups of drawn bridges, and per horizon each demand's exact mean and standard deviation of
+    its score over every group-failure state, and whether its score is the same in every state.
+
+    The groups are run_scenario's: bridges with 0 < p < 1 that touch the same closure units. A state fails
+    each group with probability 1 - prod(1 - p) over its members and closes every member's edges, through
+    closure_mask with p = 1 bridges failed; network.reachable and access.two_step score it on the raw
+    closed edges, with no unit keys, live-edge pruning or portal searches."""
+    graph, config, p = bundle.graph, bundle.config, result.failure_probability
+    d_nodes, s_nodes = network.snap_sites(graph, bundle.demands), network.snap_sites(graph, bundle.supplies)
+    units = network.closure_units(graph, np.concatenate([d_nodes, s_nodes]))
+    groups: dict[frozenset, list[str]] = {}
+    for row, bid in enumerate(graph.bridge_ids):
+        if 0.0 < p[bid] < 1.0:
+            groups.setdefault(frozenset(units[graph.bridge_rows == row].tolist()), []).append(bid)
+    fails = [1.0 - math.prod(1.0 - p[bid] for bid in members) for members in groups.values()]
+    pop, cap = access.site_weights(bundle.demands, bundle.supplies)
+    moments = {}
+    for horizon in config.horizons:
+        weights, scores = [], []
+        for state in itertools.product((False, True), repeat=len(groups)):
+            draw = {bid: p[bid] == 1.0 for bid in graph.bridge_ids}
+            for failed, members in zip(state, groups.values()):
+                draw.update(dict.fromkeys(members, failed))
+            mask = network.closure_mask(graph, result.exposures, config.thresholds, draw, horizon)
+            reach = network.reachable(graph, graph.edge_flags(mask.provenance), d_nodes, s_nodes, config.d0_minutes)
+            scores.append(access.two_step(reach, np.arange(d_nodes.size), np.arange(s_nodes.size), pop, cap)[0])
+            weights.append(math.prod(q if failed else 1.0 - q for q, failed in zip(fails, state)))
+        scores, weights = np.array(scores) * access.SCORE_SCALE, np.array(weights)
+        mean = weights @ scores
+        moments[horizon] = mean, np.sqrt(weights @ np.square(scores - mean)), scores.min(0) == scores.max(0)
+    return list(groups.values()), moments
+
+
+def test_session_run_means_lie_in_a_clt_band_around_the_exact_expectation(
+    default_bundle, storm1_run, storm2_bundle, storm2_run
+):
+    """Each demand's mean score over the run's samples against its exact expectation: within 1e-11 where the
+    score is the same in every state, else within a CLT band that holds with probability 1 - 1e-3 for all of a
+    run's demands and horizons at once (Bonferroni)."""
+    for (result, _), bundle, group_count in ((storm1_run, default_bundle, 4), (storm2_run, storm2_bundle, 7)):
+        groups, moments = exact_moments(bundle, result)
+        assert len(groups) == group_count and moments["short"][2].any()  # some demands have one score only
+        tests = len(bundle.demands) * len(moments)
+        z_bound = statistics.NormalDist().inv_cdf(1.0 - 1e-3 / (2 * tests))
+        for horizon, (mean, std, constant) in moments.items():
+            gap = result.horizons[horizon].mean_scores - mean
+            assert np.abs(gap[constant]).max(initial=0.0) <= 1e-11, horizon
+            z = gap[~constant] / (std[~constant] / math.sqrt(result.samples))
+            assert np.abs(z).max(initial=0.0) <= z_bound, (horizon, np.abs(z).max(initial=0.0), z_bound)
 
 
 def test_run_with_no_at_risk_bridge_matches_raw_key_reference():
