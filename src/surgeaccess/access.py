@@ -233,7 +233,4 @@ def no_access_fraction(scores: AccessScores) -> float:
 
 def group_names(demands: Iterable[DemandSite]) -> tuple[str, ...]:
     """Sorted union of subgroup names across the demand list."""
-    names: set[str] = set()
-    for d in demands:
-        names.update(d.subgroups.keys())
-    return tuple(sorted(names))
+    return tuple(sorted({name for d in demands for name in d.subgroups}))

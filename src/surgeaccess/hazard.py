@@ -64,10 +64,7 @@ class SurgeField:
         datum_label: str = "unspecified",
         coverage_radius_m: float | None = None,
     ):
-        self.x = np.asarray(x, dtype=float)
-        self.y = np.asarray(y, dtype=float)
-        self.h_st = np.asarray(h_st, dtype=float)
-        self.h_s = np.asarray(h_s, dtype=float)
+        self.x, self.y, self.h_st, self.h_s = (np.asarray(column, dtype=float) for column in (x, y, h_st, h_s))
         self.datum_label = str(datum_label)
         self.coverage_radius_m = None if coverage_radius_m is None else float(coverage_radius_m)
 
@@ -145,10 +142,7 @@ def nearest_points(px: np.ndarray, py: np.ndarray, qx: np.ndarray, qy: np.ndarra
     the lowest point index among the candidates at the least d2, so the
     result equals the brute force's bit for bit.
     """
-    px = np.asarray(px, dtype=float)
-    py = np.asarray(py, dtype=float)
-    qx = np.asarray(qx, dtype=float)
-    qy = np.asarray(qy, dtype=float)
+    px, py, qx, qy = (np.asarray(coords, dtype=float) for coords in (px, py, qx, qy))
     if qx.shape != qy.shape or qx.ndim != 1:
         raise InvalidInputError("query coordinates must be 1-d arrays of equal length")
     if not (np.all(np.isfinite(qx)) and np.all(np.isfinite(qy))):

@@ -10,10 +10,10 @@ whether build_graph takes them from records or load_bundle from a decoded
 file. Exposure sites, and so the exposure rows closure_mask reads, follow
 RoadGraph's bridge_ids and road_ids orders.
 
-Shortest paths run on a compressed-sparse matrix via scipy's Dijkstra,
-with closed edges given as a boolean per edge. Parallel edges between
-the same node pair are collapsed to the fastest open one before routing,
-because sparse construction would otherwise sum their weights. Binary
+Shortest paths are a bounded numpy search (dijkstra) over the open arcs,
+grouped by tail node, with closed edges given as a boolean per edge;
+parallel edges need no collapsing, since the search keeps each node's
+least candidate, and its minutes are Dijkstra's, bit for bit. Binary
 2SFCA needs only which pairs lie within d0 (reachable); the minutes are
 kept only by travel_time_table. Searches start from the side with fewer
 distinct snapped nodes; a scenario run passes live_edges and
@@ -35,8 +35,6 @@ from itertools import compress
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, dijkstra
 
 from . import hazard
 from .errors import InvalidInputError, ValidationError
@@ -134,8 +132,8 @@ class RoadGraph:
     Edges are the sorted edge_ids with endpoint node indices, length_m and
     speed_mps arrays, bridge_rows (each edge's row in bridge_ids, -1 on a
     road) and h_r per road (road_sites' first column); bridges maps
-    bridge_ids, sorted, to their records. nodes and edges build the Node and
-    Edge mappings when first read.
+    bridge_ids, sorted, to their records. edges builds the Edge mapping when
+    first read.
     """
 
     def __init__(
@@ -144,6 +142,9 @@ class RoadGraph:
         kinds: Sequence[str], bridge_of: Sequence[str | None], bridges: Iterable[BridgeRecord],
         unknown_nodes: Sequence[str] = (),
     ):
+        node_x, node_y, length_m, speed_mps, h_r = (
+            np.asarray(column, dtype=float) for column in (node_x, node_y, length_m, speed_mps, h_r))
+        edge_u, edge_v = np.asarray(edge_u, dtype=np.int64), np.asarray(edge_v, dtype=np.int64)
         errors: list[str] = []
         n = len(node_ids)
         node_order, node_rank, node_first = _id_groups(node_ids, np.isfinite(node_x) & np.isfinite(node_y))
@@ -202,11 +203,12 @@ class RoadGraph:
         mid_x, mid_y = (self.node_x[u] + self.node_x[v]) / 2.0, (self.node_y[u] + self.node_y[v]) / 2.0
         self._road_sites = np.column_stack([h_r[edge_order][self._edge_road], mid_x, mid_y])
         self._bridge_sites.flags.writeable = self._road_sites.flags.writeable = False
-        self.component_count = int(connected_components(self._adjacency(), directed=False, return_labels=False))
-
-    @cached_property
-    def nodes(self) -> dict[str, Node]:
-        return {nid: Node(nid, x, y) for nid, x, y in zip(self.node_ids, self.node_x.tolist(), self.node_y.tolist())}
+        # Each edge as two arcs, grouped by tail node; _adjacency keeps the open ones.
+        tails = np.concatenate([self._edge_u, self._edge_v])
+        order = np.argsort(tails, kind="stable")
+        self._arc_tail, self._arc_head = tails[order], np.concatenate([self._edge_v, self._edge_u])[order]
+        self._arc_edge = order % len(self.edge_ids)  # arc k of edge e is at order[k] = e or e + len(edge_ids)
+        self.component_count = int(_components(n, self._edge_u, self._edge_v).max()) + 1
 
     @cached_property
     def edges(self) -> dict[str, Edge]:
@@ -222,19 +224,12 @@ class RoadGraph:
         return zip(self.edge_ids, self._edge_u.tolist(), self._edge_v.tolist(), self._edge_length.tolist(),
                    self._edge_speed.tolist(), kinds, bridge_id.tolist(), h_r.tolist())
 
-    def _adjacency(self, closed: np.ndarray | None = None) -> csr_matrix:
-        """Upper-triangle sparse minutes matrix without the closed edges
-        (a boolean per edge, aligned with edge_ids; None closes none)."""
-        n = len(self.node_ids)
-        u, v, w = self._edge_u, self._edge_v, self._edge_minutes
-        if closed is not None:
-            u, v, w = u[~closed], v[~closed], w[~closed]
-        key = np.minimum(u, v) * n + np.maximum(u, v)
-        order = np.argsort(key, kind="stable")
-        key, w = key[order], w[order]
-        starts = np.flatnonzero(np.diff(key, prepend=-1))  # keys are >= 0
-        w_min = np.minimum.reduceat(w, starts) if key.size else w
-        return csr_matrix((w_min, (key[starts] // n, key[starts] % n)), shape=(n, n))
+    def _adjacency(self, closed: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The arcs of the edges not closed (a boolean per edge, aligned with edge_ids; None closes none) as
+        (indptr, heads, minutes): node x's arcs run to heads[indptr[x]:indptr[x + 1]]."""
+        keep = slice(None) if closed is None else ~closed[self._arc_edge]
+        tails, heads, arc_edge = self._arc_tail[keep], self._arc_head[keep], self._arc_edge[keep]
+        return np.searchsorted(tails, np.arange(len(self.node_ids) + 1)), heads, self._edge_minutes[arc_edge]
 
     def edge_flags(self, edge_ids: Iterable[str]) -> np.ndarray:
         """Boolean per edge, aligned with edge_ids, set for the named edges the graph holds (found by bisection)."""
@@ -328,10 +323,24 @@ def closure_units(graph: RoadGraph, sited_nodes: np.ndarray) -> np.ndarray:
     at_interior = interior[ends]
     order = np.argsort(ends[at_interior], kind="stable")
     pairs = edge_at_end[at_interior][order].reshape(-1, 2)
-    links = csr_matrix(
-        (np.ones(pairs.shape[0]), (pairs[:, 0], pairs[:, 1])), shape=(edge_count, edge_count)
-    )
-    return connected_components(links, directed=False)[1]
+    return _components(edge_count, pairs[:, 0], pairs[:, 1])
+
+
+def _components(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Component label per node of the undirected graph on nodes 0..n-1 with
+    edges (u, v), components numbered in the order of their lowest nodes.
+
+    Each round hooks the larger of an edge's two roots onto the least root
+    offered to it (np.minimum.at: a plain assignment may keep a root's own
+    offer and never finish), then jumps every node to its root; a root is
+    the lowest node of its tree.
+    """
+    root = np.arange(n)
+    while not np.array_equal(root[u], root[v]):
+        np.minimum.at(root, np.maximum(root[u], root[v]), np.minimum(root[u], root[v]))
+        while not np.array_equal(hop := root[root], root):
+            root = hop
+    return np.unique(root, return_inverse=True)[1]
 
 
 class TravelTimeTable:
@@ -394,8 +403,41 @@ def reachable(graph: RoadGraph, closed, demand_nodes, supply_nodes, d0_minutes: 
     return _site_minutes(graph, closed, demand_nodes, supply_nodes, d0_minutes) <= d0_minutes
 
 
-# Sources per Dijkstra call in _site_minutes, bounding its distance matrix.
-_SOURCE_BLOCK = 64
+def dijkstra(arcs, *, indices, limit: float, min_only: bool = False) -> np.ndarray:
+    """Least minutes over arcs (as RoadGraph._adjacency returns them) from
+    each source node in indices to every node, inf past limit: one row per
+    source, or with min_only their minimum as one row.
+
+    Each round relaxes the arcs out of the nodes whose minutes fell in the
+    last round and keeps a candidate only within limit. Float + and min are
+    monotone, so every node ends at its least path sum rounded from the
+    source out, the minutes Dijkstra's algorithm settles, bit for bit.
+    """
+    indptr, heads, minutes = arcs
+    n, degree = indptr.size - 1, np.diff(indptr)
+    sources = np.asarray(indices, dtype=np.int64).ravel()
+    front = np.unique(sources if min_only else np.arange(sources.size) * n + sources)
+    dist = np.full(n if min_only else sources.size * n, np.inf)  # flat, row r at r * n
+    dist[front], owner = 0.0, np.empty(dist.size, dtype=np.int32)  # a round holds under 2**31 candidates
+    bound = np.nextafter(limit, np.inf)
+    while front.size:
+        node = front % n
+        count = degree[node]
+        arc = np.arange(count.sum()) + np.repeat(indptr[node] - np.cumsum(count) + count, count)
+        target = np.repeat(front - node, count) + heads[arc]
+        step = np.repeat(dist[front], count) + minutes[arc]
+        better = np.flatnonzero(step < np.minimum(dist[target], bound))
+        target, step = target[better], step[better]
+        np.minimum.at(dist, target, step)
+        # The next front: each improved node once, as the candidate the owner write kept for it.
+        owner[target] = better
+        front = target[owner[target] == better]
+    return dist if min_only else dist.reshape(sources.size, n)
+
+
+# Sources per dijkstra call in _site_minutes: at least _SOURCE_BLOCK, and more while the distance matrix
+# stays within _SEARCH_ENTRIES, since a search round costs much the same for few sources as for many.
+_SOURCE_BLOCK, _SEARCH_ENTRIES = 64, 1 << 20
 
 
 def _site_minutes(graph, closed, demand_nodes, supply_nodes, d0_minutes) -> np.ndarray:
@@ -404,7 +446,7 @@ def _site_minutes(graph, closed, demand_nodes, supply_nodes, d0_minutes) -> np.n
     Dijkstra runs from the side with fewer distinct nodes (demands on a
     tie), so sites and their distinct nodes search from the same side;
     the bound makes the search prune anything past the catchment. It runs
-    _SOURCE_BLOCK sources at a time and keeps only the other side's
+    a block of sources at a time and keeps only the other side's
     distinct node columns, so no source x all-nodes matrix is held; each
     row is its own search, so the minutes do not depend on the blocks.
     """
@@ -413,10 +455,9 @@ def _site_minutes(graph, closed, demand_nodes, supply_nodes, d0_minutes) -> np.n
     demand_side, supply_side = (np.unique(n, return_inverse=True) for n in (demand_nodes, supply_nodes))
     transposed = demand_side[0].size > supply_side[0].size
     (src, src_row), (dst, dst_col) = (supply_side, demand_side) if transposed else (demand_side, supply_side)
-    adjacency = graph._adjacency(closed)
+    adjacency, block = graph._adjacency(closed), max(_SOURCE_BLOCK, _SEARCH_ENTRIES // len(graph.node_ids))
     dist = np.concatenate([
-        dijkstra(adjacency, directed=False, indices=src[i:i + _SOURCE_BLOCK], limit=d0_minutes)[:, dst]
-        for i in range(0, src.size, _SOURCE_BLOCK)
+        dijkstra(adjacency, indices=src[i:i + block], limit=d0_minutes)[:, dst] for i in range(0, src.size, block)
     ])
     pair_minutes = dist[np.ix_(src_row, dst_col)]
     return pair_minutes.T if transposed else pair_minutes
@@ -434,7 +475,7 @@ def live_edges(graph: RoadGraph, closed, demand_nodes, supply_nodes, d0_minutes:
     """
     d_nodes, s_nodes = np.unique(demand_nodes), np.unique(supply_nodes)
     src = s_nodes if d_nodes.size > s_nodes.size else d_nodes
-    dist = dijkstra(graph._adjacency(closed), directed=False, indices=src, limit=d0_minutes, min_only=True)
+    dist = dijkstra(graph._adjacency(closed), indices=src, limit=d0_minutes, min_only=True)
     return np.minimum(dist[graph._edge_u], dist[graph._edge_v]) + graph._edge_minutes <= d0_minutes
 
 
@@ -472,7 +513,7 @@ class PortalDistances:
 
         self.margin = 4 * n * np.finfo(float).eps * d0_minutes
         self.reach = reachable(graph, self.closed, demand_nodes, supply_nodes, d0_minutes)
-        dist = dijkstra(graph._adjacency(self.closed), directed=False, indices=portals, limit=d0_minutes + self.margin)
+        dist = dijkstra(graph._adjacency(self.closed), indices=portals, limit=d0_minutes + self.margin)
         self.via, self.between, to_supply = dist[:, demand_nodes].T, dist[:, portals], dist[:, supply_nodes]
         all_open = self._via_open(np.ones(self.chain_units.size, dtype=bool))
         # Each portal's kept legs, as flat indices into the demand x supply pairs.

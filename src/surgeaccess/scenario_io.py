@@ -97,15 +97,8 @@ class BundlePaths:
 
     @classmethod
     def in_dir(cls, directory: str | Path) -> BundlePaths:
-        d = Path(directory)
-        return cls(
-            network=d / NETWORK_FILE,
-            bridges=d / BRIDGES_FILE,
-            surge=d / SURGE_FILE,
-            supplies=d / SUPPLIES_FILE,
-            demands=d / DEMANDS_FILE,
-            config=d / CONFIG_FILE,
-        )
+        files = (NETWORK_FILE, BRIDGES_FILE, SURGE_FILE, SUPPLIES_FILE, DEMANDS_FILE, CONFIG_FILE)  # in field order
+        return cls(*(Path(directory) / name for name in files))
 
     def all_files(self) -> tuple[Path, ...]:
         return (self.network, self.bridges, self.surge, self.supplies, self.demands, self.config)
@@ -432,14 +425,7 @@ def load_bundle(source: str | Path | BundlePaths) -> DatasetBundle:
         raise ValidationError(errors)
     assert graph is not None and config is not None
 
-    return DatasetBundle(
-        graph=graph,
-        supplies=tuple(supplies),
-        demands=tuple(demands),
-        config=config,
-        crs=crs,
-        input_hashes=hashes,
-    )
+    return DatasetBundle(graph, tuple(supplies), tuple(demands), config, crs, input_hashes=hashes)
 
 
 def _json_dump(obj: Any, path: Path, sort_keys: bool = False) -> None:
@@ -538,7 +524,6 @@ def read_results(out_dir: str | Path) -> dict[str, Any]:
         horizons[horizon] = {
             f["properties"]["demand_id"]: f["properties"] for f in doc["features"]
         }
-    groups: list[dict[str, str]] = []
     with open(out / "group_summary.csv", newline="") as fh:
         groups = list(csv.DictReader(fh))
     return {"manifest": manifest, "horizons": horizons, "groups": groups}
@@ -632,12 +617,10 @@ def _fixture_params(spec: SyntheticFixtureSpec) -> tuple[float, float, int]:
         raise InvalidSpecError(
             f"{corridors} crossing corridors do not fit a grid {spec.grid_width} wide"
         )
-    if spec.demand_count < 1:
-        raise InvalidSpecError(f"demand count must be >= 1, got {spec.demand_count}")
-    if spec.supply_count < 1:
-        raise InvalidSpecError(f"supply count must be >= 1, got {spec.supply_count}")
-    if spec.samples < 1:
-        raise InvalidSpecError(f"samples must be >= 1, got {spec.samples}")
+    counts = (("demand count", spec.demand_count), ("supply count", spec.supply_count), ("samples", spec.samples))
+    for name, count in counts:
+        if count < 1:
+            raise InvalidSpecError(f"{name} must be >= 1, got {count}")
     peak, decay = _STORM_PRESETS.get(spec.storm, (spec.surge_peak_m, spec.surge_decay_m))
     if spec.surge_peak_m is not None:
         peak = spec.surge_peak_m
@@ -820,14 +803,7 @@ def generate_fixture(spec: SyntheticFixtureSpec, out_dir: str | Path) -> BundleP
         seed=spec.scenario_seed,
         workers=spec.workers,
     )
-    bundle = DatasetBundle(
-        graph=graph,
-        supplies=tuple(supplies),
-        demands=tuple(demands),
-        config=config,
-        crs="local-meters",
-    )
-    return write_bundle(bundle, out_dir)
+    return write_bundle(DatasetBundle(graph, tuple(supplies), tuple(demands), config, "local-meters"), out_dir)
 
 
 def generate_twin_town(p_fail: float = 0.5, samples: int = 1000, seed: int = 7) -> DatasetBundle:
@@ -847,12 +823,7 @@ def generate_twin_town(p_fail: float = 0.5, samples: int = 1000, seed: int = 7) 
         z_c = 6.0  # far above water: the affine form goes negative, clamps to 0
     else:
         z_c = (0.6468 - p_fail) / 0.1376
-    nodes = [
-        Node("na", 0.0, 0.0),
-        Node("nb", 600.0, 0.0),
-        Node("nc", 1200.0, 0.0),
-        Node("nd", 1800.0, 0.0),
-    ]
+    nodes = [Node(f"n{name}", 600.0 * i, 0.0) for i, name in enumerate("abcd")]
     edges = [
         Edge("e-ab", "na", "nb", 600.0, 10.0, ROAD, h_r=5.0),
         Edge("e-bc", "nb", "nc", 600.0, 10.0, BRIDGE, bridge_id="b-main"),
@@ -870,13 +841,7 @@ def generate_twin_town(p_fail: float = 0.5, samples: int = 1000, seed: int = 7) 
         DemandSite("d2", 0.0, -10.0, 200.0),
     )
     config = ScenarioConfig(storm="twin", surge=surge, samples=samples, seed=seed)
-    return DatasetBundle(
-        graph=graph,
-        supplies=supplies,
-        demands=demands,
-        config=config,
-        crs="local-meters",
-    )
+    return DatasetBundle(graph, supplies, demands, config, "local-meters")
 
 
 def override_config(config: ScenarioConfig, **overrides: Any) -> ScenarioConfig:

@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import surgeaccess
 from surgeaccess import __version__, cli, scenario_io, simulate
 from surgeaccess.fragility import default_table
 
@@ -300,3 +305,22 @@ def test_report_wrong_typed_results_exit_4(tmp_path, capsys, name, edit):
     captured = capsys.readouterr()
     assert "malformed results directory" in captured.err
     assert captured.out == ""
+
+
+def test_the_package_imports_and_runs_without_scipy(twin_dir, tmp_path):
+    # scipy is only the tests' shortest-path oracle: with it blocked, every module imports and a run completes.
+    script = """
+import importlib, pkgutil, sys
+sys.modules["scipy"] = None
+import surgeaccess
+for module in pkgutil.iter_modules(surgeaccess.__path__):
+    importlib.import_module("surgeaccess." + module.name)
+from surgeaccess import cli
+sys.exit(cli.main(["run", "--data", sys.argv[1], "--out", sys.argv[2]]))
+"""
+    package_root = str(Path(surgeaccess.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([package_root, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", script, str(twin_dir), str(tmp_path / "out")], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert "wrote 4 file(s)" in done.stdout

@@ -6,6 +6,9 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import dijkstra as scipy_dijkstra
 
 from surgeaccess import access, hazard, network
 from surgeaccess.errors import InvalidInputError, ValidationError
@@ -55,6 +58,22 @@ def floyd_warshall_minutes(graph, closed=frozenset()):
     return dist
 
 
+def node_records(graph):
+    """graph's nodes as Node records, in node_ids order."""
+    return [network.Node(*row) for row in zip(graph.node_ids, graph.node_x.tolist(), graph.node_y.tolist())]
+
+
+def scipy_adjacency(graph, closed):
+    """The open edges as scipy's sparse graph, parallel edges collapsed to the fastest one by hand."""
+    fastest = {}
+    for u, v, minutes in zip(graph._edge_u[~closed], graph._edge_v[~closed], graph._edge_minutes[~closed]):
+        key = (min(u, v), max(u, v))
+        fastest[key] = min(minutes, fastest.get(key, np.inf))
+    rows, cols = zip(*fastest) if fastest else ((), ())
+    n = len(graph.node_ids)
+    return csr_matrix((list(fastest.values()), (rows, cols)), shape=(n, n))
+
+
 def random_sited_graph(rng, max_nodes=20):
     """Connected-ish random graph with integer-minute edges and sites on nodes."""
     n = int(rng.integers(4, max_nodes + 1))
@@ -76,11 +95,11 @@ def random_sited_graph(rng, max_nodes=20):
     d_nodes = rng.choice(n, size=int(rng.integers(1, max(2, n // 2))), replace=False)
     s_nodes = rng.choice(n, size=int(rng.integers(1, max(2, n // 2))), replace=False)
     demands = [
-        access.DemandSite(f"d{k}", graph.nodes[graph.node_ids[i]].x, graph.nodes[graph.node_ids[i]].y, 1.0)
+        access.DemandSite(f"d{k}", float(graph.node_x[i]), float(graph.node_y[i]), 1.0)
         for k, i in enumerate(pos[nodes[i].node_id] for i in d_nodes)
     ]
     supplies = [
-        access.SupplySite(f"s{k}", graph.nodes[graph.node_ids[i]].x, graph.nodes[graph.node_ids[i]].y, 1.0)
+        access.SupplySite(f"s{k}", float(graph.node_x[i]), float(graph.node_y[i]), 1.0)
         for k, i in enumerate(pos[nodes[i].node_id] for i in s_nodes)
     ]
     d_idx = [pos[nodes[i].node_id] for i in d_nodes]
@@ -143,6 +162,54 @@ def test_mass_domain_boundaries():
     for mass in (0.0, -3.0, 35.1):
         with pytest.raises(ValidationError):
             mk(mass)
+
+
+def test_road_graph_takes_plain_list_columns():
+    columns = (["b", "a"], [0.0, 1.0], [0.0, 0.0], ["e"], [0], [1], [60.0], [1.0], [0.0], ["road"], [None], [])
+    graph = network.RoadGraph(*columns)
+    assert graph.node_ids == ("a", "b") and graph.node_x.tolist() == [1.0, 0.0]
+    assert graph.edges["e"] == network.Edge("e", "b", "a", 60.0, 1.0, network.ROAD, h_r=0.0)
+    lone = network.RoadGraph(["a"], [0.0], [0.0], [], [], [], [], [], [], [], [], [])
+    assert lone.component_count == 1 and lone.edge_ids == ()
+
+
+def random_multigraph(rng):
+    """A RoadGraph on up to 30 nodes with isolated nodes, parallel edges (some
+    reversed) and many tied or near-tied minutes."""
+    n = int(rng.integers(1, 31))
+    u, v = rng.integers(0, n, size=(2, int(rng.integers(0, 3 * n + 1))))
+    u, v = u[u != v], v[u != v]
+    twins = rng.integers(0, u.size, size=int(rng.integers(0, 4))) if u.size else np.zeros(0, dtype=np.int64)
+    u, v = np.r_[u, v[twins]], np.r_[v, u[twins]]
+    tied = rng.random(u.size) < 0.7
+    length = np.where(tied, rng.choice([70.0, 100.0, 200.0, 300.0], u.size), rng.uniform(1.0, 900.0, u.size))
+    speed = rng.choice([3.0, 7.0, 10.0], u.size)
+    ids = [f"n{i:02d}" for i in range(n)]
+    return network.RoadGraph(ids, rng.uniform(0, 1e4, n), rng.uniform(0, 1e4, n), [f"e{k:03d}" for k in range(u.size)],
+                             u, v, length, speed, np.zeros(u.size), [network.ROAD] * u.size, [None] * u.size, [])
+
+
+def test_dijkstra_and_components_match_scipy_bit_for_bit():
+    rng = np.random.default_rng(2024)
+    at_limit = 0
+    for trial in range(300):
+        graph = random_multigraph(rng)
+        n = len(graph.node_ids)
+        want = connected_components(scipy_adjacency(graph, np.zeros(len(graph.edge_ids), dtype=bool)), directed=False)
+        labels = network._components(n, graph._edge_u, graph._edge_v)
+        assert labels.tolist() == want[1].tolist() and graph.component_count == want[0]
+        closed = rng.random(len(graph.edge_ids)) < rng.choice([0.0, 0.3])
+        sources = rng.permutation(n)[: int(rng.integers(1, n + 1))]  # distinct and unsorted
+        unlimited = scipy_dijkstra(scipy_adjacency(graph, closed), directed=False, indices=sources)
+        reached = unlimited[np.isfinite(unlimited)]
+        for limit in (np.inf, float(rng.uniform(0.0, 5.0)), float(rng.choice(reached))):
+            at_limit += int(np.sum(unlimited == limit))
+            for min_only in (False, True):
+                got = network.dijkstra(graph._adjacency(closed), indices=sources, limit=limit, min_only=min_only)
+                oracle = scipy_dijkstra(scipy_adjacency(graph, closed), directed=False, indices=sources,
+                                        limit=limit, min_only=min_only)
+                assert got.shape == oracle.shape and got.tobytes() == oracle.tobytes()
+    assert at_limit > 300
 
 
 def test_component_count():
@@ -345,6 +412,7 @@ def test_storm2_short_provenance_matches_scalar_rules_per_site(storm2_bundle):
     graph, config = storm2_bundle.graph, storm2_bundle.config
     exposures = hazard.evaluate_exposures(config.surge, graph.bridge_sites(), graph.road_sites())
     bridge_ids = sorted(graph.bridges)
+    nodes = {node.node_id: node for node in node_records(graph)}
     spans: dict[str, list[str]] = {}  # a bridge's edges, from the Edge records
     for eid, edge in graph.edges.items():
         spans.setdefault(edge.bridge_id, []).append(eid)
@@ -364,7 +432,7 @@ def test_storm2_short_provenance_matches_scalar_rules_per_site(storm2_bundle):
             edge = graph.edges[eid]
             if edge.kind != network.ROAD:
                 continue
-            u, v = graph.nodes[edge.u], graph.nodes[edge.v]
+            u, v = nodes[edge.u], nodes[edge.v]
             h_st = _nearest_surge(config.surge, (u.x + v.x) / 2.0, (u.y + v.y) / 2.0)
             if hazard.road_inundation_closed(hazard.inundation_depth(edge.h_r, h_st), config.thresholds):
                 want.setdefault(eid, network.INUNDATION)
@@ -427,7 +495,7 @@ def test_matches_floyd_warshall_oracle():
 def test_travel_table_deterministic_under_input_order():
     rng = np.random.default_rng(7)
     graph, demands, supplies, _, _ = random_sited_graph(rng)
-    nodes = list(graph.nodes.values())
+    nodes = node_records(graph)
     edges = list(graph.edges.values())
     rng.shuffle(nodes)
     rng.shuffle(edges)
@@ -467,7 +535,7 @@ def chained_sited_graph(rng):
     """random_sited_graph with series chains added: through, looped back and
     dangling, with a demand or supply site on some chain interiors."""
     graph, demands, supplies, _, _ = random_sited_graph(rng)
-    nodes = list(graph.nodes.values())
+    nodes = node_records(graph)
     edges = list(graph.edges.values())
     demands, supplies = list(demands), list(supplies)
     for c in range(int(rng.integers(1, 6))):
@@ -560,6 +628,7 @@ def test_reachable_matches_table_support_and_floyd_warshall(monkeypatch):
         assert np.array_equal(reach, support)
         # Searching a few sources at a time gives the same minutes.
         monkeypatch.setattr(network, "_SOURCE_BLOCK", 3)
+        monkeypatch.setattr(network, "_SEARCH_ENTRIES", 0)
         assert np.array_equal(network.reachable(graph, graph.edge_flags(closed_ids), *sites, d0), reach)
         blocked = network.travel_time_table(
             graph, network.ClosureMask({eid: network.STRUCTURAL for eid in closed_ids}), demands, supplies, d0
@@ -610,11 +679,10 @@ def test_closing_dead_edges_leaves_reachability_unchanged():
             closed[e] = True
             if not np.array_equal(network.reachable(graph, closed, d_nodes, s_nodes, d0), want):
                 assert live[e]
-        # the multi-source search is the row minimum of the per-source one
-        adjacency = graph._adjacency(base)
+        # the multi-source search is the row minimum of scipy's per-source one
         sources = np.unique(np.concatenate([d_nodes, s_nodes]))
-        per_source = network.dijkstra(adjacency, directed=False, indices=sources, limit=d0)
-        multi = network.dijkstra(adjacency, directed=False, indices=sources, limit=d0, min_only=True)
+        per_source = scipy_dijkstra(scipy_adjacency(graph, base), directed=False, indices=sources, limit=d0)
+        multi = network.dijkstra(graph._adjacency(base), indices=sources, limit=d0, min_only=True)
         assert np.array_equal(multi, per_source.min(axis=0))
     assert dead_seen > 0
 
@@ -627,7 +695,7 @@ def portal_graph(rng):
     for k in range(int(rng.integers(1, 4))):
         twin = edges[int(rng.integers(0, len(edges)))]
         edges.append(road(f"p{k}", twin.u, twin.v, float(rng.uniform(30.0, 900.0))))
-    graph = network.build_graph(graph.nodes.values(), edges, [])
+    graph = network.build_graph(node_records(graph), edges, [])
     d_nodes, s_nodes = network.snap_sites(graph, demands), network.snap_sites(graph, supplies)
     return graph, d_nodes, s_nodes, network.closure_units(graph, np.concatenate([d_nodes, s_nodes]))
 
@@ -706,7 +774,8 @@ def test_portal_legs_keep_every_minimum_that_can_decide():
                 portal_nodes.update(np.flatnonzero(np.bincount(ends) % 2).tolist())
         if not portal_nodes:
             continue
-        to_supply = network.dijkstra(graph._adjacency(closed_h), directed=False, indices=sorted(portal_nodes))[:, s_nodes]
+        h_graph = scipy_adjacency(graph, closed_h)
+        to_supply = scipy_dijkstra(h_graph, directed=False, indices=sorted(portal_nodes))[:, s_nodes]
 
         d0 = float(rng.uniform(3.0, 60.0))
         portals = network.PortalDistances(graph, base, units, toggled, d_nodes, s_nodes, d0)

@@ -48,7 +48,7 @@ def test_default_fixture_scale(default_bundle):
     assert len(b.bridges) == 88
     assert len(b.demands) == 121
     assert len(b.supplies) == 1021
-    assert len(b.graph.nodes) == 2127
+    assert len(b.graph.node_ids) == 2127
     assert 3500 <= len(b.graph.edges) <= 4500
     assert b.graph.component_count == 1
     assert b.config.storm == "storm-1-like"
@@ -378,7 +378,8 @@ def test_byte_order_mark_is_not_content(twin_dir):
     """A UTF-8 byte-order mark, as spreadsheet programs write one, changes
     nothing that loads; the input hash covers the raw bytes."""
     def content(b):
-        return b.graph.nodes, b.graph.edges, b.bridges, b.supplies, b.demands, b.config, b.crs
+        nodes = b.graph.node_ids, b.graph.node_x.tolist(), b.graph.node_y.tolist()
+        return nodes, b.graph.edges, b.bridges, b.supplies, b.demands, b.config, b.crs
 
     plain = content(scenario_io.load_bundle(twin_dir))
     for path in scenario_io.BundlePaths.in_dir(twin_dir).all_files():
@@ -611,7 +612,8 @@ def test_load_bundle_and_build_graph_build_the_same_graph(tmp_path, monkeypatch)
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
     assert any(edge.kind == network.BRIDGE for edge in edges)
     assert all(loaded.edges[edge.edge_id] == edge for edge in edges)
-    assert all(loaded.nodes[node.node_id] == node for node in nodes)
+    loaded_nodes = zip(loaded.node_ids, loaded.node_x.tolist(), loaded.node_y.tolist())
+    assert sorted((node.node_id, node.x, node.y) for node in nodes) == list(loaded_nodes)
 
 
 @pytest.mark.parametrize("name", [p.name for p in scenario_io.BundlePaths.in_dir(".").all_files()])

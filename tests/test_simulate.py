@@ -493,7 +493,7 @@ def river_town(samples=300, corridors=RIVER_CORRIDORS):
             edges.append(network.Edge(f"s-{bid}", prev, end, span, 10.0, network.BRIDGE, bridge_id=bid))
             prev = end
     graph = network.build_graph(nodes, edges, bridges)
-    pier = graph.nodes["c1p0"]
+    pier = next(node for node in nodes if node.node_id == "c1p0")
     demands = [
         access.DemandSite(f"d{i}", 0.0, 1000.0 * i, 100.0 * (i + 1), {"g": 10.0 * i}) for i in range(4)
     ] + [access.DemandSite("d-pier", pier.x, pier.y, 50.0)]
@@ -565,8 +565,9 @@ def co_sited_town(samples=300):
     """river_town with several demands and several supplies on shared nodes: more supply sites than demand
     sites, but fewer distinct supply nodes, so a side chosen by site count and one chosen by node count differ."""
     config, graph, bridges, _, _ = river_town(samples)
-    pier = graph.nodes["c1p0"]
-    demand_at = [(0.0, 0.0), (0.0, 0.0), (0.0, 1000.0), (0.0, 3000.0), (0.0, 3000.0), (pier.x, pier.y)]
+    pier = graph.node_ids.index("c1p0")
+    pier_xy = float(graph.node_x[pier]), float(graph.node_y[pier])
+    demand_at = [(0.0, 0.0), (0.0, 0.0), (0.0, 1000.0), (0.0, 3000.0), (0.0, 3000.0), pier_xy]
     demands = [
         access.DemandSite(f"d{i}", x, y, 97.3 * (i + 1), {"g": 9.1 * i}) for i, (x, y) in enumerate(demand_at)
     ]
