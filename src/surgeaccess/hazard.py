@@ -89,18 +89,6 @@ class SurgeField:
     def __len__(self) -> int:
         return int(self.x.shape[0])
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SurgeField):
-            return NotImplemented
-        return (
-            np.array_equal(self.x, other.x)
-            and np.array_equal(self.y, other.y)
-            and np.array_equal(self.h_st, other.h_st)
-            and np.array_equal(self.h_s, other.h_s)
-            and self.datum_label == other.datum_label
-            and self.coverage_radius_m == other.coverage_radius_m
-        )
-
     def values_at(self, qx: np.ndarray, qy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(h_st, h_s) at each query point; no surge outside coverage."""
         idx, d2 = nearest_points(self.x, self.y, qx, qy)

@@ -130,10 +130,11 @@ class RoadGraph:
 
     Nodes are kept as the sorted node_ids with node_x and node_y arrays.
     Edges are the sorted edge_ids with endpoint node indices, length_m and
-    speed_mps arrays, bridge_rows (each edge's row in bridge_ids, -1 on a
-    road) and h_r per road (road_sites' first column); bridges maps
-    bridge_ids, sorted, to their records. edges builds the Edge mapping when
-    first read.
+    speed_mps arrays and bridge_rows (each edge's row in bridge_ids, -1 on a
+    road); bridges maps bridge_ids, sorted, to their records. bridge_sites
+    holds a (deck_elevation_m, x, y) row per bridge in bridge_ids order and
+    road_sites an (h_r, midpoint x, midpoint y) row per road in road_ids
+    order, both read-only arrays. edges builds the Edge mapping when first read.
     """
 
     def __init__(
@@ -198,11 +199,11 @@ class RoadGraph:
         self.bridge_ids: tuple[str, ...] = tuple(bridge_map)
 
         rows = [(b.deck_elevation_m, b.x, b.y) for b in bridge_map.values()]
-        self._bridge_sites = np.array(rows, dtype=float).reshape(-1, 3)
+        self.bridge_sites = np.array(rows, dtype=float).reshape(-1, 3)
         u, v = self._edge_u[self._edge_road], self._edge_v[self._edge_road]
         mid_x, mid_y = (self.node_x[u] + self.node_x[v]) / 2.0, (self.node_y[u] + self.node_y[v]) / 2.0
-        self._road_sites = np.column_stack([h_r[edge_order][self._edge_road], mid_x, mid_y])
-        self._bridge_sites.flags.writeable = self._road_sites.flags.writeable = False
+        self.road_sites = np.column_stack([h_r[edge_order][self._edge_road], mid_x, mid_y])
+        self.bridge_sites.flags.writeable = self.road_sites.flags.writeable = False
         # Each edge as two arcs, grouped by tail node; _adjacency keeps the open ones.
         tails = np.concatenate([self._edge_u, self._edge_v])
         order = np.argsort(tails, kind="stable")
@@ -219,7 +220,7 @@ class RoadGraph:
         indices into node_ids; bridge_id is None on a road and h_r None on a bridge."""
         bridge_id = np.array([*self.bridge_ids, None], dtype=object)[self.bridge_rows]  # a road's -1 reads None
         h_r = np.full(len(self.edge_ids), None, dtype=object)
-        h_r[self._edge_road] = self._road_sites[:, 0].tolist()
+        h_r[self._edge_road] = self.road_sites[:, 0].tolist()
         kinds = [ROAD if road else BRIDGE for road in self._edge_road.tolist()]
         return zip(self.edge_ids, self._edge_u.tolist(), self._edge_v.tolist(), self._edge_length.tolist(),
                    self._edge_speed.tolist(), kinds, bridge_id.tolist(), h_r.tolist())
@@ -237,14 +238,6 @@ class RoadGraph:
         at = ((bisect_left(self.edge_ids, eid), eid) for eid in edge_ids)
         flags[[i for i, eid in at if self.edge_ids[i : i + 1] == (eid,)]] = True
         return flags
-
-    def bridge_sites(self) -> np.ndarray:
-        """(deck_elevation_m, x, y) rows, one per bridge in bridge_ids order; read-only."""
-        return self._bridge_sites
-
-    def road_sites(self) -> np.ndarray:
-        """(h_r, midpoint x, midpoint y) rows, one per road edge in road_ids order; read-only."""
-        return self._road_sites
 
 
 def build_graph(nodes: Iterable[Node], edges: Iterable[Edge], bridges: Iterable[BridgeRecord]) -> RoadGraph:

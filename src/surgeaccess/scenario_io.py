@@ -470,16 +470,12 @@ def write_results(result: ScenarioResult, bundle: DatasetBundle, out_dir: str | 
         _json_dump({"type": "FeatureCollection", "features": features}, path)
         written[f"results_{horizon}"] = path
 
-    group_weights: dict[str, float] = {}  # each added in demand order, as access.weighted_average adds it
-    for d in bundle.demands:
-        for name, w in {"overall": d.population, **d.subgroups}.items():
-            group_weights[name] = group_weights.get(name, 0.0) + float(w)
     summary_path = out / "group_summary.csv"
     _write_csv(
         summary_path,
         ["storm", "horizon", "group", "weight", "average_score"],
         (
-            [result.storm, horizon, name, group_weights.get(name, 0.0), average]
+            [result.storm, horizon, name, result.group_weights[name], average]
             for horizon, hres in result.horizons.items()
             for name, average in hres.group_averages.items()
         ),

@@ -38,6 +38,7 @@ import hashlib
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import compress
 from typing import Mapping, Sequence
 
@@ -241,13 +242,16 @@ class HorizonResult:
 
 @dataclass
 class ScenarioResult:
+    """One storm's run. group_weights holds each group's total weight, "overall" first, added demand by demand
+    as access.weighted_average adds its denominator (sum() would compensate from Python 3.12)."""
+
     storm: str
     seed: int
     samples: int
     d0_minutes: float
     failure_probability: dict[str, float]
-    exposures: hazard.ExposureSet
     fragility_checksum: str
+    group_weights: dict[str, float]
     horizons: dict[str, HorizonResult] = field(default_factory=dict)
 
 
@@ -269,13 +273,13 @@ def run_scenario(
     bridges: Sequence[network.BridgeRecord],
     supplies: Sequence[access.SupplySite],
     demands: Sequence[access.DemandSite],
-    fragility_table: fragility.FragilityTable | None = None,
 ) -> ScenarioResult:
     """Run the full Monte Carlo scenario for every configured horizon.
 
-    Exposures and failure probabilities are deterministic per storm, so
-    they are computed once. Bridges with p = 1 join every sample's closed
-    set and bridges with p = 0 never do; only the rest are sampled, in
+    Exposures and failure probabilities (fragility.default_table()) are
+    deterministic per storm, so they are computed once. Bridges with p = 1
+    close in each horizon's base network (closure_mask's structural rule)
+    and bridges with p = 0 never do; only the rest are sampled, in
     groups that touch the same closure units, and each sample is keyed
     on its pattern of failed groups. Each pattern maps, per horizon, to
     the closure units its failed groups touch beyond the horizon's base
@@ -299,9 +303,9 @@ def run_scenario(
             raise InvalidInputError(f"duplicate {kind} ids")
     if {b.bridge_id: b for b in bridges} != graph.bridges:  # exposures read the graph's records
         raise InvalidInputError("bridge records do not match the graph's bridges")
-    table = fragility_table if fragility_table is not None else fragility.default_table()
+    table = fragility.default_table()
 
-    exposures = hazard.evaluate_exposures(config.surge, graph.bridge_sites(), graph.road_sites())
+    exposures = hazard.evaluate_exposures(config.surge, graph.bridge_sites, graph.road_sites)
     failure_probability: dict[str, float] = {}
     for bid, h_max, z_c in zip(graph.bridge_ids, exposures.h_max.tolist(), exposures.z_c.tolist()):
         row = table.coefficients_for(graph.bridges[bid].mass_ton_per_m)
@@ -316,11 +320,10 @@ def run_scenario(
     for row, unit in zip(graph.bridge_rows[on_bridge].tolist(), units[on_bridge].tolist()):
         bridge_units[row].add(unit)
 
-    # u < 0 never holds and u < 1 always does, so only 0 < p < 1 needs a draw; p = 1 closes its units always.
+    # u < 0 never holds and u < 1 always does, so only 0 < p < 1 needs a draw; p = 1 closes in each base network.
     # Bridges that touch the same closure units close the same network, so each such group draws one outcome,
     # its members by p descending, then by id (bridges are in id order and a reversed sort stays stable).
     bridges_p = list(zip(graph.bridge_ids, failure_probability.values(), bridge_units))
-    fixed_units = set().union(*(touched for _, p, touched in bridges_p if p == 1.0))
     groups: dict[frozenset[int], dict[str, float]] = {}
     for bid, p, touched in sorted(bridges_p, key=lambda b: b[1], reverse=True):
         if 0.0 < p < 1.0:
@@ -335,13 +338,13 @@ def run_scenario(
     )
 
     # Pass two: patterns to closure-unit sets, one evaluation per distinct set.
-    no_failures = {bid: False for bid in failure_probability}
+    certain = {bid: p == 1.0 for bid, p in failure_probability.items()}
     items: list[tuple[str, frozenset[int]]] = []
     portals: dict[str, network.PortalDistances] = {}
     sample_network: dict[str, np.ndarray] = {}
     for horizon in config.horizons:
-        base_mask = network.closure_mask(graph, exposures, config.thresholds, no_failures, horizon)
-        base = fixed_units | set(units[graph.edge_flags(base_mask.provenance)].tolist())
+        base_mask = network.closure_mask(graph, exposures, config.thresholds, certain, horizon)
+        base = set(units[graph.edge_flags(base_mask.provenance)].tolist())
         base_closed = np.isin(units, sorted(base))
         live_units = frozenset(units[network.live_edges(graph, base_closed, *nodes, config.d0_minutes)].tolist())
         live_risk = [(u & live_units) - base for u in groups]
@@ -361,20 +364,19 @@ def run_scenario(
     with ThreadPoolExecutor(max_workers=config.workers) as pool:
         scores = list(pool.map(network_scores, items))
 
+    group_weights = {"overall": {d.demand_id: float(d.population) for d in demands}} | {
+        name: {d.demand_id: float(d.subgroups.get(name, 0.0)) for d in demands}
+        for name in access.group_names(demands)
+    }
     result = ScenarioResult(
         storm=config.storm,
         seed=config.seed,
         samples=config.samples,
         d0_minutes=config.d0_minutes,
         failure_probability=failure_probability,
-        exposures=exposures,
         fragility_checksum=table.checksum(),
+        group_weights={name: reduce(float.__add__, weights.values(), 0.0) for name, weights in group_weights.items()},
     )
-    population = {d.demand_id: d.population for d in demands}
-    subgroup_weights = {
-        name: {d.demand_id: float(d.subgroups.get(name, 0.0)) for d in demands}
-        for name in access.group_names(demands)
-    }
 
     for horizon in config.horizons:
         index = sample_network[horizon]
@@ -384,10 +386,8 @@ def run_scenario(
             scores={did: float(v) for did, v in zip(demand_ids, mean_scores)},
             d0_minutes=config.d0_minutes,
         )
-        group_averages = {"overall": access.weighted_average(mean_access, population)}
-        for name, weights in subgroup_weights.items():
-            if sum(weights.values()) > 0.0:
-                group_averages[name] = access.weighted_average(mean_access, weights)
+        group_averages = {name: access.weighted_average(mean_access, weights)  # overall's weight > 0 (checked above)
+                          for name, weights in group_weights.items() if result.group_weights[name] > 0.0}
         # Convergence requires every demand's running mean to settle.
         converged_at = convergence_report(score_table, config.convergence_window, config.convergence_tolerance, index)
         result.horizons[horizon] = HorizonResult(

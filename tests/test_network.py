@@ -239,12 +239,16 @@ def test_road_and_bridge_sites():
     graph = network.build_graph(nodes, edges, bridges)
     assert graph.bridge_ids == ("a", "b")
     assert graph.road_ids == ("rc", "rd")
-    assert graph.bridge_sites().tolist() == [[6.0, 30.0, 0.0], [7.0, 90.0, 0.0]]
-    assert graph.road_sites().tolist() == [[-0.5, 90.0, 0.0], [1.25, 30.0, 0.0]]
-    assert not graph.bridge_sites().flags.writeable and not graph.road_sites().flags.writeable
+    assert graph.bridge_sites.tolist() == [[6.0, 30.0, 0.0], [7.0, 90.0, 0.0]]
+    assert graph.road_sites.tolist() == [[-0.5, 90.0, 0.0], [1.25, 30.0, 0.0]]
+    for sites in (graph.bridge_sites, graph.road_sites):
+        assert not sites.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            sites[0, 0] = 99.0
+    assert graph.bridge_sites[0, 0] == 6.0 and graph.road_sites[0, 0] == -0.5
     assert graph.edge_ids == ("ar", "br", "rc", "rd") and graph.bridge_rows.tolist() == [0, 1, -1, -1]
     bare = line_graph(2)
-    assert bare.bridge_ids == () and bare.bridge_sites().shape == (0, 3)
+    assert bare.bridge_ids == () and bare.bridge_sites.shape == (0, 3) and not bare.bridge_sites.flags.writeable
 
 
 def spanned_graph():
@@ -259,7 +263,7 @@ def spanned_graph():
     ]
     graph = network.build_graph(nodes, edges, [network.BridgeRecord("b", 5.0, 12.0, 60.0, 0.0)])
     field = hazard.SurgeField([0.0], [0.0], [1.0], [0.5])  # uniform modest surge
-    exposures = hazard.evaluate_exposures(field, graph.bridge_sites(), graph.road_sites())
+    exposures = hazard.evaluate_exposures(field, graph.bridge_sites, graph.road_sites)
     return graph, exposures
 
 
@@ -290,7 +294,7 @@ def test_structural_label_wins_over_inundation():
     graph, _ = spanned_graph()
     # drown the bridge deck so inundation would also close it
     field = hazard.SurgeField([0.0], [0.0], [6.0], [0.5])
-    exposures = hazard.evaluate_exposures(field, graph.bridge_sites(), graph.road_sites())
+    exposures = hazard.evaluate_exposures(field, graph.bridge_sites, graph.road_sites)
     thresholds = hazard.ExposureThresholds()
     mask = network.closure_mask(graph, exposures, thresholds, {"b": True}, "short")
     assert mask.provenance["s1"] == network.STRUCTURAL
@@ -410,7 +414,7 @@ def _nearest_surge(field, x, y):
 
 def test_storm2_short_provenance_matches_scalar_rules_per_site(storm2_bundle):
     graph, config = storm2_bundle.graph, storm2_bundle.config
-    exposures = hazard.evaluate_exposures(config.surge, graph.bridge_sites(), graph.road_sites())
+    exposures = hazard.evaluate_exposures(config.surge, graph.bridge_sites, graph.road_sites)
     bridge_ids = sorted(graph.bridges)
     nodes = {node.node_id: node for node in node_records(graph)}
     spans: dict[str, list[str]] = {}  # a bridge's edges, from the Edge records

@@ -20,6 +20,17 @@ def file_hashes(paths):
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
 
 
+def surge_columns(field):
+    """A surge field by value: its four columns, datum label and coverage radius (SurgeField has no ==)."""
+    return [c.tolist() for c in (field.x, field.y, field.h_st, field.h_s)], field.datum_label, field.coverage_radius_m
+
+
+def assert_same_config(a, b):
+    """Two ScenarioConfigs agree field by field, their surge fields by surge_columns."""
+    assert surge_columns(a.surge) == surge_columns(b.surge)
+    assert dataclasses.replace(a, surge=None) == dataclasses.replace(b, surge=None)
+
+
 def small_spec(**kw):
     base = dict(
         grid_width=24, grid_height=8, bridge_count=12, spans_per_corridor=4,
@@ -130,7 +141,7 @@ def test_bundle_round_trip(tmp_path, twin_dir, small_dir):
         assert second.bridges == first.bridges
         assert second.supplies == first.supplies
         assert second.demands == first.demands
-        assert second.config == first.config
+        assert_same_config(second.config, first.config)
         assert second.crs == first.crs
         assert second.graph.node_ids == first.graph.node_ids
         assert second.graph.edge_ids == first.graph.edge_ids
@@ -155,7 +166,7 @@ def test_datum_round_trips_with_the_surge_field(tmp_path):
     assert "datum = NAVD88\n" in paths.config.read_text()
     loaded = scenario_io.load_bundle(tmp_path / "navd")
     assert loaded.config.surge.datum_label == "NAVD88"
-    assert loaded.config == bundle.config
+    assert_same_config(loaded.config, bundle.config)
     cfg = loaded.config
     result = simulate.run_scenario(cfg, loaded.graph, loaded.bridges, loaded.supplies, loaded.demands)
     written = scenario_io.write_results(result, loaded, tmp_path / "out")
@@ -308,7 +319,7 @@ def test_surge_csv_values_round_trip(twin_dir):
     )
     rows = [",".join(repr(float(v)) for v in row) for row in zip(field.x, field.y, field.h_st, field.h_s)]
     (twin_dir / scenario_io.SURGE_FILE).write_text("\n".join(["x,y,h_st,h_s", *rows]) + "\n")
-    assert scenario_io.load_bundle(twin_dir).config.surge == field
+    assert surge_columns(scenario_io.load_bundle(twin_dir).config.surge) == surge_columns(field)
 
 
 def test_surge_csv_errors(twin_dir):
@@ -379,7 +390,8 @@ def test_byte_order_mark_is_not_content(twin_dir):
     nothing that loads; the input hash covers the raw bytes."""
     def content(b):
         nodes = b.graph.node_ids, b.graph.node_x.tolist(), b.graph.node_y.tolist()
-        return nodes, b.graph.edges, b.bridges, b.supplies, b.demands, b.config, b.crs
+        config = dataclasses.replace(b.config, surge=None), surge_columns(b.config.surge)
+        return nodes, b.graph.edges, b.bridges, b.supplies, b.demands, config, b.crs
 
     plain = content(scenario_io.load_bundle(twin_dir))
     for path in scenario_io.BundlePaths.in_dir(twin_dir).all_files():
@@ -608,7 +620,7 @@ def test_load_bundle_and_build_graph_build_the_same_graph(tmp_path, monkeypatch)
     for name in ("node_x", "node_y", "_edge_u", "_edge_v", "_edge_minutes"):
         a, b = getattr(loaded, name), getattr(built, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
-    for a, b in ((loaded.road_sites(), built.road_sites()), (loaded.bridge_sites(), built.bridge_sites())):
+    for a, b in ((loaded.road_sites, built.road_sites), (loaded.bridge_sites, built.bridge_sites)):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
     assert any(edge.kind == network.BRIDGE for edge in edges)
     assert all(loaded.edges[edge.edge_id] == edge for edge in edges)
@@ -658,14 +670,14 @@ def test_write_results_round_trip(tmp_path):
     assert float(overall_rows[0]["weight"]) == 300.0
 
 
-def test_manifest_records_the_table_the_run_used(tmp_path):
+def test_manifest_records_the_table_the_run_used(tmp_path, monkeypatch):
     bundle = scenario_io.generate_twin_town(p_fail=0.5, samples=50)
     default_rows = fragility.default_table().rows
     custom = fragility.FragilityTable([dataclasses.replace(default_rows[0], a=0.3)] + list(default_rows[1:]))
     assert custom.checksum() != fragility.default_table().checksum()
-    result = simulate.run_scenario(
-        bundle.config, bundle.graph, bundle.bridges, bundle.supplies, bundle.demands, custom
-    )
+    monkeypatch.setattr(fragility, "default_table", lambda: custom)
+    result = simulate.run_scenario(bundle.config, bundle.graph, bundle.bridges, bundle.supplies, bundle.demands)
+    assert result.failure_probability["b-main"] != pytest.approx(0.5)  # the run drew from the custom table
     assert result.fragility_checksum == custom.checksum()
     scenario_io.write_results(result, bundle, tmp_path / "out")
     manifest = scenario_io.read_results(tmp_path / "out")["manifest"]
@@ -683,12 +695,14 @@ def test_write_results_byte_identical_across_reruns(tmp_path):
 
 
 def test_group_weights_add_in_demand_order(tmp_path):
-    """The overall weight is added demand by demand, as the subgroup weights and weighted_average's
-    denominator are, so it does not depend on whether sum() compensates (it does from Python 3.12)."""
+    """Each group's weight is added demand by demand, as weighted_average's denominator is, on the result and
+    in group_summary.csv, so it does not depend on whether sum() compensates (it does from Python 3.12)."""
     bundle = scenario_io.generate_twin_town(samples=1)
     demands = [access.DemandSite(f"d{k}", 0.0, 0.0, pop, {"group": pop}) for k, pop in enumerate((0.1, 0.2, 0.3))]
     bundle = dataclasses.replace(bundle, demands=tuple(demands))
     result = simulate.run_scenario(bundle.config, bundle.graph, bundle.bridges, bundle.supplies, bundle.demands)
+    in_order = 0.0 + 0.1 + 0.2 + 0.3
+    assert in_order == 0.6000000000000001 and result.group_weights == {"overall": in_order, "group": in_order}
     scenario_io.write_results(result, bundle, tmp_path / "out")
     weights = {row["group"]: row["weight"] for row in scenario_io.read_results(tmp_path / "out")["groups"]}
     assert weights == {"overall": "0.6000000000000001", "group": "0.6000000000000001"}

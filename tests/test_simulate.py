@@ -452,6 +452,12 @@ CONSTANT_P_TABLE = fragility.FragilityTable(
 MASS_FOR_P = {0.0: 2.0, 1.0: 7.0, 0.25: 12.0, 0.5: 17.0, 0.75: 22.0}
 
 
+@pytest.fixture
+def constant_p(monkeypatch):
+    """Runs take their failure probabilities from CONSTANT_P_TABLE."""
+    monkeypatch.setattr(fragility, "default_table", lambda: CONSTANT_P_TABLE)
+
+
 RIVER_CORRIDORS = (  # (west node, east node, span probabilities, deck elevation per span)
     ("w0", "e0", (0.25, 0.5, 0.75), (10.0, 10.0, 10.0)),
     ("w1", "e1", (0.0, 0.5), (10.0, 10.0)),
@@ -507,11 +513,12 @@ def river_town(samples=300, corridors=RIVER_CORRIDORS):
 def raw_key_sample_scores(result, config, graph, supplies, demands, horizon):
     """Reference: every sample closes its raw edge set (closure_mask with
     every bridge drawn), then travel_time_table and score_vector."""
+    exposures = hazard.evaluate_exposures(config.surge, graph.bridge_sites, graph.road_sites)
     cache = {}
     rows = []
     for index in range(result.samples):
         failed = draw(result.failure_probability, config.seed, index)
-        mask = network.closure_mask(graph, result.exposures, config.thresholds, failed, horizon)
+        mask = network.closure_mask(graph, exposures, config.thresholds, failed, horizon)
         closed = frozenset(mask.provenance)
         if closed not in cache:
             table = network.travel_time_table(graph, mask, demands, supplies, config.d0_minutes)
@@ -520,23 +527,21 @@ def raw_key_sample_scores(result, config, graph, supplies, demands, horizon):
     return np.stack(rows)
 
 
-def test_unit_keys_match_raw_key_reference_on_mixed_bridges():
+def test_unit_keys_match_raw_key_reference_on_mixed_bridges(constant_p):
     config, graph, bridges, supplies, demands = river_town()
-    result = simulate.run_scenario(config, graph, bridges, supplies, demands, CONSTANT_P_TABLE)
+    result = simulate.run_scenario(config, graph, bridges, supplies, demands)
     assert sorted(set(result.failure_probability.values())) == [0.0, 0.25, 0.5, 0.75, 1.0]
     for horizon, hres in result.horizons.items():
         reference = raw_key_sample_scores(result, config, graph, supplies, demands, horizon)
         assert np.array_equal(hres.sample_scores, reference)
         assert len(np.unique(reference, axis=0)) > 2  # the draws really vary the network
     assert not np.array_equal(result.horizons["short"].sample_scores, result.horizons["long"].sample_scores)
-    pooled = simulate.run_scenario(
-        scenario_io.override_config(config, workers=2), graph, bridges, supplies, demands, CONSTANT_P_TABLE
-    )
+    pooled = simulate.run_scenario(scenario_io.override_config(config, workers=2), graph, bridges, supplies, demands)
     for horizon, hres in result.horizons.items():
         assert np.array_equal(pooled.horizons[horizon].sample_scores, hres.sample_scores)
 
 
-def test_groups_sharing_a_unit_match_raw_key_reference(monkeypatch):
+def test_groups_sharing_a_unit_match_raw_key_reference(monkeypatch, constant_p):
     # Long corridors through unsited piers: each corridor's spans share one closure unit (corridor 1's site on
     # its first pier splits it in two), so each draws as one group, its likeliest spans first.
     corridors = (
@@ -550,7 +555,7 @@ def test_groups_sharing_a_unit_match_raw_key_reference(monkeypatch):
     calls = []
     real = simulate.sample_failures
     monkeypatch.setattr(simulate, "sample_failures", lambda groups, *args: calls.append(groups) or real(groups, *args))
-    result = simulate.run_scenario(config, graph, bridges, supplies, demands, CONSTANT_P_TABLE)
+    result = simulate.run_scenario(config, graph, bridges, supplies, demands)
     assert len(calls) == config.samples
     assert sorted([key.decode() for key, _ in group] for group in calls[0]) == [
         ["b02", "b00", "b03"], ["b10"], ["b13", "b11"], ["b20", "b22"], ["b30"], ["b41", "b40"],
@@ -576,7 +581,7 @@ def co_sited_town(samples=300):
     return config, graph, bridges, supplies, demands
 
 
-def test_co_sited_town_matches_raw_key_reference_with_one_and_two_workers(monkeypatch):
+def test_co_sited_town_matches_raw_key_reference_with_one_and_two_workers(monkeypatch, constant_p):
     def no_process(self):
         raise RuntimeError("network evaluation started a process")
 
@@ -586,7 +591,7 @@ def test_co_sited_town_matches_raw_key_reference_with_one_and_two_workers(monkey
     assert len(supplies) > len(demands) and s_nodes.size < d_nodes.size
     for workers in (1, 2):
         run_config = scenario_io.override_config(config, workers=workers)
-        result = simulate.run_scenario(run_config, graph, bridges, supplies, demands, CONSTANT_P_TABLE)
+        result = simulate.run_scenario(run_config, graph, bridges, supplies, demands)
         for horizon, hres in result.horizons.items():
             reference = raw_key_sample_scores(result, config, graph, supplies, demands, horizon)
             assert np.array_equal(hres.sample_scores, reference)
@@ -619,6 +624,7 @@ def exact_moments(bundle, result):
             groups.setdefault(frozenset(units[graph.bridge_rows == row].tolist()), []).append(bid)
     fails = [1.0 - math.prod(1.0 - p[bid] for bid in members) for members in groups.values()]
     pop, cap = access.site_weights(bundle.demands, bundle.supplies)
+    exposures = hazard.evaluate_exposures(config.surge, graph.bridge_sites, graph.road_sites)
     moments = {}
     for horizon in config.horizons:
         weights, scores = [], []
@@ -626,7 +632,7 @@ def exact_moments(bundle, result):
             draw = {bid: p[bid] == 1.0 for bid in graph.bridge_ids}
             for failed, members in zip(state, groups.values()):
                 draw.update(dict.fromkeys(members, failed))
-            mask = network.closure_mask(graph, result.exposures, config.thresholds, draw, horizon)
+            mask = network.closure_mask(graph, exposures, config.thresholds, draw, horizon)
             reach = network.reachable(graph, graph.edge_flags(mask.provenance), d_nodes, s_nodes, config.d0_minutes)
             scores.append(access.two_step(reach, np.arange(d_nodes.size), np.arange(s_nodes.size), pop, cap)[0])
             weights.append(math.prod(q if failed else 1.0 - q for q, failed in zip(fails, state)))
@@ -654,15 +660,61 @@ def test_session_run_means_lie_in_a_clt_band_around_the_exact_expectation(
             assert np.abs(z).max(initial=0.0) <= z_bound, (horizon, np.abs(z).max(initial=0.0), z_bound)
 
 
-def test_run_with_no_at_risk_bridge_matches_raw_key_reference():
+def test_run_with_no_at_risk_bridge_matches_raw_key_reference(monkeypatch):
     config, graph, bridges, supplies, demands = river_town(samples=60)
     always = fragility.FragilityTable([fragility.FragilityRow(0.0, 35.0, 1.0, 0.0, 0.0)])
-    result = simulate.run_scenario(config, graph, bridges, supplies, demands, always)
+    monkeypatch.setattr(fragility, "default_table", lambda: always)
+    result = simulate.run_scenario(config, graph, bridges, supplies, demands)
     assert set(result.failure_probability.values()) == {1.0}  # nothing to draw: every sample keys pattern ()
     for horizon, hres in result.horizons.items():
         reference = raw_key_sample_scores(result, config, graph, supplies, demands, horizon)
         assert np.array_equal(hres.sample_scores, reference)
         assert len(np.unique(reference, axis=0)) == 1
+
+
+def test_p_one_bridges_close_like_their_units_closed_explicitly(monkeypatch, constant_p, tmp_path):
+    """p = 1 bridges close in each horizon's base network through closure_mask's structural rule. The reference
+    asks closure_mask for no failure and closes every edge of the p = 1 bridges' closure units itself; the keys,
+    score tables and write_results bytes agree. The added corridor's p = 1 span has a low deck, so on the short
+    horizon it is also inundated."""
+    corridors = RIVER_CORRIDORS + (("w3", "e3", (1.0,), (1.0,)),)
+    config, graph, bridges, supplies, demands = river_town(corridors=corridors)
+    bundle = scenario_io.DatasetBundle(graph, tuple(supplies), tuple(demands), config, "local-meters")
+    exposures = hazard.evaluate_exposures(config.surge, graph.bridge_sites, graph.road_sites)
+    inundated = hazard.bridge_inundation_closed(exposures.z_c, config.thresholds)
+    keys = []
+    reachable = network.PortalDistances.reachable
+    monkeypatch.setattr(
+        network.PortalDistances, "reachable", lambda self, closed: keys.append(closed) or reachable(self, closed)
+    )
+    result = simulate.run_scenario(config, graph, bridges, supplies, demands)
+    certain = {bid: p == 1.0 for bid, p in result.failure_probability.items()}
+    assert [bid for bid, p1 in certain.items() if p1] == ["b20", "b50", "b70"]
+    assert inundated[graph.bridge_ids.index("b70")] and not inundated[graph.bridge_ids.index("b20")]
+    scenario_io.write_results(result, bundle, tmp_path / "run")
+    run_keys = keys.copy()
+    keys.clear()
+
+    units = network.closure_units(graph, np.concatenate([network.snap_sites(graph, demands),
+                                                         network.snap_sites(graph, supplies)]))
+    rows = [row for row, bid in enumerate(graph.bridge_ids) if certain[bid]]
+    fixed = list(itertools.compress(graph.edge_ids, np.isin(units, units[np.isin(graph.bridge_rows, rows)])))
+    closure_mask = network.closure_mask
+
+    def explicit(graph, exposures, thresholds, draw, horizon):
+        assert draw == certain
+        closed = closure_mask(graph, exposures, thresholds, dict.fromkeys(draw, False), horizon).provenance
+        return network.ClosureMask({**dict.fromkeys(fixed, network.STRUCTURAL), **closed})
+
+    monkeypatch.setattr(network, "closure_mask", explicit)
+    reference = simulate.run_scenario(config, graph, bridges, supplies, demands)
+    scenario_io.write_results(reference, bundle, tmp_path / "reference")
+    assert keys == run_keys and len(run_keys) > 4
+    for horizon, hres in result.horizons.items():
+        assert hres.sample_network.tobytes() == reference.horizons[horizon].sample_network.tobytes()
+        assert hres.score_table.tobytes() == reference.horizons[horizon].score_table.tobytes()
+    for path in (tmp_path / "run").iterdir():
+        assert path.read_bytes() == (tmp_path / "reference" / path.name).read_bytes(), path.name
 
 
 def test_horizons_sharing_a_base_key_and_score_on_their_own():
