@@ -23,6 +23,10 @@ columns as soon as the decoder finishes it, so neither the JSON tree
 (about 5x the file's bytes) nor a record per feature is held; edge ends
 bind to nodes once every node is known. Writers emit byte-identical
 files for identical results: fixed key order, repr floats, no timestamps.
+Every GeoJSON FeatureCollection is written a feature at a time
+(_write_features), so neither its feature list nor its text is held
+whole. The synthetic county generator builds its grid as node and road
+columns and passes them, with the bridge spans, to RoadGraph.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ import csv
 import dataclasses
 import hashlib
 import io
+import itertools
 import json
 import math
 from array import array
@@ -428,8 +433,17 @@ def load_bundle(source: str | Path | BundlePaths) -> DatasetBundle:
     return DatasetBundle(graph, tuple(supplies), tuple(demands), config, crs, input_hashes=hashes)
 
 
-def _json_dump(obj: Any, path: Path, sort_keys: bool = False) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=sort_keys) + "\n")
+def _write_features(path: Path, features: Iterable[dict]) -> None:
+    """Write a GeoJSON FeatureCollection one feature at a time, in the bytes
+    json.dumps(collection, indent=2) + "\n" gives; JSON text holds no raw
+    newline, so each feature's lines indent as a whole."""
+    with open(path, "w") as fh:
+        fh.write('{\n  "type": "FeatureCollection",\n  "features": [')
+        lead = "\n    "
+        for feature in features:
+            fh.write(lead + json.dumps(feature, indent=2).replace("\n", "\n    "))
+            lead = ",\n    "
+        fh.write("]\n}\n" if lead == "\n    " else "\n  ]\n}\n")
 
 
 def _write_csv(path: Path, header: Iterable[str], rows: Iterable[Iterable[Any]]) -> None:
@@ -445,29 +459,26 @@ def write_results(result: ScenarioResult, bundle: DatasetBundle, out_dir: str | 
     manifest. Output bytes depend only on the result and bundle."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    demand_xy = {d.demand_id: (d.x, d.y) for d in bundle.demands}
+    demand_xy = {d.demand_id: [d.x, d.y] for d in bundle.demands}
     written: dict[str, Path] = {}
 
     for horizon, hres in result.horizons.items():
-        features = []
-        for pos, demand_id in enumerate(hres.demand_ids):
-            x, y = demand_xy[demand_id]
-            features.append(
-                {
-                    "type": "Feature",
-                    "geometry": {"type": "Point", "coordinates": [x, y]},
-                    "properties": {
-                        "demand_id": demand_id,
-                        "mean_score": float(hres.mean_scores[pos]),
-                        "cov": float(hres.cov[pos]),
-                        "quartile": hres.quartiles[demand_id],
-                        "horizon": horizon,
-                        "storm": result.storm,
-                    },
-                }
-            )
         path = out / f"results_{horizon}.geojson"
-        _json_dump({"type": "FeatureCollection", "features": features}, path)
+        _write_features(path, (
+            {
+                "type": "Feature",
+                "geometry": {"type": "Point", "coordinates": demand_xy[demand_id]},
+                "properties": {
+                    "demand_id": demand_id,
+                    "mean_score": float(hres.mean_scores[pos]),
+                    "cov": float(hres.cov[pos]),
+                    "quartile": hres.quartiles[demand_id],
+                    "horizon": horizon,
+                    "storm": result.storm,
+                },
+            }
+            for pos, demand_id in enumerate(hres.demand_ids)
+        ))
         written[f"results_{horizon}"] = path
 
     summary_path = out / "group_summary.csv"
@@ -505,7 +516,7 @@ def write_results(result: ScenarioResult, bundle: DatasetBundle, out_dir: str | 
         },
     }
     manifest_path = out / "manifest.json"
-    _json_dump(manifest, manifest_path, sort_keys=True)
+    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     written["manifest"] = manifest_path
     return written
 
@@ -533,12 +544,12 @@ def write_bundle(bundle: DatasetBundle, out_dir: str | Path) -> BundlePaths:
     graph = bundle.graph
 
     xy = np.column_stack([graph.node_x, graph.node_y]).tolist()
-    features = [{"type": "Feature", "geometry": {"type": "Point", "coordinates": at}, "properties": {"id": nid}}
-                for nid, at in zip(graph.node_ids, xy)]
-    features += [{"type": "Feature", "geometry": {"type": "LineString", "coordinates": [xy[u], xy[v]]},
-                  "properties": dict(zip(("id", "length_m", "speed_mps", "kind", "bridge_id", "h_r"), (eid, *rest)))}
-                 for eid, u, v, *rest in graph.edge_rows()]
-    _json_dump({"type": "FeatureCollection", "features": features}, paths.network)
+    nodes = ({"type": "Feature", "geometry": {"type": "Point", "coordinates": at}, "properties": {"id": nid}}
+             for nid, at in zip(graph.node_ids, xy))
+    edges = ({"type": "Feature", "geometry": {"type": "LineString", "coordinates": [xy[u], xy[v]]},
+              "properties": dict(zip(("id", "length_m", "speed_mps", "kind", "bridge_id", "h_r"), (eid, *rest)))}
+             for eid, u, v, *rest in graph.edge_rows())
+    _write_features(paths.network, itertools.chain(nodes, edges))
 
     _write_csv(paths.bridges, _BRIDGE_COLUMNS, map(dataclasses.astuple, bundle.bridges))
     cfg = bundle.config
@@ -645,93 +656,62 @@ def generate_fixture(spec: SyntheticFixtureSpec, out_dir: str | Path) -> BundleP
     channel_row = (gh - 1) // 2  # channel sits between this row and the next
     y_channel = (channel_row + 0.5) * sp
 
-    def node_id(i: int, j: int) -> str:
-        return f"n{i:03d}_{j:03d}"
-
-    def ground(y: float) -> float:
-        # Bank rows run on causeways; elsewhere ground rises away from
-        # the channel, so flooding hugs the inlet.
-        dist = abs(y - y_channel)
-        if dist <= sp / 2.0:
-            return 2.8
-        return 0.3 + 0.0024 * (dist - sp / 2.0)
-
-    nodes: list[Node] = []
-    node_elev: dict[str, float] = {}
-    for i in range(gw):
-        for j in range(gh):
-            nid = node_id(i, j)
-            nodes.append(Node(node_id=nid, x=i * sp, y=j * sp))
-            node_elev[nid] = round(ground(j * sp) + rng.uniform(0.0, 0.3), 3)
+    # nodes and edges hold RoadGraph's node and edge columns; grid node (i, j) is node row i * gh + j.
+    # Bank rows run on causeways; elsewhere ground rises away from the channel, so flooding hugs the
+    # inlet. One sized draw gives each node's elevation noise, in node row order, then one each road's
+    # speed: the eh roads east, row j by row j, then the ev roads north, column i by column i. A sized
+    # draw yields the numbers of as many scalar draws, in order; each value is rounded by Python's round().
+    node_i, node_j = np.divmod(np.arange(gw * gh), gh)
+    nodes = [[f"n{i:03d}_{j:03d}" for i, j in zip(node_i.tolist(), node_j.tolist())],
+             (node_i * sp).tolist(), (node_j * sp).tolist()]
+    dist = np.abs(node_j * sp - y_channel)
+    ground = np.where(dist <= sp / 2.0, 2.8, 0.3 + 0.0024 * (dist - sp / 2.0)) + rng.uniform(0.0, 0.3, gw * gh)
+    elev = np.array([round(e, 3) for e in ground.tolist()])
+    eh_j, eh_i = np.divmod(np.arange(gh * (gw - 1)), gw - 1)
+    ev_i, ev_j = np.divmod(np.arange(gw * (gh - 1)), gh - 1)
+    ev_i, ev_j = ev_i[ev_j != channel_row], ev_j[ev_j != channel_row]  # only corridors cross the channel
+    road_ids = [f"eh{i:03d}_{j:03d}" for i, j in zip(eh_i.tolist(), eh_j.tolist())]
+    road_ids += [f"ev{i:03d}_{j:03d}" for i, j in zip(ev_i.tolist(), ev_j.tolist())]
+    u, v = np.r_[eh_i * gh + eh_j, ev_i * gh + ev_j], np.r_[(eh_i + 1) * gh + eh_j, ev_i * gh + ev_j + 1]
+    speeds = [round(s, 2) for s in rng.uniform(2.5, 6.0, u.size).tolist()]
+    h_r = np.minimum(elev[u], elev[v]).tolist()
+    edges = [road_ids, u.tolist(), v.tolist(), [sp] * u.size, speeds, h_r, [ROAD] * u.size, [None] * u.size]
 
     # The channel is crossed by a few multi-span corridors. Every span is
     # its own bridge, chained over pier nodes, so one span failure severs
-    # the whole corridor and traffic detours to the next one.
+    # the whole corridor and traffic detours to the next one. Each corridor
+    # draws its deck, then each span's mass.
     cols = np.round(np.linspace(0, gw - 1, corridors + 2)).astype(int)[1:-1]
     if len(set(cols.tolist())) < corridors:  # corridors <= gw, so these columns are at least 1 apart
         cols = np.round(np.linspace(0, gw - 1, corridors)).astype(int)
     corridor_cols = sorted(cols.tolist())
 
-    edges: list[Edge] = []
-
-    def add_road(eid: str, a: str, b: str) -> None:
-        edges.append(
-            Edge(
-                edge_id=eid, u=a, v=b, length_m=sp, speed_mps=round(rng.uniform(2.5, 6.0), 2),
-                kind=ROAD, h_r=min(node_elev[a], node_elev[b]),
-            )
-        )
-
-    for j in range(gh):
-        for i in range(gw - 1):
-            add_road(f"eh{i:03d}_{j:03d}", node_id(i, j), node_id(i + 1, j))
-    for i in range(gw):
-        for j in range(gh - 1):
-            if j == channel_row:
-                continue  # only corridors cross the channel
-            add_road(f"ev{i:03d}_{j:03d}", node_id(i, j), node_id(i, j + 1))
-
     bridges: list[BridgeRecord] = []
     band_centers = (2.5, 7.5, 12.5, 17.5, 22.5, 27.5, 32.5)
     deck_pattern = (0.05, 0.10, 0.18, 0.9, 0.12, 0.55, 0.14, 0.95)
     deck_lo, deck_hi = _DECK_RANGE_M
-    span_counter = 0
-    remaining = spec.bridge_count
+    y0, remaining = channel_row * sp, spec.bridge_count
     for c, i in enumerate(corridor_cols):
         spans = min(spec.spans_per_corridor, remaining)
         remaining -= spans
-        speed = 5.0  # corridors are highway crossings; roads vary instead
         deck = deck_lo + deck_pattern[c % len(deck_pattern)] * (deck_hi - deck_lo) + rng.uniform(-0.2, 0.2)
         deck = min(max(deck, deck_lo), deck_hi)
-        y0 = channel_row * sp
-        chain = [node_id(i, channel_row)]
+        chain = [i * gh + channel_row, *range(len(nodes[0]), len(nodes[0]) + spans - 1), i * gh + channel_row + 1]
         for k in range(spans - 1):
-            pier = f"p{i:03d}_{k:02d}"
-            nodes.append(Node(node_id=pier, x=i * sp, y=y0 + (k + 1) * sp / spans))
-            chain.append(pier)
-        chain.append(node_id(i, channel_row + 1))
+            for column, value in zip(nodes, (f"p{i:03d}_{k:02d}", i * sp, y0 + (k + 1) * sp / spans)):
+                column.append(value)
         for k in range(spans):
             bridge_id = f"b{i:03d}_{k:02d}"
-            mass = band_centers[span_counter % len(band_centers)] + rng.uniform(-2.0, 2.0)
-            span_counter += 1
-            bridges.append(
-                BridgeRecord(
-                    bridge_id=bridge_id,
-                    deck_elevation_m=round(deck, 3),
-                    mass_ton_per_m=round(mass, 3),
-                    x=i * sp,
-                    y=y0 + (k + 0.5) * sp / spans,
-                )
-            )
-            edges.append(
-                Edge(
-                    edge_id=f"ev{i:03d}_{channel_row:03d}s{k:02d}",
-                    u=chain[k], v=chain[k + 1], length_m=sp / spans, speed_mps=speed,
-                    kind=BRIDGE, bridge_id=bridge_id,
-                )
-            )
+            mass = band_centers[len(bridges) % len(band_centers)] + rng.uniform(-2.0, 2.0)
+            bridges.append(BridgeRecord(bridge_id, deck_elevation_m=round(deck, 3), mass_ton_per_m=round(mass, 3),
+                                        x=i * sp, y=y0 + (k + 0.5) * sp / spans))
+            # Corridors are highway crossings at 5 m/s; roads vary instead.
+            span = (f"ev{i:03d}_{channel_row:03d}s{k:02d}", chain[k], chain[k + 1], sp / spans, 5.0, math.nan,
+                    BRIDGE, bridge_id)
+            for column, value in zip(edges, span):
+                column.append(value)
 
-    graph = build_graph(nodes, edges, bridges)
+    graph = RoadGraph(*nodes, *edges, bridges)
 
     # Surge decays with distance from an inlet at the channel's midpoint,
     # so flooding forms an ellipse-ish patch instead of severing the whole

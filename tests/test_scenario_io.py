@@ -78,6 +78,42 @@ def test_fixture_generation_is_byte_deterministic(tmp_path):
     assert file_hashes(c.all_files()) != file_hashes(a.all_files())
 
 
+# sha256 of every generated file for three small specs: a partial last corridor, corridors that take
+# every column (the cols fallback), and no surge. The manifest's input hashes pin the default bundles.
+SMALL_SPEC_DIGESTS = [
+    (dict(grid_width=12, grid_height=6, bridge_count=7, spans_per_corridor=3, demand_count=9, supply_count=20), {
+        "network.geojson": "25b14237dacefedf2c06fb50b222b93110bc803a140f131723fe1cfc52cec2aa",
+        "bridges.csv": "5a8883d6558df642caf79f2ec59f78d6fe5f0b71c5dbdab57a05c9fa93b9cfe3",
+        "surge.csv": "56ae5fedc8e6ddb13c3852f5fc412c28f5abaedd87a41d0a714b74dfd58510df",
+        "supplies.csv": "0955fdb4cd1f38f3d9594ed81cf4396b09921abf9738da471e3742e2fd1a1266",
+        "demands.csv": "a3e307e06a0fb336b4179cff0eb50d6f9f6767f44186593dbdbb10541420c553",
+        "scenario.cfg": "34c79c891f32faafa96da7851fb6deeb8f918fc4e29a20a655fc21083c6f67b3",
+    }),
+    (dict(grid_width=5, grid_height=4, bridge_count=5, spans_per_corridor=1, demand_count=3, supply_count=4), {
+        "network.geojson": "b2f30968f35ceba1bb8e34b2429c76bc9aed6dfa79ea7957a713e86630e792d8",
+        "bridges.csv": "5232888b054140593c70321ad995d1644b1c25722b84112f560b54ddfe6bb8fc",
+        "surge.csv": "89493bb2423e50013a1d32ca1e7c7984c6ba8c69aee490e3095fac3643f25c16",
+        "supplies.csv": "b98f8251e67beb25a24d91735942c272f146c2a672dad86695b8429e0d3973b8",
+        "demands.csv": "d882e49b4b4baa174f966bbcbaa883d2c49ae2199a6dea6b2e93bab20bf4bd92",
+        "scenario.cfg": "34c79c891f32faafa96da7851fb6deeb8f918fc4e29a20a655fc21083c6f67b3",
+    }),
+    (dict(surge_peak_m=0.0), {
+        "network.geojson": "1a796dd4a0478b72b07345a918257c91a405842004bd5ef58b817553fd3a8b44",
+        "bridges.csv": "833d9c6b4f640afc6f0298610cbf40962bb4d12a2214e02a44bd0d5b9e21fa59",
+        "surge.csv": "0a106b34c9501ddf5a989400f56b4b116dbb0f4e353f3f33bbf006d99f7fbfdc",
+        "supplies.csv": "699b1a0d73634c962587d6f4743cb31539d6419bc3e714029a07a1d21601eae1",
+        "demands.csv": "8c7f508903c38df16716cce6bc4477c4dc8183fdabf5f4c4b558285f1616420a",
+        "scenario.cfg": "34c79c891f32faafa96da7851fb6deeb8f918fc4e29a20a655fc21083c6f67b3",
+    }),
+]
+
+
+@pytest.mark.parametrize("change, digests", SMALL_SPEC_DIGESTS, ids=["partial-corridor", "every-column", "no-surge"])
+def test_generated_files_match_their_digests(tmp_path, change, digests):
+    paths = scenario_io.generate_fixture(small_spec(**change), tmp_path / "bundle")
+    assert file_hashes(paths.all_files()) == digests
+
+
 def test_fixture_storm_presets_differ(tmp_path):
     one = scenario_io.load_bundle(
         scenario_io.generate_fixture(small_spec(), tmp_path / "s1")
@@ -600,32 +636,89 @@ def test_load_bundle_keeps_no_node_or_edge_records(default_fixture_dir):
     assert len(bundle.graph.edge_ids) > 3500
 
 
+def assert_same_graph(a, b):
+    """Two RoadGraphs agree id for id, record for record and array for array, bit for bit."""
+    assert (a.node_ids, a.edge_ids, a.road_ids, a.bridge_ids) == (b.node_ids, b.edge_ids, b.road_ids, b.bridge_ids)
+    assert a.bridges == b.bridges
+    arrays = ("node_x", "node_y", "_edge_u", "_edge_v", "_edge_minutes", "bridge_rows", "road_sites", "bridge_sites")
+    for name in arrays:
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes(), name
+
+
 def test_load_bundle_and_build_graph_build_the_same_graph(tmp_path, monkeypatch):
-    """The columns network.geojson decodes into and the generator's Node and Edge records give the
-    same graph, array for array and bit for bit, and its edges read back as the records."""
-    records, real = [], scenario_io.build_graph
+    """The columns network.geojson decodes into, the generator's own columns, and build_graph on Node and
+    Edge records read from the loaded graph give the same graph, and its edges read back as the records."""
+    generated, real = [], scenario_io.RoadGraph
 
-    def build_graph(*args):
-        records.extend(map(list, args))
-        return real(*records)
+    def road_graph(*args):
+        generated.append(real(*args))
+        return generated[-1]
 
-    monkeypatch.setattr(scenario_io, "build_graph", build_graph)
+    monkeypatch.setattr(scenario_io, "RoadGraph", road_graph)
     scenario_io.generate_fixture(small_spec(), tmp_path / "small")
     monkeypatch.undo()
-    nodes, edges, bridges = records
-    built, loaded = network.build_graph(nodes, edges, bridges), scenario_io.load_bundle(tmp_path / "small").graph
-    assert (loaded.node_ids, loaded.edge_ids, loaded.road_ids, loaded.bridge_ids) == (
-        built.node_ids, built.edge_ids, built.road_ids, built.bridge_ids
-    )
-    for name in ("node_x", "node_y", "_edge_u", "_edge_v", "_edge_minutes"):
-        a, b = getattr(loaded, name), getattr(built, name)
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
-    for a, b in ((loaded.road_sites, built.road_sites), (loaded.bridge_sites, built.bridge_sites)):
-        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    loaded = scenario_io.load_bundle(tmp_path / "small").graph
+    nodes = [network.Node(*node) for node in zip(loaded.node_ids, loaded.node_x.tolist(), loaded.node_y.tolist())]
+    edges, bridges = list(loaded.edges.values()), list(loaded.bridges.values())
+    built = network.build_graph(nodes, edges, bridges)
+    assert len(generated) == 1
+    for graph in (built, generated[0]):
+        assert_same_graph(graph, loaded)
+        assert graph.edges == loaded.edges
     assert any(edge.kind == network.BRIDGE for edge in edges)
-    assert all(loaded.edges[edge.edge_id] == edge for edge in edges)
-    loaded_nodes = zip(loaded.node_ids, loaded.node_x.tolist(), loaded.node_y.tolist())
-    assert sorted((node.node_id, node.x, node.y) for node in nodes) == list(loaded_nodes)
+    assert all(built.edges[edge.edge_id] == edge for edge in edges)
+    built_nodes = zip(built.node_ids, built.node_x.tolist(), built.node_y.tolist())
+    assert sorted((node.node_id, node.x, node.y) for node in nodes) == list(built_nodes)
+
+
+def collection_bytes(features):
+    """The oracle for _write_features: the whole collection as one json.dumps."""
+    return (json.dumps({"type": "FeatureCollection", "features": features}, indent=2) + "\n").encode()
+
+
+def escaping_bundle():
+    """The twin town with node and edge ids JSON must escape: a quote, a backslash, a newline, non-ASCII."""
+    twin = scenario_io.generate_twin_town(samples=20)
+    names = {"na": 'n"a', "nb": "n\\b", "nc": "n\nc", "nd": "n\u0153ud-d"}
+    graph = twin.graph
+    rows = zip(graph.node_ids, graph.node_x.tolist(), graph.node_y.tolist())
+    nodes = [network.Node(names[n], x, y) for n, x, y in rows]
+    edges = [dataclasses.replace(e, edge_id=e.edge_id + '-\u00e9"\\', u=names[e.u], v=names[e.v])
+             for e in graph.edges.values()]
+    return dataclasses.replace(twin, graph=network.build_graph(nodes, edges, twin.bridges))
+
+
+def test_write_features_writes_the_bytes_of_one_json_dumps(tmp_path, twin_dir, small_dir):
+    """Each FeatureCollection write_bundle and write_results stream, and _write_features on a collection of
+    one feature or none, has the bytes of the whole collection dumped at once."""
+    bundle = escaping_bundle()
+    scenario_io.write_bundle(bundle, tmp_path / "escaped")
+    assert scenario_io.load_bundle(tmp_path / "escaped").graph.node_ids == bundle.graph.node_ids
+    twin, result = run_twin()
+    written = scenario_io.write_results(result, twin, tmp_path / "out")
+    files = [d / scenario_io.NETWORK_FILE for d in (twin_dir, small_dir, tmp_path / "escaped")]
+    for path in files + [written["results_short"], written["results_long"]]:
+        data = path.read_bytes()
+        features = json.loads(data)["features"]
+        assert data == collection_bytes(features), path
+        for chosen in (features, features[:1], []):
+            scenario_io._write_features(tmp_path / "one.geojson", iter(chosen))
+            assert (tmp_path / "one.geojson").read_bytes() == collection_bytes(chosen)
+    assert b'"id": "n\\"a"' in files[2].read_bytes() and b'"id": "n\\u0153ud-d"' in files[2].read_bytes()
+
+
+def test_write_bundle_traced_peak_is_below_the_network_file(default_bundle, tmp_path):
+    """network.geojson is written a feature at a time, so neither its feature list nor its whole text
+    (together about 9x the file's bytes) is held."""
+    scenario_io.write_bundle(default_bundle, tmp_path / "first")  # imports and caches settle first
+    tracemalloc.start()
+    try:
+        scenario_io.write_bundle(default_bundle, tmp_path / "again")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (tmp_path / "again" / scenario_io.NETWORK_FILE).stat().st_size
 
 
 @pytest.mark.parametrize("name", [p.name for p in scenario_io.BundlePaths.in_dir(".").all_files()])
@@ -709,7 +802,8 @@ def test_group_weights_add_in_demand_order(tmp_path):
 
 
 # sha256 of each write_results file at seed 42, manifest.json without its package_version line: storm-1,
-# storm-2 and the twin town at N=1000, and perfbench's calm-sampling workload at N=20,000.
+# storm-2 and the twin town at N=1000, perfbench's calm-sampling workload at N=20,000, and the county-shaped
+# CI spec at N=50.
 # A change that means to move an output updates these digests and says so.
 GOLDEN_DIGESTS = {
     "storm-1": {
@@ -736,6 +830,12 @@ GOLDEN_DIGESTS = {
         "group_summary.csv": "6cb914eabe9e77112ea139d58094aef6f0f9d62d00991a514acc34a57527f605",
         "manifest.json": "524c791f7beb9cdfba2d173bcf6e1e4c2a2789c4801296bdcb967a3d6e01fe3c",
     },
+    "county": {
+        "results_short.geojson": "a985bb0e764bd3f0ffb04d077ae9e04e49e52ac56a331c3ec79c60535585eecd",
+        "results_long.geojson": "20a7a96fdd16e9070684fc7f5912676b23f76c185dbcaf99c9bd4a899cc05133",
+        "group_summary.csv": "999defe7b9d6525e509d0a78ec3da90e2fe806a9248a72d2f14fc8255f058603",
+        "manifest.json": "56dc2a899a36722e51358ed196379a3710f59201a46a83401211f71775ff21ee",
+    },
 }
 
 
@@ -761,6 +861,17 @@ def test_write_results_bytes_match_the_golden_digests(default_bundle, storm1_run
     for name, (result, bundle) in runs.items():
         assert (result.seed, result.samples) == (42, 20_000 if name == "calm-sampling" else 1000)
         assert result_digests(result, bundle, tmp_path / name) == GOLDEN_DIGESTS[name], name
+
+
+def test_county_results_match_the_golden_digests(tmp_path):
+    """The county-shaped CI spec: several blocks of reach searches, contested pairs, and its generator's bytes
+    through the manifest's input hashes."""
+    spec = scenario_io.SyntheticFixtureSpec(grid_width=178, grid_height=46, bridge_count=352, demand_count=786,
+                                            supply_count=4000, storm="storm-2-like", samples=50)
+    bundle = scenario_io.load_bundle(scenario_io.generate_fixture(spec, tmp_path / "county"))
+    result = simulate.run_scenario(bundle.config, bundle.graph, bundle.bridges, bundle.supplies, bundle.demands)
+    assert (result.seed, result.samples) == (42, 50)
+    assert result_digests(result, bundle, tmp_path / "out") == GOLDEN_DIGESTS["county"]
 
 
 def test_twin_town_guardrails():
