@@ -9,11 +9,20 @@ sitting exactly on a boundary belongs to the lower band.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 
 from .errors import InvalidInputError, UnsupportedBridgeError
+
+# The package's one SHA-256, for the draws and the file hashes. The interpreter's built-in module gives
+# hashlib's digests without loading OpenSSL, which hashlib always imports (3.5 MB of resident memory).
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:  # an interpreter built without its built-in hashes
+        from hashlib import sha256
 
 
 @dataclass(frozen=True)
@@ -87,7 +96,7 @@ class FragilityTable:
         text = "\n".join(
             f"{r.band_lo!r},{r.band_hi!r},{r.a!r},{r.b!r},{r.c!r}" for r in self.rows
         )
-        return hashlib.sha256(text.encode("ascii")).hexdigest()
+        return sha256(text.encode("ascii")).hexdigest()
 
     def __len__(self) -> int:
         return len(self.rows)

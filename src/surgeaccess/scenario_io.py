@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import hashlib
 import io
 import itertools
 import json
@@ -48,6 +47,7 @@ import numpy as np
 from . import __version__
 from .access import DemandSite, SupplySite
 from .errors import InvalidInputError, InvalidSpecError, ValidationError
+from .fragility import sha256
 from .hazard import ExposureThresholds, SurgeField
 from .network import BRIDGE, ROAD, BridgeRecord, Edge, Node, RoadGraph, build_graph, valid_bridges
 from .simulate import ScenarioConfig, ScenarioResult
@@ -389,7 +389,7 @@ def load_bundle(source: str | Path | BundlePaths) -> DatasetBundle:
             data = path.read_bytes()
         except FileNotFoundError:
             raise FileNotFoundError(f"missing input file: {path}") from None
-        hashes[path.name] = hashlib.sha256(data).hexdigest()
+        hashes[path.name] = sha256(data).hexdigest()
         try:
             texts[path] = data.decode("utf-8-sig")  # a byte-order mark, as spreadsheets write, is not content
         except UnicodeDecodeError as exc:
@@ -712,6 +712,7 @@ def generate_fixture(spec: SyntheticFixtureSpec, out_dir: str | Path) -> BundleP
                 column.append(value)
 
     graph = RoadGraph(*nodes, *edges, bridges)
+    del nodes, edges, road_ids, speeds, h_r  # the graph holds its own columns; free these before write_bundle
 
     # Surge decays with distance from an inlet at the channel's midpoint,
     # so flooding forms an ellipse-ish patch instead of severing the whole

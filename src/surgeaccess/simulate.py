@@ -9,7 +9,9 @@ or platform RNG state, and reruns with the same seed are bit-identical.
 failure_cuts validates each probability and encodes each bridge id once
 per run; sample_failures then draws a bridge with one SHA-256 and
 compares its digest as bytes against the bridge's cut, which gives
-exactly uniform_draw(...) < p without forming the uniform.
+exactly uniform_draw(...) < p without forming the uniform. Both draws
+hash with fragility.sha256, the interpreter's built-in SHA-256, so a run
+loads no OpenSSL.
 
 Only bridges with a failure probability strictly between 0 and 1 are
 drawn; the rest fail always or never. A closed network depends only on
@@ -34,7 +36,6 @@ and minima over doubling spans of rows.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -46,11 +47,12 @@ import numpy as np
 
 from . import access, fragility, hazard, network
 from .errors import InvalidInputError
+from .fragility import sha256
 
 
 def uniform_draw(master_seed: int, sample_index: int, bridge_id: str) -> float:
     """Deterministic uniform in [0, 1) keyed by seed, sample and bridge."""
-    digest = hashlib.sha256(f"{master_seed}:{sample_index}:{bridge_id}".encode()).digest()
+    digest = sha256(f"{master_seed}:{sample_index}:{bridge_id}".encode()).digest()
     return (int.from_bytes(digest[:8], "big") >> 11) * 2.0**-53
 
 
@@ -90,7 +92,7 @@ def sample_failures(
     failed = []
     for group in groups:  # plain loops: any() over a generator costs more than the hash on one-bridge groups
         for key, cut in group:
-            if hashlib.sha256(prefix + key).digest() < cut:
+            if sha256(prefix + key).digest() < cut:
                 failed.append(True)
                 break
         else:

@@ -307,20 +307,36 @@ def test_report_wrong_typed_results_exit_4(tmp_path, capsys, name, edit):
     assert captured.out == ""
 
 
-def test_the_package_imports_and_runs_without_scipy(twin_dir, tmp_path):
-    # scipy is only the tests' shortest-path oracle: with it blocked, every module imports and a run completes.
+@pytest.mark.parametrize(
+    "blocked, openssl",
+    [(("scipy", "hashlib", "_hashlib"), False), (("_sha2", "_sha256"), True)],
+    ids=["scipy-and-openssl", "builtin-sha256"],
+)
+def test_the_package_imports_and_runs_with_modules_blocked(twin_dir, tmp_path, blocked, openssl):
+    # scipy is only the tests' shortest-path oracle and the package hashes with the built-in SHA-256, so with
+    # those blocked every module imports and a run completes; with the built-in blocked it falls back to hashlib.
+    # Either way the run writes the bytes an unblocked run does.
     script = """
 import importlib, pkgutil, sys
-sys.modules["scipy"] = None
+for name in sys.argv[3:]:
+    sys.modules[name] = None
 import surgeaccess
 for module in pkgutil.iter_modules(surgeaccess.__path__):
     importlib.import_module("surgeaccess." + module.name)
 from surgeaccess import cli
-sys.exit(cli.main(["run", "--data", sys.argv[1], "--out", sys.argv[2]]))
+code = cli.main(["run", "--data", sys.argv[1], "--out", sys.argv[2]])
+print("openssl loaded:", sys.modules.get("_hashlib") is not None)
+sys.exit(code)
 """
     package_root = str(Path(surgeaccess.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([package_root, os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run([sys.executable, "-c", script, str(twin_dir), str(tmp_path / "out")], env=env,
+    done = subprocess.run([sys.executable, "-c", script, str(twin_dir), str(tmp_path / "out"), *blocked], env=env,
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert "wrote 4 file(s)" in done.stdout
+    assert f"openssl loaded: {openssl}" in done.stdout
+    assert cli.main(["run", "--data", str(twin_dir), "--out", str(tmp_path / "default")]) == 0
+    written = sorted(p.name for p in (tmp_path / "out").iterdir())
+    assert written == sorted(p.name for p in (tmp_path / "default").iterdir())
+    for name in written:
+        assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "default" / name).read_bytes(), name

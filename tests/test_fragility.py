@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -67,6 +68,13 @@ def test_checksum_matches_independent_recomputation():
     expected = hashlib.sha256(lines.encode("ascii")).hexdigest()
     assert TABLE.checksum() == expected
     assert len(TABLE.checksum()) == 64
+
+
+def test_sha256_binding_matches_hashlib():
+    # fragility.sha256 is the interpreter's built-in SHA-256 where it has one; hashlib here is OpenSSL's.
+    big = np.random.default_rng(11).bytes(3 * 2**20)
+    for data in (b"", b"42:17:b003_04", big):
+        assert fragility.sha256(data).digest() == hashlib.sha256(data).digest()
 
 
 def test_checksum_tracks_content():

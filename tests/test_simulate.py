@@ -122,8 +122,8 @@ def test_group_stops_hashing_at_its_first_failure(monkeypatch):
         fails = [[simulate.uniform_draw(7, index, bid) < probs[bid] for bid in group] for group in members]
         want.append(sum(f.index(True) + 1 if any(f) else len(f) for f in fails))
     hashed = []
-    real = hashlib.sha256
-    monkeypatch.setattr(hashlib, "sha256", lambda data: hashed.append(data) or real(data))
+    real = simulate.sha256
+    monkeypatch.setattr(simulate, "sha256", lambda data: hashed.append(data) or real(data))
     counts = []
     for index in range(60):
         before = len(hashed)
