@@ -83,7 +83,7 @@ class SurgeField:
         ):
             raise InvalidInputError(f"coverage radius must be finite and >= 0, got {coverage_radius_m}")
         locs = np.stack([self.x, self.y], axis=1)
-        if np.unique(locs, axis=0).shape[0] != n:
+        if np.unique(locs, axis=0, return_index=True)[0].shape[0] != n:  # a bare np.unique imports numpy.ma
             raise InvalidInputError("surge field contains duplicate sample locations")
 
     def __len__(self) -> int:
@@ -101,8 +101,8 @@ class SurgeField:
         return h_st, h_s
 
 
-# Elements in one search's temporary arrays, bounding its memory.
-_SEARCH_BUDGET = 2_000_000
+# Elements in one search's temporary arrays, bounding its memory: 2**15, so 256 KB per float64 or int64 array.
+_SEARCH_BUDGET = 1 << 15
 
 # The 3 x 3 block of grid cells around a query's cell.
 _BLOCK_X, _BLOCK_Y = np.repeat([-1, 0, 1], 3), np.tile([-1, 0, 1], 3)

@@ -336,6 +336,12 @@ def _components(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.unique(root, return_inverse=True)[1]
 
 
+def isin_ids(values: np.ndarray, ids) -> np.ndarray:
+    """np.isin(values, ids) for integer values and a sequence of integer ids, by table lookup: on numpy 2, np.isin's
+    sort path imports numpy.ma (1.2 MB), as np.setdiff1d and np.unique without return_index or counts do."""
+    return np.isin(values, np.asarray(ids, dtype=np.int64), kind="table")
+
+
 class TravelTimeTable:
     """Demand x supply free-flow minutes on one closed network, row i for
     demand_ids[i] and column j for supply_ids[j]; inf beyond d0."""
@@ -409,7 +415,7 @@ def dijkstra(arcs, *, indices, limit: float, min_only: bool = False) -> np.ndarr
     indptr, heads, minutes = arcs
     n, degree = indptr.size - 1, np.diff(indptr)
     sources = np.asarray(indices, dtype=np.int64).ravel()
-    front = np.unique(sources if min_only else np.arange(sources.size) * n + sources)
+    front = np.unique(sources, return_index=True)[0] if min_only else np.arange(sources.size) * n + sources
     dist = np.full(n if min_only else sources.size * n, np.inf)  # flat, row r at r * n
     dist[front], owner = 0.0, np.empty(dist.size, dtype=np.int32)  # a round holds under 2**31 candidates
     bound = np.nextafter(limit, np.inf)
@@ -466,7 +472,7 @@ def live_edges(graph: RoadGraph, closed, demand_nodes, supply_nodes, d0_minutes:
     closing edges that are not live, on top of `closed`, leaves
     reachable() as it is.
     """
-    d_nodes, s_nodes = np.unique(demand_nodes), np.unique(supply_nodes)
+    d_nodes, s_nodes = (np.unique(nodes, return_index=True)[0] for nodes in (demand_nodes, supply_nodes))
     src = s_nodes if d_nodes.size > s_nodes.size else d_nodes
     dist = dijkstra(graph._adjacency(closed), indices=src, limit=d0_minutes, min_only=True)
     return np.minimum(dist[graph._edge_u], dist[graph._edge_v]) + graph._edge_minutes <= d0_minutes
@@ -494,8 +500,8 @@ class PortalDistances:
     def __init__(self, graph: RoadGraph, closed, units, toggled, demand_nodes, supply_nodes, d0_minutes: float):
         n = len(graph.node_ids)
         self.graph, self.units, self.sites, self.d0_minutes = graph, units, (demand_nodes, supply_nodes), d0_minutes
-        self.toggled = np.setdiff1d(np.asarray(sorted(toggled), dtype=np.int64), units[closed])
-        self.closed = closed | np.isin(units, self.toggled)
+        self.toggled = np.asarray(sorted(set(toggled) - set(units[closed].tolist())), dtype=np.int64)
+        self.closed = closed | isin_ids(units, self.toggled)
         # A chain's end nodes are the two nodes only one of its edges touches; a loop has none.
         edges = np.flatnonzero(self.closed & ~closed)
         ends = n * np.tile(units[edges], 2).astype(np.int64) + np.r_[graph._edge_u[edges], graph._edge_v[edges]]
@@ -558,8 +564,8 @@ class PortalDistances:
         chains = np.array([u not in closed_units for u in self.chain_units.tolist()], dtype=bool)
         minutes = self._minutes(self._via_open(chains))
         if np.any(np.abs(minutes - self.d0_minutes) <= self.margin):
-            opened = self.toggled[~np.isin(self.toggled, list(closed_units))]
-            return reachable(self.graph, self.closed & ~np.isin(self.units, opened), *self.sites, self.d0_minutes)
+            opened = self.toggled[~isin_ids(self.toggled, list(closed_units))]
+            return reachable(self.graph, self.closed & ~isin_ids(self.units, opened), *self.sites, self.d0_minutes)
         reach = self.reach.copy()
         reach.ravel()[self.pairs] = minutes < self.d0_minutes
         return reach

@@ -6,10 +6,8 @@ and rescores accessibility on the surviving network. Draws are counter
 based: the uniform for (seed, sample, bridge) is a pure hash of those
 three values, so results never depend on iteration order, worker count,
 or platform RNG state, and reruns with the same seed are bit-identical.
-failure_cuts validates each probability and encodes each bridge id once
-per run; sample_failures then draws a bridge with one SHA-256 and
-compares its digest as bytes against the bridge's cut, which gives
-exactly uniform_draw(...) < p without forming the uniform. Both draws
+sample_failures compares each bridge's SHA-256 digest as bytes against
+its cut (failure_cuts), which gives exactly uniform_draw(...) < p. Both
 hash with fragility.sha256, the interpreter's built-in SHA-256, so a run
 loads no OpenSSL.
 
@@ -27,7 +25,9 @@ path on the horizon's base network are left out of its keys (see
 network.live_edges). Each horizon costs three bounded Dijkstra searches,
 and each network a min-plus closure (network.PortalDistances), all on the
 distinct nodes the sites snap to; access.two_step sums once per node, as
-masked reductions, and gathers the sums back per site. Each horizon keeps
+masked reductions, and gathers the sums back per site. The networks are
+scored on the calling thread and workers - 1 helper threads, so one
+worker starts no thread. Each horizon keeps
 its K x D score table (K networks, D demands) and its sample -> network
 index; statistics sum row blocks gathered through the index, and the
 convergence check takes each window's span of running means from maxima
@@ -37,7 +37,7 @@ and minima over doubling spans of rows.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import compress
@@ -269,6 +269,33 @@ def _column_stats(table: np.ndarray, index: np.ndarray) -> tuple[np.ndarray, np.
     return mean, cov
 
 
+def _thread_map(fn, items: Sequence, workers: int) -> list:
+    """[fn(item) for item in items] on the calling thread and workers - 1 helper threads (none for one worker),
+    each taking the next item not yet taken; once all are done, the lowest-index item that raised re-raises."""
+    results, failures, lock, taken = [None] * len(items), {}, threading.Lock(), iter(range(len(items)))
+
+    def take() -> int | None:
+        with lock:
+            return next(taken, None)
+
+    def work() -> None:
+        for i in iter(take, None):
+            try:
+                results[i] = fn(items[i])
+            except Exception as exc:
+                failures[i] = exc
+
+    helpers = [threading.Thread(target=work) for _ in range(min(workers, len(items)) - 1)]
+    for thread in helpers:
+        thread.start()
+    work()
+    for thread in helpers:
+        thread.join()
+    if failures:
+        raise failures[min(failures)]
+    return results
+
+
 def run_scenario(
     config: ScenarioConfig,
     graph: network.RoadGraph,
@@ -288,14 +315,14 @@ def run_scenario(
     set, less the units no demand can reach within d0 on the base
     network (see network.live_edges). Each horizon evaluates each of its
     distinct closed-unit keys once, from its own network.PortalDistances.
-    One pool of config.workers threads serves every horizon's keys; each
-    network's scores are a pure function of its key, so any worker count
-    gives the same bits. The threads share the portals and site arrays,
-    so nothing is pickled and no process starts, and the numpy kernels
-    release the GIL. Each horizon's K x D score table (K networks, D
-    demands) is indexed per sample and aggregated in gathered row
-    blocks. Subgroups with zero total weight are left out of the group
-    averages.
+    One _thread_map serves every horizon's keys: the calling thread and
+    config.workers - 1 helper threads share the portals and site arrays,
+    and the numpy kernels release the GIL; --workers 1 starts no thread.
+    Each network's scores are a pure function of its key, so any worker
+    count gives the same bits. Each horizon's K x D score table (K
+    networks, D demands) is indexed per sample and aggregated in
+    gathered row blocks. Subgroups with zero total weight are left out
+    of the group averages.
     """
     if not sum(d.population for d in demands) > 0.0:
         raise InvalidInputError("scenario needs demand locations with a total population above zero")
@@ -347,7 +374,7 @@ def run_scenario(
     for horizon in config.horizons:
         base_mask = network.closure_mask(graph, exposures, config.thresholds, certain, horizon)
         base = set(units[graph.edge_flags(base_mask.provenance)].tolist())
-        base_closed = np.isin(units, sorted(base))
+        base_closed = network.isin_ids(units, sorted(base))
         live_units = frozenset(units[network.live_edges(graph, base_closed, *nodes, config.d0_minutes)].tolist())
         live_risk = [(u & live_units) - base for u in groups]
         toggled = frozenset().union(*live_risk)
@@ -363,8 +390,7 @@ def run_scenario(
         horizon, closed = item
         return access.two_step(portals[horizon].reachable(closed), d_row, s_col, pop, cap)[0] * access.SCORE_SCALE
 
-    with ThreadPoolExecutor(max_workers=config.workers) as pool:
-        scores = list(pool.map(network_scores, items))
+    scores = _thread_map(network_scores, items, config.workers)
 
     group_weights = {"overall": {d.demand_id: float(d.population) for d in demands}} | {
         name: {d.demand_id: float(d.subgroups.get(name, 0.0)) for d in demands}

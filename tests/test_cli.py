@@ -309,34 +309,48 @@ def test_report_wrong_typed_results_exit_4(tmp_path, capsys, name, edit):
 
 @pytest.mark.parametrize(
     "blocked, openssl",
-    [(("scipy", "hashlib", "_hashlib"), False), (("_sha2", "_sha256"), True)],
-    ids=["scipy-and-openssl", "builtin-sha256"],
+    [
+        (("scipy", "hashlib", "_hashlib"), False),
+        (("_sha2", "_sha256"), True),
+        (("concurrent.futures", "numpy.ma"), False),
+    ],
+    ids=["scipy-and-openssl", "builtin-sha256", "thread-pool-and-numpy-ma"],
 )
 def test_the_package_imports_and_runs_with_modules_blocked(twin_dir, tmp_path, blocked, openssl):
     # scipy is only the tests' shortest-path oracle and the package hashes with the built-in SHA-256, so with
     # those blocked every module imports and a run completes; with the built-in blocked it falls back to hashlib.
-    # Either way the run writes the bytes an unblocked run does.
+    # Runs map the networks on their own threads and use no numpy call that loads numpy.ma (numpy 1.x imports it
+    # with numpy, so it is blocked only where numpy leaves it out). Every run writes the bytes an unblocked one does.
     script = """
 import importlib, pkgutil, sys
-for name in sys.argv[3:]:
-    sys.modules[name] = None
+import numpy
+for name in sys.argv[1].split(","):
+    if name != "numpy.ma" or name not in sys.modules:
+        sys.modules[name] = None
 import surgeaccess
 for module in pkgutil.iter_modules(surgeaccess.__path__):
     importlib.import_module("surgeaccess." + module.name)
 from surgeaccess import cli
-code = cli.main(["run", "--data", sys.argv[1], "--out", sys.argv[2]])
+for data, out in zip(sys.argv[2::2], sys.argv[3::2]):
+    if cli.main(["run", "--data", data, "--out", out]) != 0:
+        sys.exit(1)
 print("openssl loaded:", sys.modules.get("_hashlib") is not None)
-sys.exit(code)
 """
+    grid = ["--grid", "24x8", "--bridges", "12", "--demands", "16", "--supplies", "40", "--samples", "25"]
+    assert cli.main(["fixture", "--out", str(tmp_path / "grid"), *grid]) == 0
+    runs = [(twin_dir, tmp_path / "twin-out", tmp_path / "twin-default"),
+            (tmp_path / "grid", tmp_path / "grid-out", tmp_path / "grid-default")]
     package_root = str(Path(surgeaccess.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([package_root, os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run([sys.executable, "-c", script, str(twin_dir), str(tmp_path / "out"), *blocked], env=env,
+    args = [str(path) for data, out, _ in runs for path in (data, out)]
+    done = subprocess.run([sys.executable, "-c", script, ",".join(blocked), *args], env=env,
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    assert "wrote 4 file(s)" in done.stdout
+    assert done.stdout.count("wrote 4 file(s)") == 2
     assert f"openssl loaded: {openssl}" in done.stdout
-    assert cli.main(["run", "--data", str(twin_dir), "--out", str(tmp_path / "default")]) == 0
-    written = sorted(p.name for p in (tmp_path / "out").iterdir())
-    assert written == sorted(p.name for p in (tmp_path / "default").iterdir())
-    for name in written:
-        assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "default" / name).read_bytes(), name
+    for data, out, default in runs:
+        assert cli.main(["run", "--data", str(data), "--out", str(default)]) == 0
+        written = sorted(p.name for p in out.iterdir())
+        assert written == sorted(p.name for p in default.iterdir())
+        for name in written:
+            assert (out / name).read_bytes() == (default / name).read_bytes(), name

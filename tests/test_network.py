@@ -810,9 +810,10 @@ def test_portal_legs_keep_every_minimum_that_can_decide():
     assert inside_margin > 0 and dropped > 0
 
 
-def test_portals_falls_back_inside_the_margin(monkeypatch):
-    # n0 -a- n1 -b- n2 -c- n3 -d- n4 with spurs that make n1 and n2 junctions;
-    # b is the toggled unit, and c-d one unit through the interior node n3.
+def margin_line():
+    """n0 -a- n1 -b- n2 -c- n3 -d- n4 with spurs s1 and s2 that make n1 and n2
+    junctions; c-d is one unit through the interior node n3. Dijkstra and the
+    portal sum round a-b-c-d to either side of the returned d0."""
     minutes = {"a": 0.5, "b": 0.1, "c": 0.8, "d": 0.4}
     nodes = mk_nodes([(0, 0), (100, 0), (200, 0), (300, 0), (400, 0), (100, 100), (200, 100)])
     edges = [road(e, f"n{i:02d}", f"n{i + 1:02d}", 60.0 * m) for i, (e, m) in enumerate(minutes.items())]
@@ -822,8 +823,13 @@ def test_portals_falls_back_inside_the_margin(monkeypatch):
     dijkstra_sum, portal_sum = ((a + b) + c) + d, (a + b) + (c + d)
     d0 = float(np.nextafter(dijkstra_sum, np.inf))
     assert dijkstra_sum < d0 < portal_sum  # the two groupings round to either side of d0
+    return graph, network.closure_units(graph, np.array([0, 4])), d0, dijkstra_sum
+
+
+def test_portals_falls_back_inside_the_margin(monkeypatch):
+    # b is the toggled unit.
+    graph, units, d0, dijkstra_sum = margin_line()
     d_nodes, s_nodes = np.array([0]), np.array([4])
-    units = network.closure_units(graph, np.array([0, 4]))
     toggled = {int(units[graph.edge_ids.index("b")])}
     base = np.zeros(len(graph.edge_ids), dtype=bool)
     portals = network.PortalDistances(graph, base, units, toggled, d_nodes, s_nodes, d0)
@@ -843,6 +849,51 @@ def test_portals_falls_back_inside_the_margin(monkeypatch):
     assert len(calls) == 1  # with b closed no pair is contested near d0
     assert far.reachable(set()).tolist() == [[True]]
     assert len(calls) == 1
+
+
+def test_portals_fall_back_with_other_units_closed(monkeypatch):
+    # b and the spur s1 are toggled; with s1 closed and b open the pair is still contested near d0, so the
+    # fallback opens b alone and searches the base with s1 closed.
+    graph, units, d0, _ = margin_line()
+    d_nodes, s_nodes = np.array([0]), np.array([4])
+    b, s1 = (int(units[graph.edge_ids.index(e)]) for e in ("b", "s1"))
+    base = np.zeros(len(graph.edge_ids), dtype=bool)
+    portals = network.PortalDistances(graph, base, units, [s1, b, s1], d_nodes, s_nodes, d0)
+    assert portals.toggled.tolist() == sorted({b, s1}) and portals.toggled.dtype == np.int64
+    calls = []
+    exact = network.reachable
+
+    def spy(graph, closed, *args):
+        calls.append(closed.copy())
+        return exact(graph, closed, *args)
+
+    monkeypatch.setattr(network, "reachable", spy)
+    assert portals.reachable({s1}).tolist() == [[True]]
+    assert len(calls) == 1 and calls[0].tolist() == (units == s1).tolist()
+    assert portals.reachable({b, s1}).tolist() == portals.reachable({b}).tolist() == [[False]]
+    assert len(calls) == 1
+
+
+def test_portals_with_no_unit_to_toggle():
+    # No toggled unit, or only units the base already closes: every network is H, the base.
+    graph, units, d0, _ = margin_line()
+    d_nodes, s_nodes = np.array([0]), np.array([4])
+    c = int(units[graph.edge_ids.index("c")])
+    for base in (np.zeros(len(graph.edge_ids), dtype=bool), units == c):
+        on_base = network.reachable(graph, base, d_nodes, s_nodes, d0)
+        for toggled in (set(), [], {c} if base.any() else set()):
+            portals = network.PortalDistances(graph, base, units, toggled, d_nodes, s_nodes, d0)
+            assert portals.toggled.size == 0 and portals.toggled.dtype == np.int64
+            assert np.array_equal(portals.closed, base)
+            assert portals.reachable(set()).tolist() == on_base.tolist()
+
+
+def test_isin_ids_matches_isin():
+    rng = np.random.default_rng(11)
+    values = rng.integers(0, 50, size=200)
+    for ids in ([], [7], sorted(rng.choice(60, size=20, replace=False).tolist()), [3, 3, 70], np.arange(0)):
+        got = network.isin_ids(values, ids)
+        assert got.dtype == bool and got.tolist() == np.isin(values, np.asarray(ids, dtype=np.int64)).tolist()
 
 
 def test_portals_search_past_d0_for_legs_summed_the_other_way():

@@ -8,6 +8,7 @@ import itertools
 import math
 import multiprocessing.process
 import statistics
+import threading
 import tracemalloc
 
 import numpy as np
@@ -334,6 +335,59 @@ def test_column_stats_match_the_gathered_matrix_bit_for_bit():
         assert cov.tobytes() == gathered_column_cov(x).tobytes()
         if d > 2 and k > 1:
             assert cov[zero] == 0.0 and cov[constant] == 0.0
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("count", [0, 1, 2, 37])
+def test_thread_map_keeps_item_order(workers, count):
+    before = threading.active_count()
+    items = [f"item {i}" for i in range(count)]
+    assert simulate._thread_map(str.upper, items, workers) == [item.upper() for item in items]
+    assert threading.active_count() == before
+
+
+def test_thread_map_with_one_worker_runs_on_the_calling_thread():
+    before = threading.active_count()
+    ran_on = simulate._thread_map(lambda _: threading.get_ident(), range(20), 1)
+    assert set(ran_on) == {threading.get_ident()} and len(ran_on) == 20
+    assert threading.active_count() == before
+
+
+def test_thread_map_with_two_workers_spreads_the_items():
+    # Item 0 waits until another thread has run item 1, so both threads take part.
+    ran_one = threading.Event()
+
+    def run(i):
+        if i == 1:
+            ran_one.set()
+        elif i == 0:
+            assert ran_one.wait(timeout=30)
+        return threading.get_ident()
+
+    assert len(set(simulate._thread_map(run, range(4), 2))) == 2
+
+
+def test_thread_map_raises_the_first_failing_items_own_exception():
+    # Item 3 fails only after item 7 has failed on the other thread; item 3's exception still wins.
+    before, raised, seven_failed = threading.active_count(), {}, threading.Event()
+    ran = []
+
+    def run(i):
+        ran.append(i)
+        if i == 3:
+            assert seven_failed.wait(timeout=30)
+        if i in (3, 7):
+            raised[i] = ValueError(i)
+            if i == 7:
+                seven_failed.set()
+            raise raised[i]
+        return i
+
+    with pytest.raises(ValueError) as info:
+        simulate._thread_map(run, range(10), 2)
+    assert info.value is raised[3] and 7 in raised
+    assert sorted(ran) == list(range(10))  # every item still ran
+    assert threading.active_count() == before
 
 
 def test_scenario_config_validation():
