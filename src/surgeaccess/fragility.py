@@ -52,23 +52,7 @@ class FragilityTable:
     """Ordered, contiguous mass bands with their uplift coefficients."""
 
     def __init__(self, rows: tuple[FragilityRow, ...] | list[FragilityRow]):
-        rows = tuple(rows)
-        if not rows:
-            raise InvalidInputError("fragility table needs at least one band")
-        for row in rows:
-            for name in ("band_lo", "band_hi", "a", "b", "c"):
-                if not math.isfinite(getattr(row, name)):
-                    raise InvalidInputError(f"non-finite {name} in band ({row.band_lo}, {row.band_hi}]")
-            if row.band_lo >= row.band_hi:
-                raise InvalidInputError(f"empty band ({row.band_lo}, {row.band_hi}]")
-        if rows[0].band_lo < 0.0:
-            raise InvalidInputError("mass bands must start at or above zero")
-        for prev, cur in zip(rows, rows[1:]):
-            if cur.band_lo != prev.band_hi:
-                raise InvalidInputError(
-                    f"bands must be contiguous: ({prev.band_lo}, {prev.band_hi}] then ({cur.band_lo}, {cur.band_hi}]"
-                )
-        self.rows = rows
+        self.rows = tuple(rows)
 
     @property
     def domain(self) -> tuple[float, float]:

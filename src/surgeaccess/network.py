@@ -36,7 +36,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from . import hazard
+from . import fragility, hazard
 from .errors import InvalidInputError, ValidationError
 
 ROAD = "road"
@@ -103,16 +103,18 @@ def _id_groups(ids: Sequence[str], ok: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 def valid_bridges(bridges: Iterable[BridgeRecord], errors: list[str]) -> dict[str, BridgeRecord]:
-    """The valid bridge records in id order; a repeated id, non-finite field or mass outside (0, 35] goes to errors."""
+    """Valid bridges in id order; a repeated id, non-finite field or mass off the fragility domain is an error."""
     valid: dict[str, BridgeRecord] = {}
+    lo, hi = fragility.default_table().domain
     for rec in bridges:
         bad = [f for f in ("deck_elevation_m", "mass_ton_per_m", "x", "y") if not math.isfinite(getattr(rec, f))]
         if rec.bridge_id in valid:
             errors.append(f"duplicate bridge id {rec.bridge_id}")
         elif bad:
             errors.append(f"bridge {rec.bridge_id}: non-finite {', '.join(bad)}")
-        elif not 0.0 < rec.mass_ton_per_m <= 35.0:
-            errors.append(f"bridge {rec.bridge_id}: mass {rec.mass_ton_per_m} ton/m outside supported range (0, 35]")
+        elif not lo < rec.mass_ton_per_m <= hi:
+            errors.append(f"bridge {rec.bridge_id}: mass {rec.mass_ton_per_m} ton/m outside supported range "
+                          f"({lo:g}, {hi:g}]")
         else:
             valid[rec.bridge_id] = rec
     return dict(sorted(valid.items()))
@@ -434,9 +436,9 @@ def dijkstra(arcs, *, indices, limit: float, min_only: bool = False) -> np.ndarr
     return dist if min_only else dist.reshape(sources.size, n)
 
 
-# Sources per dijkstra call in _site_minutes: at least _SOURCE_BLOCK, and more while the distance matrix
-# stays within _SEARCH_ENTRIES, since a search round costs much the same for few sources as for many.
-_SOURCE_BLOCK, _SEARCH_ENTRIES = 64, 1 << 20
+# Sources per dijkstra call in _site_minutes, so a search holds at most 64 rows of minutes to every node;
+# larger blocks saved no CPU time on the county spec.
+_SOURCE_BLOCK = 64
 
 
 def _site_minutes(graph, closed, demand_nodes, supply_nodes, d0_minutes) -> np.ndarray:
@@ -454,7 +456,7 @@ def _site_minutes(graph, closed, demand_nodes, supply_nodes, d0_minutes) -> np.n
     demand_side, supply_side = (np.unique(n, return_inverse=True) for n in (demand_nodes, supply_nodes))
     transposed = demand_side[0].size > supply_side[0].size
     (src, src_row), (dst, dst_col) = (supply_side, demand_side) if transposed else (demand_side, supply_side)
-    adjacency, block = graph._adjacency(closed), max(_SOURCE_BLOCK, _SEARCH_ENTRIES // len(graph.node_ids))
+    adjacency, block = graph._adjacency(closed), _SOURCE_BLOCK
     dist = np.concatenate([
         dijkstra(adjacency, indices=src[i:i + block], limit=d0_minutes)[:, dst] for i in range(0, src.size, block)
     ])

@@ -537,7 +537,15 @@ def read_results(out_dir: str | Path) -> dict[str, Any]:
 
 
 def write_bundle(bundle: DatasetBundle, out_dir: str | Path) -> BundlePaths:
-    """Write a bundle's input files; load_bundle(out_dir) round-trips it."""
+    """Write a bundle's input files; load_bundle(out_dir) round-trips it, or raise before writing any."""
+    cfg, surge = bundle.config, bundle.config.surge
+    held = {**vars(cfg), **vars(cfg.thresholds), "crs": bundle.crs, "datum": surge.datum_label,
+            "horizons": ",".join(cfg.horizons), "coverage_radius_m": surge.coverage_radius_m}
+    written = {key: str(held[key]) for key in _SETTINGS if held[key] is not None}
+    config_text = "".join(f"{key} = {value}\n" for key, value in written.items())
+    loaded = parse_config_text(config_text)[0]
+    if bad := [f"{key} = {value!r}" for key, value in written.items() if loaded.get(key) != value]:
+        raise InvalidInputError(f"{CONFIG_FILE}: {', '.join(bad)} would not load back as written")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = BundlePaths.in_dir(out)
@@ -552,8 +560,6 @@ def write_bundle(bundle: DatasetBundle, out_dir: str | Path) -> BundlePaths:
     _write_features(paths.network, itertools.chain(nodes, edges))
 
     _write_csv(paths.bridges, _BRIDGE_COLUMNS, map(dataclasses.astuple, bundle.bridges))
-    cfg = bundle.config
-    surge = cfg.surge
     _write_csv(paths.surge, _SURGE_COLUMNS, np.column_stack([surge.x, surge.y, surge.h_st, surge.h_s]).tolist())
     _write_csv(paths.supplies, _SUPPLY_COLUMNS, ([s.supply_id, s.x, s.y, s.capacity] for s in bundle.supplies))
     groups = sorted({name for d in bundle.demands for name in d.subgroups})
@@ -563,11 +569,7 @@ def write_bundle(bundle: DatasetBundle, out_dir: str | Path) -> BundlePaths:
         ([d.demand_id, d.x, d.y, d.population, *(float(d.subgroups.get(g, 0.0)) for g in groups)]
          for d in bundle.demands),
     )
-
-    held = {**vars(cfg), **vars(cfg.thresholds), "crs": bundle.crs, "datum": surge.datum_label}
-    held["horizons"] = ",".join(cfg.horizons)
-    held["coverage_radius_m"] = surge.coverage_radius_m
-    paths.config.write_text("".join(f"{key} = {held[key]}\n" for key in _SETTINGS if held[key] is not None))
+    paths.config.write_text(config_text)
     return paths
 
 
@@ -615,10 +617,8 @@ def _fixture_params(spec: SyntheticFixtureSpec) -> tuple[float, float, int]:
         raise InvalidSpecError(f"spacing must be finite and > 0, got {spec.spacing_m}")
     if spec.bridge_count < 1:
         raise InvalidSpecError(f"bridge count must be >= 1, got {spec.bridge_count}")
-    if not 1 <= spec.spans_per_corridor <= spec.bridge_count:
-        raise InvalidSpecError(
-            f"spans per corridor must be in [1, {spec.bridge_count}], got {spec.spans_per_corridor}"
-        )
+    if spec.spans_per_corridor < 1:
+        raise InvalidSpecError(f"spans per corridor must be >= 1, got {spec.spans_per_corridor}")
     corridors = -(-spec.bridge_count // spec.spans_per_corridor)
     if corridors > spec.grid_width:
         raise InvalidSpecError(

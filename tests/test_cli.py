@@ -171,6 +171,24 @@ def test_fixture_command_round_trip(tmp_path, capsys):
     assert cli.main(["validate", "--data", str(out_dir)]) == cli.EXIT_OK
 
 
+def test_fixture_with_fewer_bridges_than_a_corridor_holds(tmp_path, capsys):
+    # --bridges 4 is below the spec's 11 spans per corridor: the one corridor takes all four.
+    out_dir = tmp_path / "gen"
+    argv = ["fixture", "--out", str(out_dir), "--grid", "12x6", "--bridges", "4", "--demands", "8", "--samples", "20"]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert cli.main(["validate", "--data", str(out_dir)]) == cli.EXIT_OK
+    assert "bridges=4" in capsys.readouterr().out
+    assert cli.main(["run", "--data", str(out_dir), "--out", str(tmp_path / "out")]) == cli.EXIT_OK
+    assert len(list((tmp_path / "out").iterdir())) == 4
+
+
+def test_fixture_refuses_a_storm_name_the_config_cannot_hold(tmp_path, capsys):
+    argv = ["fixture", "--out", str(tmp_path / "g"), "--storm", "gale #2", "--peak", "5", "--decay", "9000"]
+    assert cli.main(argv) == cli.EXIT_RUNTIME
+    assert "storm = 'gale #2' would not load back as written" in capsys.readouterr().err
+    assert not (tmp_path / "g").exists()
+
+
 def test_fixture_flags_map_onto_the_spec(tmp_path):
     # No flags: the SyntheticFixtureSpec defaults, byte for byte.
     assert cli.main(["fixture", "--out", str(tmp_path / "cli")]) == cli.EXIT_OK

@@ -84,20 +84,6 @@ def test_checksum_tracks_content():
     assert fragility.FragilityTable(rows).checksum() != TABLE.checksum()
 
 
-def test_table_validation():
-    mk = fragility.FragilityRow
-    with pytest.raises(InvalidInputError):
-        fragility.FragilityTable(())
-    with pytest.raises(InvalidInputError, match="contiguous"):
-        fragility.FragilityTable([mk(0, 5, 0, 1, -1), mk(6, 10, 0, 1, -1)])
-    with pytest.raises(InvalidInputError, match="empty band"):
-        fragility.FragilityTable([mk(5, 5, 0, 1, -1)])
-    with pytest.raises(InvalidInputError, match="start at or above zero"):
-        fragility.FragilityTable([mk(-1, 5, 0, 1, -1)])
-    with pytest.raises(InvalidInputError, match="non-finite"):
-        fragility.FragilityTable([mk(0, float("inf"), 0, 1, -1)])
-
-
 def test_probability_preconditions():
     row = TABLE.rows[0]
     with pytest.raises(InvalidInputError):

@@ -10,7 +10,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.csgraph import dijkstra as scipy_dijkstra
 
-from surgeaccess import access, hazard, network
+from surgeaccess import access, hazard, network, simulate
 from surgeaccess.errors import InvalidInputError, ValidationError
 
 
@@ -632,7 +632,6 @@ def test_reachable_matches_table_support_and_floyd_warshall(monkeypatch):
         assert np.array_equal(reach, support)
         # Searching a few sources at a time gives the same minutes.
         monkeypatch.setattr(network, "_SOURCE_BLOCK", 3)
-        monkeypatch.setattr(network, "_SEARCH_ENTRIES", 0)
         assert np.array_equal(network.reachable(graph, graph.edge_flags(closed_ids), *sites, d0), reach)
         blocked = network.travel_time_table(
             graph, network.ClosureMask({eid: network.STRUCTURAL for eid in closed_ids}), demands, supplies, d0
@@ -643,6 +642,21 @@ def test_reachable_matches_table_support_and_floyd_warshall(monkeypatch):
         transposed += len(demands) > len(supplies)
         at_limit += int(np.sum(oracle == d0))
     assert transposed > 0 and at_limit > 0
+
+
+def test_storm2_searches_at_most_a_block_of_sources(storm2_bundle, monkeypatch):
+    # Only the min_only searches take every source at once; the others hold a block of all-node minutes.
+    sizes, search = [], network.dijkstra
+
+    def recording(arcs, *, indices, limit, min_only=False):
+        if not min_only:
+            sizes.append(len(indices))
+        return search(arcs, indices=indices, limit=limit, min_only=min_only)
+
+    monkeypatch.setattr(network, "dijkstra", recording)
+    bundle = storm2_bundle
+    simulate.run_scenario(bundle.config, bundle.graph, bundle.bridges, bundle.supplies, bundle.demands)
+    assert max(sizes) == network._SOURCE_BLOCK == 64
 
 
 def test_reachable_boundary_and_empty_sides(monkeypatch):

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from surgeaccess import access, fragility, hazard, network, scenario_io, simulate
-from surgeaccess.errors import InvalidSpecError, ValidationError
+from surgeaccess.errors import InvalidInputError, InvalidSpecError, ValidationError
 
 
 def file_hashes(paths):
@@ -132,8 +132,8 @@ def test_fixture_storm_presets_differ(tmp_path):
     (dict(spacing_m=0.0), "spacing must be finite and > 0, got 0.0"),
     (dict(spacing_m=float("inf")), "spacing must be finite and > 0, got inf"),
     (dict(bridge_count=0, spans_per_corridor=1), "bridge count must be >= 1, got 0"),
-    (dict(spans_per_corridor=0), "spans per corridor must be in [1, 12], got 0"),
-    (dict(spans_per_corridor=13), "spans per corridor must be in [1, 12], got 13"),
+    (dict(spans_per_corridor=0), "spans per corridor must be >= 1, got 0"),
+    (dict(spans_per_corridor=-1), "spans per corridor must be >= 1, got -1"),
     (dict(grid_width=3, bridge_count=10, spans_per_corridor=2), "5 crossing corridors do not fit a grid 3 wide"),
     (dict(demand_count=0), "demand count must be >= 1, got 0"),
     (dict(supply_count=0), "supply count must be >= 1, got 0"),
@@ -147,6 +147,15 @@ def test_fixture_spec_checks(tmp_path, change, message):
         scenario_io.generate_fixture(small_spec(**change), tmp_path / "bad")
     assert str(err.value) == message
     assert not (tmp_path / "bad").exists()
+
+
+def test_spans_past_the_bridge_count_make_one_corridor_of_every_bridge(tmp_path):
+    # Each corridor takes the bridges left, so 13 spans over 12 bridges is the one 12-span corridor.
+    wide, exact = (scenario_io.generate_fixture(small_spec(spans_per_corridor=k), tmp_path / f"s{k}") for k in (13, 12))
+    for a, b in zip(wide.all_files(), exact.all_files()):
+        assert a.read_bytes() == b.read_bytes(), a.name
+    bridges = scenario_io.load_bundle(wide).bridges
+    assert len(bridges) == 12 and len({b.x for b in bridges}) == 1
 
 
 def test_corridors_that_crowd_the_grid_take_every_column(tmp_path):
@@ -188,6 +197,22 @@ def test_bundle_round_trip(tmp_path, twin_dir, small_dir):
         )
     assert second.config.surge.coverage_radius_m == 2500.0
     assert sorted(second.demands[0].subgroups) == ["above_poverty", "age65plus", "below_poverty"]
+
+
+@pytest.mark.parametrize("storm, crs, refused", [
+    ("gale #2", "local-meters", "storm = 'gale #2'"),
+    ("gale\n2", "local-meters", "storm = 'gale\\n2'"),
+    (" gale", "local-meters ", "storm = ' gale', crs = 'local-meters '"),
+])
+def test_write_bundle_refuses_config_values_that_would_not_load_back(tmp_path, storm, crs, refused):
+    # '#' starts a comment, a line break ends the line and edge spaces are stripped, so these would load back
+    # different; write_bundle names each such key and writes nothing.
+    bundle = scenario_io.generate_twin_town(samples=20)
+    bundle.config, bundle.crs = dataclasses.replace(bundle.config, storm=storm), crs
+    with pytest.raises(InvalidInputError) as err:
+        scenario_io.write_bundle(bundle, tmp_path / "out")
+    assert str(err.value) == f"scenario.cfg: {refused} would not load back as written"
+    assert not (tmp_path / "out").exists()
 
 
 def test_datum_round_trips_with_the_surge_field(tmp_path):
@@ -336,6 +361,17 @@ def test_load_bundle_reports_every_file_problem(twin_dir):
             "bridge b-nan: non-finite deck_elevation_m",
             "duplicate bridge id b-ok",
         ]
+
+
+def test_bridge_masses_are_bounded_by_the_fragility_domain(twin_dir, monkeypatch):
+    rows = fragility.default_table().rows
+    assert rows[3].band_hi == 20.0
+    monkeypatch.setattr(fragility, "default_table", lambda: fragility.FragilityTable(rows[:4]))
+    bridges = (twin_dir / scenario_io.BRIDGES_FILE).read_text()
+    (twin_dir / scenario_io.BRIDGES_FILE).write_text(bridges + "b-heavy,5.0,25.0,0.0,0.0\n")
+    with pytest.raises(ValidationError) as err:
+        scenario_io.load_bundle(twin_dir)
+    assert err.value.errors == ["bridge b-heavy: mass 25.0 ton/m outside supported range (0, 20]"]
 
 
 def test_load_bundle_reports_repeated_site_ids(twin_dir):
