@@ -89,24 +89,13 @@ class AccessScores:
 
 
 def _table_two_step(table: TravelTimeTable, supplies: Sequence[SupplySite], demands: Sequence[DemandSite]):
-    """two_step on the table's demand x supply reachability, aligned to the given lists, one row and column per site."""
-    reach = np.zeros((len(demands), len(supplies)), dtype=bool)
-    rows = _positions(table.demand_ids, [d.demand_id for d in demands], "demand")
-    cols = _positions(table.supply_ids, [s.supply_id for s in supplies], "supply")
-    reach[np.ix_(rows, cols)] = table.minutes <= table.d0_minutes
+    """two_step on the table's demand x supply reachability, one row and column per site; the lists must hold
+    the table's sites in table order, as the table was built from them."""
+    sites = ([d.demand_id for d in demands], [s.supply_id for s in supplies])
+    if sites != (list(table.demand_ids), list(table.supply_ids)):
+        raise InvalidInputError("the demand and supply lists must hold the table's sites in table order")
+    reach = table.minutes <= table.d0_minutes
     return two_step(reach, np.arange(len(demands)), np.arange(len(supplies)), *site_weights(demands, supplies))
-
-
-def _positions(table_ids: Sequence[str], ids: Sequence[str], kind: str) -> np.ndarray:
-    """Position in ids of each table id; ids must be distinct and hold every table id."""
-    index: dict[str, int] = {}
-    for pos, sid in enumerate(ids):
-        if index.setdefault(sid, pos) != pos:
-            raise InvalidInputError(f"duplicate {kind} id {sid}")
-    for tid in table_ids:
-        if tid not in index:
-            raise InvalidInputError(f"table {kind} {tid} missing from {kind} list")
-    return np.array([index[tid] for tid in table_ids], dtype=np.int64)
 
 
 def score_vector(

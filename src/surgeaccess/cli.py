@@ -21,7 +21,7 @@ from .errors import SurgeAccessError, ValidationError
 from .fragility import default_table
 from .network import HORIZONS
 from .scenario_io import (
-    BundlePaths,
+    BUNDLE_FILES,
     SyntheticFixtureSpec,
     _write_csv,
     generate_fixture,
@@ -39,15 +39,8 @@ EXIT_RUNTIME = 4
 EXIT_IO = 5
 
 
-def _bundle_paths(args: argparse.Namespace) -> BundlePaths:
-    paths = BundlePaths.in_dir(args.data)
-    if getattr(args, "config", None):
-        paths = dataclasses.replace(paths, config=Path(args.config))
-    return paths
-
-
 def _cmd_validate(args: argparse.Namespace) -> int:
-    bundle = load_bundle(_bundle_paths(args))
+    bundle = load_bundle(args.data, args.config)
     graph = bundle.graph
     print(f"bundle ok: {args.data}")
     print(
@@ -60,7 +53,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    bundle = load_bundle(_bundle_paths(args))
+    bundle = load_bundle(args.data, args.config)
     config = override_config(
         bundle.config,
         samples=args.samples,
@@ -83,6 +76,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
             f" {hres.no_access_fraction:>9.4f} {converged:>12}"
         )
     print(f"wrote {len(written)} file(s) to {Path(args.out)}")
+    window = f"window {config.convergence_window}, tolerance {config.convergence_tolerance}"
+    for horizon in (h for h, hres in result.horizons.items() if hres.converged_at is None):
+        print(f"warning: horizon {horizon} did not converge in {result.samples} samples ({window})", file=sys.stderr)
     return EXIT_OK
 
 
@@ -96,8 +92,8 @@ def _cmd_fixture(args: argparse.Namespace) -> int:
             print(f"error: --grid expects WIDTHxHEIGHT, got {args.grid!r}", file=sys.stderr)
             return EXIT_RUNTIME
     spec = SyntheticFixtureSpec(**{k: v for k, v in given.items() if v is not None})
-    paths = generate_fixture(spec, args.out)
-    print(f"fixture written to {Path(args.out)} ({len(paths.all_files())} files)")
+    generate_fixture(spec, args.out)
+    print(f"fixture written to {Path(args.out)} ({len(BUNDLE_FILES)} files)")
     return EXIT_OK
 
 
@@ -129,6 +125,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
                 rows.append([demand_id, horizon, b_mean, o_mean, o_mean - b_mean, b_quartile, o_quartile])
             lines += [
                 f"[{horizon}]",
+                *(f"  caution: {label} did not converge in {res['manifest']['samples']} samples"
+                  for label, res in (("base", base), ("other", other))
+                  if res["manifest"]["summary"][horizon]["converged_at"] is None),
                 f"  avg_score {b_sum['average_score']:.4f} -> {o_sum['average_score']:.4f}",
                 f"  no_access {b_sum['no_access_fraction']:.4f} -> {o_sum['no_access_fraction']:.4f}",
                 f"  quartile drops: {drops}",

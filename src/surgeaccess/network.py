@@ -356,6 +356,9 @@ class TravelTimeTable:
             raise InvalidInputError("table minutes must have one row per demand and one column per supply")
         if not np.all(((minutes >= 0.0) & (minutes <= d0_minutes)) | (minutes == np.inf)):
             raise InvalidInputError("table minutes must lie in [0, d0] or be inf")
+        for kind, ids in (("demand", demand_ids), ("supply", supply_ids)):
+            if len(set(ids)) != len(ids):
+                raise InvalidInputError(f"duplicate {kind} ids")
         self.demand_ids = demand_ids
         self.supply_ids = supply_ids
         self.minutes = minutes
@@ -387,10 +390,6 @@ def travel_time_table(
         raise InvalidInputError(f"d0 must be finite and > 0, got {d0_minutes}")
     demand_ids = tuple(str(d.demand_id) for d in demands)
     supply_ids = tuple(str(s.supply_id) for s in supplies)
-    for kind, ids in (("demand", demand_ids), ("supply", supply_ids)):
-        if len(set(ids)) != len(ids):
-            raise InvalidInputError(f"duplicate {kind} ids")
-
     demand_nodes, supply_nodes = snap_sites(graph, demands), snap_sites(graph, supplies)
     closed = graph.edge_flags(mask.provenance) if mask is not None else None
     minutes = _site_minutes(graph, closed, demand_nodes, supply_nodes, d0_minutes)

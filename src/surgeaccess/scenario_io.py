@@ -47,7 +47,7 @@ import numpy as np
 from . import __version__
 from .access import DemandSite, SupplySite
 from .errors import InvalidInputError, InvalidSpecError, ValidationError
-from .fragility import sha256
+from .fragility import default_table, sha256
 from .hazard import ExposureThresholds, SurgeField
 from .network import BRIDGE, ROAD, BridgeRecord, Edge, Node, RoadGraph, build_graph, valid_bridges
 from .simulate import ScenarioConfig, ScenarioResult
@@ -58,6 +58,8 @@ SURGE_FILE = "surge.csv"
 SUPPLIES_FILE = "supplies.csv"
 DEMANDS_FILE = "demands.csv"
 CONFIG_FILE = "scenario.cfg"
+# The bundle's files, in the order load_bundle reads and hashes them.
+BUNDLE_FILES = (NETWORK_FILE, BRIDGES_FILE, SURGE_FILE, SUPPLIES_FILE, DEMANDS_FILE, CONFIG_FILE)
 
 _BRIDGE_COLUMNS = ("bridge_id", "h_b", "mass_ton_per_m", "x", "y")
 _SURGE_COLUMNS = ("x", "y", "h_st", "h_s")
@@ -91,24 +93,6 @@ _EXPECTED = {int: "an integer", float: "a number"}
 _THRESHOLD_KEYS = tuple(f.name for f in dataclasses.fields(ExposureThresholds))
 
 
-@dataclass(frozen=True)
-class BundlePaths:
-    network: Path
-    bridges: Path
-    surge: Path
-    supplies: Path
-    demands: Path
-    config: Path
-
-    @classmethod
-    def in_dir(cls, directory: str | Path) -> BundlePaths:
-        files = (NETWORK_FILE, BRIDGES_FILE, SURGE_FILE, SUPPLIES_FILE, DEMANDS_FILE, CONFIG_FILE)  # in field order
-        return cls(*(Path(directory) / name for name in files))
-
-    def all_files(self) -> tuple[Path, ...]:
-        return (self.network, self.bridges, self.surge, self.supplies, self.demands, self.config)
-
-
 @dataclass
 class DatasetBundle:
     """A fully validated scenario dataset plus its run configuration."""
@@ -137,31 +121,31 @@ def _floats(rec: Mapping[str, str], names: Iterable[str]) -> list[float]:
 
 
 def _parse_rows(
-    path: Path,
-    texts: dict[Path, str],
+    source: str,
+    texts: dict[str, str],
     required: tuple[str, ...],
     kind: str,
     build: Callable[[dict[str, str]], Any],
     errors: list[str],
     reserved: tuple[str, ...] = (),
 ) -> list[Any]:
-    """build(row) for each row of the CSV texts[path] holding the required
+    """build(row) for each row of the CSV texts[source] holding the required
     columns, reporting a missing column or a bad row (short, long or not
     parsed) by file name and line; a reserved column is reported once and
     left out of every row. A missing or repeated column is reported and
     no row of the file is read."""
     out: list[Any] = []
-    reader = csv.DictReader(io.StringIO(texts[path], newline=""))
+    reader = csv.DictReader(io.StringIO(texts[source], newline=""))
     header = reader.fieldnames or []
     missing = [name for name in required if name not in header]
     repeated = list(dict.fromkeys(name for name in header if header.count(name) > 1))
     for problem, names in (("missing", missing), ("repeated", repeated)):
         if names:
-            errors.append(f"{path.name}: {problem} column(s) {', '.join(names)}")
+            errors.append(f"{source}: {problem} column(s) {', '.join(names)}")
     if missing or repeated:
         return out
     clash = [name for name in reserved if name in reader.fieldnames]
-    errors.extend(f"{path.name}: column {name} is reserved" for name in clash)
+    errors.extend(f"{source}: column {name} is reserved" for name in clash)
     for lineno, rec in enumerate(reader, start=2):
         for name in clash:
             del rec[name]
@@ -170,7 +154,7 @@ def _parse_rows(
                 raise ValueError(f"{len(rec[None])} field(s) past the header")
             out.append(build(rec))
         except ValueError as exc:
-            errors.append(f"{path.name}:{lineno}: bad {kind} row ({exc})")
+            errors.append(f"{source}:{lineno}: bad {kind} row ({exc})")
     return out
 
 
@@ -268,26 +252,26 @@ def _node_rows(x: np.ndarray, y: np.ndarray, qx: np.ndarray, qy: np.ndarray) -> 
     return np.where(np.r_[points, np.nan][at] == queries, np.r_[rows, -1][at], -1)
 
 
-def _parse_network_geojson(path: Path, texts: dict[Path, str], errors: list[str]) -> tuple | None:
+def _parse_network_geojson(source: str, texts: dict[str, str], errors: list[str]) -> tuple | None:
     """network.geojson as RoadGraph's node and edge arguments, or
     None if it is not a FeatureCollection; its text is dropped from texts
     once decoded. A failed feature is reported by its index in the
     collection: the failures that are not edges first, then the edges."""
     columns = _NetworkColumns()
     try:
-        doc = json.loads(texts.pop(path), object_hook=columns)
+        doc = json.loads(texts.pop(source), object_hook=columns)
     except json.JSONDecodeError as exc:
-        errors.append(f"{path.name}: not valid JSON ({exc})")
+        errors.append(f"{source}: not valid JSON ({exc})")
         return None
     features = doc.get("features", []) if isinstance(doc, dict) else None
     if not isinstance(features, list) or doc.get("type") != "FeatureCollection":
-        errors.append(f"{path.name}: expected a GeoJSON FeatureCollection")
+        errors.append(f"{source}: expected a GeoJSON FeatureCollection")
         return None
     # An entry the hook left as it was converts now; rows a Feature nested elsewhere wrote are left out.
     number = np.array([f if isinstance(f, _Feature) else columns.feature(f) for f in features], dtype=np.int64)
     del doc, features
     failed = np.isin(number, list(columns.failures))
-    errors += [f"{path.name}: feature {i}: {columns.failures[number[i]][1]}"
+    errors += [f"{source}: feature {i}: {columns.failures[number[i]][1]}"
                for i in np.flatnonzero(failed & (number >= 0)).tolist()]
     nodes = number[~failed & (number >= 0)]
     node_ids = [columns.node_ids[r] for r in nodes.tolist()]
@@ -303,7 +287,7 @@ def _parse_network_geojson(path: Path, texts: dict[Path, str], errors: list[str]
         unknown = next((e for e in range(converted) if ends[k, e] < 0), None)
         if unknown is not None:
             failure = f"bad edge (endpoint {tuple(edges[k, 2 * unknown : 2 * unknown + 2].tolist())} matches no node)"
-        errors.append(f"{path.name}: feature {at[k]}: {failure}")
+        errors.append(f"{source}: feature {at[k]}: {failure}")
     rows = (~number[at[~bad]]).tolist()
     return (
         node_ids, x, y, [columns.edge_ids[r] for r in rows], *ends[~bad].T, *edges[~bad, 4:].T,
@@ -334,16 +318,16 @@ def parse_config_text(text: str, source: str = CONFIG_FILE) -> tuple[dict[str, s
 
 
 def _config_from_raw(
-    raw: Mapping[str, str], paths: BundlePaths, texts: dict[Path, str], errors: list[str]
+    raw: Mapping[str, str], source: str, texts: dict[str, str], errors: list[str]
 ) -> tuple[ScenarioConfig | None, str]:
     """Build the run configuration and its surge field, reporting every
-    bad value under the config file's name; keys the file leaves out keep
-    the dataclass defaults."""
+    bad value under source, the config file's name; keys the file leaves
+    out keep the dataclass defaults."""
     before = len(errors)
-    surge_rows = _parse_rows(paths.surge, texts, _SURGE_COLUMNS, "surge", lambda r: _floats(r, _SURGE_COLUMNS), errors)
+    surge_rows = _parse_rows(SURGE_FILE, texts, _SURGE_COLUMNS, "surge", lambda r: _floats(r, _SURGE_COLUMNS), errors)
     for key in ("storm", "crs"):
         if not raw.get(key):
-            errors.append(f"{paths.config.name}: {key} is required")
+            errors.append(f"{source}: {key} is required")
     settings: dict[str, Any] = {}
     for key, parse in _SETTINGS.items():
         if key not in raw or (key == "coverage_radius_m" and raw[key] == ""):
@@ -351,7 +335,7 @@ def _config_from_raw(
         try:
             settings[key] = parse(raw[key])
         except ValueError:
-            errors.append(f"{paths.config.name}: {key} must be {_EXPECTED[parse]}, got {raw[key]!r}")
+            errors.append(f"{source}: {key} must be {_EXPECTED[parse]}, got {raw[key]!r}")
     crs = settings.pop("crs", "")
     if errors[before:]:
         return None, crs
@@ -366,43 +350,46 @@ def _config_from_raw(
         thresholds = ExposureThresholds(**{k: settings.pop(k) for k in _THRESHOLD_KEYS if k in settings})
         config = ScenarioConfig(surge=surge, thresholds=thresholds, **settings)
     except InvalidInputError as exc:  # past the surge field, the bad value came from the config file
-        errors.append(str(exc) if surge is None else f"{paths.config.name}: {exc}")
+        errors.append(str(exc) if surge is None else f"{source}: {exc}")
         return None, crs
     return config, crs
 
 
-def load_bundle(source: str | Path | BundlePaths) -> DatasetBundle:
-    """Load and validate a scenario bundle.
+def load_bundle(directory: str | Path, config: str | Path | None = None) -> DatasetBundle:
+    """Load and validate the scenario bundle in directory, taking the run
+    configuration from the file config in place of its scenario.cfg if given.
 
     Each file is read once, before any is parsed, and hashed from the bytes
-    parsed. A missing file raises FileNotFoundError. A file that is not
-    UTF-8 text is reported before any file is parsed; past that, anything
-    wrong with the content is collected into one ValidationError listing
-    every failure.
+    parsed; the hash and any error take the name of the file read. A missing
+    file raises FileNotFoundError. A file that is not UTF-8 text is reported
+    before any file is parsed; past that, anything wrong with the content is
+    collected into one ValidationError listing every failure.
     """
-    paths = source if isinstance(source, BundlePaths) else BundlePaths.in_dir(source)
+    paths = [Path(directory) / name for name in BUNDLE_FILES]
+    if config is not None:
+        paths[-1] = Path(config)
     hashes: dict[str, str] = {}
-    texts: dict[Path, str] = {}
+    texts: dict[str, str] = {}  # by bundle file name
     errors: list[str] = []
-    for path in paths.all_files():
+    for name, path in zip(BUNDLE_FILES, paths):
         try:
             data = path.read_bytes()
         except FileNotFoundError:
             raise FileNotFoundError(f"missing input file: {path}") from None
         hashes[path.name] = sha256(data).hexdigest()
         try:
-            texts[path] = data.decode("utf-8-sig")  # a byte-order mark, as spreadsheets write, is not content
+            texts[name] = data.decode("utf-8-sig")  # a byte-order mark, as spreadsheets write, is not content
         except UnicodeDecodeError as exc:
             errors.append(f"{path.name}: not UTF-8 text ({exc})")
     if errors:
         raise ValidationError(errors)
 
-    network = _parse_network_geojson(paths.network, texts, errors)
-    bridges = _parse_rows(paths.bridges, texts, _BRIDGE_COLUMNS, "bridge", _bridge_row, errors)
-    supplies = _parse_rows(paths.supplies, texts, _SUPPLY_COLUMNS, "supply", _supply_row, errors)
+    network = _parse_network_geojson(NETWORK_FILE, texts, errors)
+    bridges = _parse_rows(BRIDGES_FILE, texts, _BRIDGE_COLUMNS, "bridge", _bridge_row, errors)
+    supplies = _parse_rows(SUPPLIES_FILE, texts, _SUPPLY_COLUMNS, "supply", _supply_row, errors)
     # "overall" is the whole population's group_summary.csv row, so no subgroup column may take that name.
-    demands = _parse_rows(paths.demands, texts, _DEMAND_COLUMNS, "demand", _demand_row, errors, reserved=("overall",))
-    raw_config, cfg_errors = parse_config_text(texts[paths.config], paths.config.name)
+    demands = _parse_rows(DEMANDS_FILE, texts, _DEMAND_COLUMNS, "demand", _demand_row, errors, reserved=("overall",))
+    raw_config, cfg_errors = parse_config_text(texts[CONFIG_FILE], paths[-1].name)
     errors.extend(cfg_errors)
 
     graph: RoadGraph | None = None
@@ -425,12 +412,12 @@ def load_bundle(source: str | Path | BundlePaths) -> DatasetBundle:
         if not ids and not any(e.startswith(f"{name}:") for e in errors):  # a bad column or row was reported
             errors.append(f"{name}: {empty}")
 
-    config, crs = _config_from_raw(raw_config, paths, texts, errors)
+    scenario, crs = _config_from_raw(raw_config, paths[-1].name, texts, errors)
     if errors:
         raise ValidationError(errors)
-    assert graph is not None and config is not None
+    assert graph is not None and scenario is not None
 
-    return DatasetBundle(graph, tuple(supplies), tuple(demands), config, crs, input_hashes=hashes)
+    return DatasetBundle(graph, tuple(supplies), tuple(demands), scenario, crs, input_hashes=hashes)
 
 
 def _write_features(path: Path, features: Iterable[dict]) -> None:
@@ -536,8 +523,8 @@ def read_results(out_dir: str | Path) -> dict[str, Any]:
     return {"manifest": manifest, "horizons": horizons, "groups": groups}
 
 
-def write_bundle(bundle: DatasetBundle, out_dir: str | Path) -> BundlePaths:
-    """Write a bundle's input files; load_bundle(out_dir) round-trips it, or raise before writing any."""
+def write_bundle(bundle: DatasetBundle, out_dir: str | Path) -> Path:
+    """Write a bundle's input files and return out_dir; load_bundle(out_dir) round-trips it, or raise before writing."""
     cfg, surge = bundle.config, bundle.config.surge
     held = {**vars(cfg), **vars(cfg.thresholds), "crs": bundle.crs, "datum": surge.datum_label,
             "horizons": ",".join(cfg.horizons), "coverage_radius_m": surge.coverage_radius_m}
@@ -548,7 +535,6 @@ def write_bundle(bundle: DatasetBundle, out_dir: str | Path) -> BundlePaths:
         raise InvalidInputError(f"{CONFIG_FILE}: {', '.join(bad)} would not load back as written")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    paths = BundlePaths.in_dir(out)
     graph = bundle.graph
 
     xy = np.column_stack([graph.node_x, graph.node_y]).tolist()
@@ -557,20 +543,20 @@ def write_bundle(bundle: DatasetBundle, out_dir: str | Path) -> BundlePaths:
     edges = ({"type": "Feature", "geometry": {"type": "LineString", "coordinates": [xy[u], xy[v]]},
               "properties": dict(zip(("id", "length_m", "speed_mps", "kind", "bridge_id", "h_r"), (eid, *rest)))}
              for eid, u, v, *rest in graph.edge_rows())
-    _write_features(paths.network, itertools.chain(nodes, edges))
+    _write_features(out / NETWORK_FILE, itertools.chain(nodes, edges))
 
-    _write_csv(paths.bridges, _BRIDGE_COLUMNS, map(dataclasses.astuple, bundle.bridges))
-    _write_csv(paths.surge, _SURGE_COLUMNS, np.column_stack([surge.x, surge.y, surge.h_st, surge.h_s]).tolist())
-    _write_csv(paths.supplies, _SUPPLY_COLUMNS, ([s.supply_id, s.x, s.y, s.capacity] for s in bundle.supplies))
+    _write_csv(out / BRIDGES_FILE, _BRIDGE_COLUMNS, map(dataclasses.astuple, bundle.bridges))
+    _write_csv(out / SURGE_FILE, _SURGE_COLUMNS, np.column_stack([surge.x, surge.y, surge.h_st, surge.h_s]).tolist())
+    _write_csv(out / SUPPLIES_FILE, _SUPPLY_COLUMNS, ([s.supply_id, s.x, s.y, s.capacity] for s in bundle.supplies))
     groups = sorted({name for d in bundle.demands for name in d.subgroups})
     _write_csv(
-        paths.demands,
+        out / DEMANDS_FILE,
         [*_DEMAND_COLUMNS, *groups],
         ([d.demand_id, d.x, d.y, d.population, *(float(d.subgroups.get(g, 0.0)) for g in groups)]
          for d in bundle.demands),
     )
-    paths.config.write_text(config_text)
-    return paths
+    (out / CONFIG_FILE).write_text(config_text)
+    return out
 
 
 @dataclass(frozen=True)
@@ -642,8 +628,8 @@ def _fixture_params(spec: SyntheticFixtureSpec) -> tuple[float, float, int]:
     return float(peak), float(decay), corridors
 
 
-def generate_fixture(spec: SyntheticFixtureSpec, out_dir: str | Path) -> BundlePaths:
-    """Write a complete synthetic bundle and return its file paths.
+def generate_fixture(spec: SyntheticFixtureSpec, out_dir: str | Path) -> Path:
+    """Write a complete synthetic bundle and return its directory.
 
     Deterministic for a given spec. The generated bundle always passes
     load_bundle validation, and with no surge (surge_peak_m = 0) no edge
@@ -799,7 +785,8 @@ def generate_twin_town(p_fail: float = 0.5, samples: int = 1000, seed: int = 7) 
     if p_fail == 0.0:
         z_c = 6.0  # far above water: the affine form goes negative, clamps to 0
     else:
-        z_c = (0.6468 - p_fail) / 0.1376
+        row = default_table().rows[0]
+        z_c = (row.a - p_fail) / -row.c
     nodes = [Node(f"n{name}", 600.0 * i, 0.0) for i, name in enumerate("abcd")]
     edges = [
         Edge("e-ab", "na", "nb", 600.0, 10.0, ROAD, h_r=5.0),

@@ -298,9 +298,21 @@ def test_group_names_sorted_union():
 
 
 def test_mismatched_ids_rejected():
+    # A table is scored with the site lists it was built from: its own sites, in table order.
     supplies, demands, reachable = worked_instance()
     table = make_table(demands, supplies, reachable)
-    with pytest.raises(InvalidInputError, match="missing from demand list"):
-        access.accessibility_scores(table, supplies, demands[:2])
-    with pytest.raises(InvalidInputError, match="duplicate demand id"):
-        access.accessibility_scores(table, supplies, demands + [demands[0]])
+    extra = access.DemandSite("i4", 0, 4, population=400.0)
+    for demand_list, supply_list in (
+        (demands[:2], supplies),  # a table demand missing from the list
+        (demands + [demands[0]], supplies),  # a repeated demand
+        (demands + [extra], supplies),  # a superset of the table's demands
+        ([demands[1], demands[0], demands[2]], supplies),  # a permutation
+        (demands, supplies[::-1]),
+    ):
+        with pytest.raises(InvalidInputError, match="lists must hold the table's sites in table order"):
+            access.accessibility_scores(table, supply_list, demand_list)
+    # A table cannot hold a repeated id in the first place.
+    for demand_ids, supply_ids, kind in ((("i1", "i1"), ("j1",), "demand"), (("i1",), ("j1", "j2", "j1"), "supply")):
+        minutes = np.full((len(demand_ids), len(supply_ids)), np.inf)
+        with pytest.raises(InvalidInputError, match=f"duplicate {kind} ids"):
+            network.TravelTimeTable(demand_ids, supply_ids, minutes, 50.0)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -123,7 +124,11 @@ def test_alternate_config_is_read_and_named_in_errors(small_fixture_dir, tmp_pat
     out_dir = tmp_path / "results"
     code = cli.main(["run", "--data", str(small_fixture_dir), "--config", str(alternate), "--out", str(out_dir)])
     assert code == cli.EXIT_OK
-    assert json.loads((out_dir / "manifest.json").read_text())["samples"] == 12
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert manifest["samples"] == 12
+    # The manifest hashes the config the run read, under that file's name.
+    assert manifest["inputs"]["alternate.cfg"] == hashlib.sha256(alternate.read_bytes()).hexdigest()
+    assert sorted(manifest["inputs"]) == sorted(["alternate.cfg", *scenario_io.BUNDLE_FILES[:-1]])
     capsys.readouterr()
 
     alternate.write_text(text.replace("samples = 30\n", "samples = many\n"))
@@ -138,6 +143,22 @@ def test_alternate_config_is_read_and_named_in_errors(small_fixture_dir, tmp_pat
     assert cli.main(["validate", "--data", str(small_fixture_dir), "--config", str(alternate)]) == cli.EXIT_VALIDATION
     err = capsys.readouterr().err
     assert "alternate.cfg: unknown horizon 'soon'" in err and scenario_io.CONFIG_FILE not in err
+
+
+def test_run_warns_for_each_horizon_that_did_not_converge(small_fixture_dir, tmp_path, capsys):
+    # 20 samples cannot fill the 100-sample convergence window, so neither horizon converges.
+    argv = ["run", "--data", str(small_fixture_dir), "--out", str(tmp_path / "few"), "--samples", "20"]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert capsys.readouterr().err.splitlines() == [
+        f"warning: horizon {horizon} did not converge in 20 samples (window 100, tolerance 0.01)"
+        for horizon in ("short", "long")
+    ]
+    # A bridge that never fails leaves every sample's scores the same, so both horizons settle: no warning.
+    scenario_io.write_bundle(scenario_io.generate_twin_town(p_fail=0.0, samples=150), tmp_path / "calm")
+    assert cli.main(["run", "--data", str(tmp_path / "calm"), "--out", str(tmp_path / "settled")]) == cli.EXIT_OK
+    assert capsys.readouterr().err == ""
+    summary = json.loads((tmp_path / "settled" / "manifest.json").read_text())["summary"]
+    assert [summary[horizon]["converged_at"] for horizon in ("short", "long")] == [100, 100]
 
 
 def test_run_single_horizon(small_fixture_dir, tmp_path):
@@ -192,9 +213,9 @@ def test_fixture_refuses_a_storm_name_the_config_cannot_hold(tmp_path, capsys):
 def test_fixture_flags_map_onto_the_spec(tmp_path):
     # No flags: the SyntheticFixtureSpec defaults, byte for byte.
     assert cli.main(["fixture", "--out", str(tmp_path / "cli")]) == cli.EXIT_OK
-    paths = scenario_io.generate_fixture(scenario_io.SyntheticFixtureSpec(), tmp_path / "api")
-    for p in paths.all_files():
-        assert (tmp_path / "cli" / p.name).read_bytes() == p.read_bytes(), p.name
+    scenario_io.generate_fixture(scenario_io.SyntheticFixtureSpec(), tmp_path / "api")
+    for name in scenario_io.BUNDLE_FILES:
+        assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "api" / name).read_bytes(), name
     # Every flag lands on its own spec field.
     assert cli.main([
         "fixture", "--out", str(tmp_path / "cli2"), "--storm", "gale", "--seed", "5", "--grid", "20x6",
@@ -205,9 +226,9 @@ def test_fixture_flags_map_onto_the_spec(tmp_path):
         storm="gale", seed=5, grid_width=20, grid_height=6, spacing_m=250.0, bridge_count=12,
         demand_count=9, supply_count=30, samples=7, d0_minutes=40.0, surge_peak_m=5.5, surge_decay_m=7000.0,
     )
-    paths = scenario_io.generate_fixture(spec, tmp_path / "api2")
-    for p in paths.all_files():
-        assert (tmp_path / "cli2" / p.name).read_bytes() == p.read_bytes(), p.name
+    scenario_io.generate_fixture(spec, tmp_path / "api2")
+    for name in scenario_io.BUNDLE_FILES:
+        assert (tmp_path / "cli2" / name).read_bytes() == (tmp_path / "api2" / name).read_bytes(), name
 
 
 def test_fixture_rejects_bad_grid(tmp_path, capsys):
@@ -216,8 +237,8 @@ def test_fixture_rejects_bad_grid(tmp_path, capsys):
     assert "--grid expects" in capsys.readouterr().err
 
 
-def result_dir(tmp_path, name, p_fail):
-    bundle = scenario_io.generate_twin_town(p_fail=p_fail, samples=60)
+def result_dir(tmp_path, name, p_fail, samples=60):
+    bundle = scenario_io.generate_twin_town(p_fail=p_fail, samples=samples)
     result = simulate.run_scenario(
         bundle.config, bundle.graph, bundle.bridges, bundle.supplies, bundle.demands
     )
@@ -263,6 +284,18 @@ def test_report_counts_quartile_drops_and_skips_demands_missing_from_other(tmp_p
     ]
     rows = [line.split(",")[:2] for line in deltas.read_text().splitlines()[1:]]
     assert rows == [["d1", "short"], ["d1", "long"], ["d2", "long"]]
+
+
+def test_report_cautions_a_run_that_did_not_converge(tmp_path, capsys):
+    base = result_dir(tmp_path, "base", 0.0, samples=150)  # settles at 100 samples
+    other = result_dir(tmp_path, "other", 0.3)  # 60 samples cannot fill the 100-sample window
+    assert cli.main(["report", str(base), str(other)]) == cli.EXIT_OK
+    out = capsys.readouterr().out.splitlines()
+    for horizon in ("short", "long"):
+        at = out.index(f"[{horizon}]")
+        assert out[at + 1] == "  caution: other did not converge in 60 samples"
+        assert out[at + 2].startswith("  avg_score")
+    assert not any("caution: base" in line for line in out)
 
 
 def test_report_missing_dir_exit_5(tmp_path, capsys):

@@ -16,8 +16,8 @@ from surgeaccess import access, fragility, hazard, network, scenario_io, simulat
 from surgeaccess.errors import InvalidInputError, InvalidSpecError, ValidationError
 
 
-def file_hashes(paths):
-    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
+def file_hashes(directory):
+    return {name: hashlib.sha256((directory / name).read_bytes()).hexdigest() for name in scenario_io.BUNDLE_FILES}
 
 
 def surge_columns(field):
@@ -49,8 +49,8 @@ def twin_dir(tmp_path):
 
 @pytest.fixture()
 def small_dir(tmp_path):
-    paths = scenario_io.generate_fixture(small_spec(), tmp_path / "small")
-    paths.config.write_text(paths.config.read_text() + "coverage_radius_m = 2500.0\n")
+    config = scenario_io.generate_fixture(small_spec(), tmp_path / "small") / scenario_io.CONFIG_FILE
+    config.write_text(config.read_text() + "coverage_radius_m = 2500.0\n")
     return tmp_path / "small"
 
 
@@ -73,9 +73,10 @@ def test_default_fixture_scale(default_bundle):
 def test_fixture_generation_is_byte_deterministic(tmp_path):
     a = scenario_io.generate_fixture(small_spec(), tmp_path / "a")
     b = scenario_io.generate_fixture(small_spec(), tmp_path / "b")
-    assert file_hashes(a.all_files()) == file_hashes(b.all_files())
+    assert (a, b) == (tmp_path / "a", tmp_path / "b")  # each returns its directory
+    assert file_hashes(a) == file_hashes(b)
     c = scenario_io.generate_fixture(small_spec(seed=43), tmp_path / "c")
-    assert file_hashes(c.all_files()) != file_hashes(a.all_files())
+    assert file_hashes(c) != file_hashes(a)
 
 
 # sha256 of every generated file for three small specs: a partial last corridor, corridors that take
@@ -110,8 +111,7 @@ SMALL_SPEC_DIGESTS = [
 
 @pytest.mark.parametrize("change, digests", SMALL_SPEC_DIGESTS, ids=["partial-corridor", "every-column", "no-surge"])
 def test_generated_files_match_their_digests(tmp_path, change, digests):
-    paths = scenario_io.generate_fixture(small_spec(**change), tmp_path / "bundle")
-    assert file_hashes(paths.all_files()) == digests
+    assert file_hashes(scenario_io.generate_fixture(small_spec(**change), tmp_path / "bundle")) == digests
 
 
 def test_fixture_storm_presets_differ(tmp_path):
@@ -152,8 +152,8 @@ def test_fixture_spec_checks(tmp_path, change, message):
 def test_spans_past_the_bridge_count_make_one_corridor_of_every_bridge(tmp_path):
     # Each corridor takes the bridges left, so 13 spans over 12 bridges is the one 12-span corridor.
     wide, exact = (scenario_io.generate_fixture(small_spec(spans_per_corridor=k), tmp_path / f"s{k}") for k in (13, 12))
-    for a, b in zip(wide.all_files(), exact.all_files()):
-        assert a.read_bytes() == b.read_bytes(), a.name
+    for name in scenario_io.BUNDLE_FILES:
+        assert (wide / name).read_bytes() == (exact / name).read_bytes(), name
     bridges = scenario_io.load_bundle(wide).bridges
     assert len(bridges) == 12 and len({b.x for b in bridges}) == 1
 
@@ -167,8 +167,7 @@ def test_corridors_that_crowd_the_grid_take_every_column(tmp_path):
 
 
 def test_small_fixture_loads_and_runs(tmp_path):
-    paths = scenario_io.generate_fixture(small_spec(samples=20), tmp_path / "sm")
-    bundle = scenario_io.load_bundle(paths)
+    bundle = scenario_io.load_bundle(scenario_io.generate_fixture(small_spec(samples=20), tmp_path / "sm"))
     result = simulate.run_scenario(
         bundle.config, bundle.graph, bundle.bridges, bundle.supplies, bundle.demands
     )
@@ -192,9 +191,7 @@ def test_bundle_round_trip(tmp_path, twin_dir, small_dir):
         assert second.graph.edge_ids == first.graph.edge_ids
         assert all(second.graph.edges[e] == first.graph.edges[e] for e in first.graph.edge_ids)
         # rewriting an unchanged bundle reproduces the same bytes
-        assert file_hashes(scenario_io.BundlePaths.in_dir(again).all_files()) == file_hashes(
-            scenario_io.BundlePaths.in_dir(source).all_files()
-        )
+        assert file_hashes(again) == file_hashes(source)
     assert second.config.surge.coverage_radius_m == 2500.0
     assert sorted(second.demands[0].subgroups) == ["above_poverty", "age65plus", "below_poverty"]
 
@@ -223,8 +220,8 @@ def test_datum_round_trips_with_the_surge_field(tmp_path):
     bundle.config = dataclasses.replace(
         bundle.config, surge=hazard.SurgeField(surge.x, surge.y, surge.h_st, surge.h_s, "NAVD88")
     )
-    paths = scenario_io.write_bundle(bundle, tmp_path / "navd")
-    assert "datum = NAVD88\n" in paths.config.read_text()
+    assert scenario_io.write_bundle(bundle, tmp_path / "navd") == tmp_path / "navd"
+    assert "datum = NAVD88\n" in (tmp_path / "navd" / scenario_io.CONFIG_FILE).read_text()
     loaded = scenario_io.load_bundle(tmp_path / "navd")
     assert loaded.config.surge.datum_label == "NAVD88"
     assert_same_config(loaded.config, bundle.config)
@@ -239,13 +236,13 @@ def test_write_bundle_config_text(tmp_path):
     bundle.config = dataclasses.replace(
         bundle.config, surge=hazard.SurgeField([900.0], [0.0], [1.0], [0.0], "twin-datum", coverage_radius_m=25.0)
     )
-    paths = scenario_io.write_bundle(bundle, tmp_path / "cfg")
-    assert paths.config.read_text() == (
+    out = scenario_io.write_bundle(bundle, tmp_path / "cfg")
+    assert (out / scenario_io.CONFIG_FILE).read_text() == (
         "storm = twin\ncrs = local-meters\ndatum = twin-datum\nd0_minutes = 50.0\nsamples = 50\nseed = 7\n"
         "horizons = short,long\nbridge_close_zc = -0.6\nroad_close_din = 0.6\nworkers = 1\n"
         "convergence_window = 100\nconvergence_tolerance = 0.01\ncoverage_radius_m = 25.0\n"
     )
-    assert paths.surge.read_text() == "x,y,h_st,h_s\n900.0,0.0,1.0,0.0\n"
+    assert (out / scenario_io.SURGE_FILE).read_text() == "x,y,h_st,h_s\n900.0,0.0,1.0,0.0\n"
 
 
 def test_load_bundle_missing_file(twin_dir):
@@ -270,13 +267,12 @@ def test_load_bundle_reads_each_input_file_once(twin_dir, monkeypatch):
     monkeypatch.setattr(builtins, "open", counted(builtin_open))
     bundle = scenario_io.load_bundle(twin_dir)
     monkeypatch.undo()
-    paths = scenario_io.BundlePaths.in_dir(twin_dir).all_files()
-    assert sorted(opened) == sorted(str(p) for p in paths)
-    assert bundle.input_hashes == file_hashes(paths)
+    assert opened == [str(twin_dir / name) for name in scenario_io.BUNDLE_FILES]  # in BUNDLE_FILES order
+    assert bundle.input_hashes == file_hashes(twin_dir)
 
 
 def test_load_bundle_reports_every_file_problem(twin_dir):
-    valid = {path: path.read_bytes() for path in scenario_io.BundlePaths.in_dir(twin_dir).all_files()}
+    valid = {twin_dir / name: (twin_dir / name).read_bytes() for name in scenario_io.BUNDLE_FILES}
     (twin_dir / scenario_io.NETWORK_FILE).write_text("not json at all")
     (twin_dir / scenario_io.BRIDGES_FILE).write_text(
         "bridge_id,h_b,mass_ton_per_m,x,y\nb-main,oops,2.0,900.0,0.0\n"
@@ -466,7 +462,7 @@ def test_byte_order_mark_is_not_content(twin_dir):
         return nodes, b.graph.edges, b.bridges, b.supplies, b.demands, config, b.crs
 
     plain = content(scenario_io.load_bundle(twin_dir))
-    for path in scenario_io.BundlePaths.in_dir(twin_dir).all_files():
+    for path in (twin_dir / name for name in scenario_io.BUNDLE_FILES):
         original = path.read_bytes()
         path.write_bytes(b"\xef\xbb\xbf" + original)
         bundle = scenario_io.load_bundle(twin_dir)
@@ -757,7 +753,7 @@ def test_write_bundle_traced_peak_is_below_the_network_file(default_bundle, tmp_
     assert peak < (tmp_path / "again" / scenario_io.NETWORK_FILE).stat().st_size
 
 
-@pytest.mark.parametrize("name", [p.name for p in scenario_io.BundlePaths.in_dir(".").all_files()])
+@pytest.mark.parametrize("name", scenario_io.BUNDLE_FILES)
 def test_file_that_is_not_utf8_is_a_validation_error(twin_dir, name):
     path = twin_dir / name
     path.write_bytes(path.read_bytes() + b"\xe9")
