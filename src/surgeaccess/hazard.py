@@ -101,8 +101,8 @@ class SurgeField:
         return h_st, h_s
 
 
-# Elements in one search's temporary arrays, bounding its memory: 2**15, so 256 KB per float64 or int64 array.
-_SEARCH_BUDGET = 1 << 15
+# Elements in one search's temporary arrays, bounding its memory: 2**13, so 64 KB per float64 or int64 array.
+_SEARCH_BUDGET = 1 << 13
 
 # The 3 x 3 block of grid cells around a query's cell.
 _BLOCK_X, _BLOCK_Y = np.repeat([-1, 0, 1], 3), np.tile([-1, 0, 1], 3)

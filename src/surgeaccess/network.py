@@ -423,10 +423,14 @@ def dijkstra(arcs, *, indices, limit: float, min_only: bool = False) -> np.ndarr
     while front.size:
         node = front % n
         count = degree[node]
-        arc = np.arange(count.sum()) + np.repeat(indptr[node] - np.cumsum(count) + count, count)
-        target = np.repeat(front - node, count) + heads[arc]
-        step = np.repeat(dist[front], count) + minutes[arc]
-        better = np.flatnonzero(step < np.minimum(dist[target], bound))
+        arc = np.repeat(indptr[node] - np.cumsum(count) + count, count)
+        arc += np.arange(arc.size)  # each candidate-length temporary is formed in place, so fewer are held at once
+        target, step = np.repeat(front - node, count), np.repeat(dist[front], count)
+        target += heads[arc]
+        step += minutes[arc]
+        del arc
+        known = dist[target]
+        better = np.flatnonzero(step < np.minimum(known, bound, out=known))
         target, step = target[better], step[better]
         np.minimum.at(dist, target, step)
         # The next front: each improved node once, as the candidate the owner write kept for it.

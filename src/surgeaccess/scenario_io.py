@@ -360,7 +360,8 @@ def load_bundle(directory: str | Path, config: str | Path | None = None) -> Data
     configuration from the file config in place of its scenario.cfg if given.
 
     Each file is read once, before any is parsed, and hashed from the bytes
-    parsed; the hash and any error take the name of the file read. A missing
+    parsed; the hash and any error take the name of the file read, so a
+    config named like one of the bundle's data files is refused. A missing
     file raises FileNotFoundError. A file that is not UTF-8 text is reported
     before any file is parsed; past that, anything wrong with the content is
     collected into one ValidationError listing every failure.
@@ -368,6 +369,8 @@ def load_bundle(directory: str | Path, config: str | Path | None = None) -> Data
     paths = [Path(directory) / name for name in BUNDLE_FILES]
     if config is not None:
         paths[-1] = Path(config)
+        if paths[-1].name in BUNDLE_FILES[:-1]:
+            raise ValidationError([f"config {config}: takes the name of the bundle data file {paths[-1].name}"])
     hashes: dict[str, str] = {}
     texts: dict[str, str] = {}  # by bundle file name
     errors: list[str] = []

@@ -25,13 +25,14 @@ path on the horizon's base network are left out of its keys (see
 network.live_edges). Each horizon costs three bounded Dijkstra searches,
 and each network a min-plus closure (network.PortalDistances), all on the
 distinct nodes the sites snap to; access.two_step sums once per node, as
-masked reductions, and gathers the sums back per site. The networks are
-scored on the calling thread and workers - 1 helper threads, so one
-worker starts no thread. Each horizon keeps
-its K x D score table (K networks, D demands) and its sample -> network
-index; statistics sum row blocks gathered through the index, and the
-convergence check takes each window's span of running means from maxima
-and minima over doubling spans of rows.
+masked reductions, and gathers the sums back per site. Each horizon's
+networks are scored by one map, on the calling thread and workers - 1
+helper threads (one worker starts no thread), as soon as its searches
+are built, and the searches are dropped before the next horizon's.
+Each horizon keeps its K x D score table (K networks, D demands) and
+its sample -> network index; statistics sum row blocks gathered through
+the index, and the convergence check takes each window's span of
+running means from maxima and minima over doubling spans of rows.
 """
 
 from __future__ import annotations
@@ -314,15 +315,18 @@ def run_scenario(
     the closure units its failed groups touch beyond the horizon's base
     set, less the units no demand can reach within d0 on the base
     network (see network.live_edges). Each horizon evaluates each of its
-    distinct closed-unit keys once, from its own network.PortalDistances.
-    One _thread_map serves every horizon's keys: the calling thread and
+    distinct closed-unit keys once, from its own network.PortalDistances,
+    with one _thread_map per horizon: the calling thread and
     config.workers - 1 helper threads share the portals and site arrays,
     and the numpy kernels release the GIL; --workers 1 starts no thread.
-    Each network's scores are a pure function of its key, so any worker
-    count gives the same bits. Each horizon's K x D score table (K
-    networks, D demands) is indexed per sample and aggregated in
-    gathered row blocks. Subgroups with zero total weight are left out
-    of the group averages.
+    Only the horizon's score table and sample index outlive its map, so
+    its searches are dropped before the next horizon's are built, and
+    aggregation runs once every horizon is scored. Each network's
+    scores are a pure function of its key, so any worker count gives
+    the same bits. Each horizon's K x D score table (K networks, D
+    demands) is indexed per sample and aggregated in gathered row
+    blocks. Subgroups with zero total weight are left out of the group
+    averages.
     """
     if not sum(d.population for d in demands) > 0.0:
         raise InvalidInputError("scenario needs demand locations with a total population above zero")
@@ -366,11 +370,15 @@ def run_scenario(
         dtype=np.int64,
     )
 
-    # Pass two: patterns to closure-unit sets, one evaluation per distinct set.
+    # Pass two, per horizon: patterns to closure-unit sets, one evaluation per distinct set, then the searches go.
     certain = {bid: p == 1.0 for bid, p in failure_probability.items()}
-    items: list[tuple[str, frozenset[int]]] = []
-    portals: dict[str, network.PortalDistances] = {}
-    sample_network: dict[str, np.ndarray] = {}
+    pop, cap = access.site_weights(demands, supplies)
+
+    def network_scores(closed: frozenset[int]) -> np.ndarray:
+        """Scaled score per demand on the current horizon's network with the toggled units in `closed` closed."""
+        return access.two_step(portals.reachable(closed), d_row, s_col, pop, cap)[0] * access.SCORE_SCALE
+
+    scored: dict[str, tuple[np.ndarray, np.ndarray]] = {}  # per horizon: K x D score table, sample -> row index
     for horizon in config.horizons:
         base_mask = network.closure_mask(graph, exposures, config.thresholds, certain, horizon)
         base = set(units[graph.edge_flags(base_mask.provenance)].tolist())
@@ -378,19 +386,12 @@ def run_scenario(
         live_units = frozenset(units[network.live_edges(graph, base_closed, *nodes, config.d0_minutes)].tolist())
         live_risk = [(u & live_units) - base for u in groups]
         toggled = frozenset().union(*live_risk)
-        portals[horizon] = network.PortalDistances(graph, base_closed, units, toggled, *nodes, config.d0_minutes)
+        portals = network.PortalDistances(graph, base_closed, units, toggled, *nodes, config.d0_minutes)
         keys: dict[frozenset[int], int] = {}
         per_pattern = [keys.setdefault(frozenset().union(*compress(live_risk, p)), len(keys)) for p in patterns]
-        sample_network[horizon] = np.array(per_pattern, dtype=np.int64)[sample_pattern]
-        items += [(horizon, closed) for closed in keys]
-    pop, cap = access.site_weights(demands, supplies)
-
-    def network_scores(item) -> np.ndarray:
-        """Scaled score per demand on the item's horizon with its toggled units closed."""
-        horizon, closed = item
-        return access.two_step(portals[horizon].reachable(closed), d_row, s_col, pop, cap)[0] * access.SCORE_SCALE
-
-    scores = _thread_map(network_scores, items, config.workers)
+        scores = np.stack(_thread_map(network_scores, list(keys), config.workers))
+        scored[horizon] = scores, np.array(per_pattern, dtype=np.int64)[sample_pattern]
+        del portals  # before the next horizon's searches; network_scores reads it only while mapped
 
     group_weights = {"overall": {d.demand_id: float(d.population) for d in demands}} | {
         name: {d.demand_id: float(d.subgroups.get(name, 0.0)) for d in demands}
@@ -406,9 +407,7 @@ def run_scenario(
         group_weights={name: reduce(float.__add__, weights.values(), 0.0) for name, weights in group_weights.items()},
     )
 
-    for horizon in config.horizons:
-        index = sample_network[horizon]
-        score_table = np.stack([row for (item_horizon, _), row in zip(items, scores) if item_horizon == horizon])
+    for horizon, (score_table, index) in scored.items():
         mean_scores, cov = _column_stats(score_table, index)
         mean_access = access.AccessScores(
             scores={did: float(v) for did, v in zip(demand_ids, mean_scores)},

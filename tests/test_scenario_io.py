@@ -252,6 +252,22 @@ def test_load_bundle_missing_file(twin_dir):
         scenario_io.load_bundle(twin_dir)
 
 
+@pytest.mark.parametrize("name", scenario_io.BUNDLE_FILES[:-1])
+def test_alternate_config_named_like_a_data_file_is_refused(twin_dir, tmp_path, name):
+    # Its hash would replace the data file's in the manifest, and its errors would read as that file's.
+    alternate = tmp_path / "elsewhere" / name
+    alternate.parent.mkdir()
+    alternate.write_bytes((twin_dir / scenario_io.CONFIG_FILE).read_bytes())
+    with pytest.raises(ValidationError) as caught:
+        scenario_io.load_bundle(twin_dir, alternate)
+    assert caught.value.errors == [f"config {alternate}: takes the name of the bundle data file {name}"]
+    # A config elsewhere under the bundle's own config name is still read, and hashed under that name.
+    alternate = alternate.rename(alternate.with_name(scenario_io.CONFIG_FILE))
+    bundle = scenario_io.load_bundle(twin_dir, alternate)
+    assert bundle.input_hashes == file_hashes(twin_dir)
+    assert len(bundle.input_hashes) == len(scenario_io.BUNDLE_FILES)
+
+
 def test_load_bundle_reads_each_input_file_once(twin_dir, monkeypatch):
     """The manifest hashes the very bytes that were parsed: each input is opened once."""
     opened = []

@@ -10,6 +10,7 @@ import multiprocessing.process
 import statistics
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -446,7 +447,8 @@ def test_run_scenario_deterministic_and_worker_invariant():
     a, _ = twin_result(0.5, samples=300)
     b, _ = twin_result(0.5, samples=300)
     c, _ = twin_result(0.5, samples=300, workers=2)
-    for other in (b, c):
+    d, _ = twin_result(0.5, samples=300, workers=3)
+    for other in (b, c, d):
         assert a.failure_probability == other.failure_probability
         for horizon in a.horizons:
             assert np.array_equal(a.horizons[horizon].sample_scores, other.horizons[horizon].sample_scores)
@@ -784,6 +786,29 @@ def test_horizons_sharing_a_base_key_and_score_on_their_own():
         assert getattr(short, name).tobytes() == getattr(long, name).tobytes()
     for name in ("quartiles", "group_averages", "no_access_fraction", "average_cov", "converged_at"):
         assert getattr(short, name) == getattr(long, name)
+
+
+def test_each_horizons_searches_are_freed_before_the_next_horizons_are_built(monkeypatch):
+    built, alive = [], []  # weak references to each PortalDistances; live ones as each search starts
+
+    class Tracked(network.PortalDistances):
+        def __init__(self, *args):
+            alive.append(("portals", sum(ref() is not None for ref in built)))
+            super().__init__(*args)
+            built.append(weakref.ref(self))
+
+    def live_edges(*args, _real=network.live_edges):
+        alive.append(("live", sum(ref() is not None for ref in built)))
+        return _real(*args)
+
+    monkeypatch.setattr(network, "PortalDistances", Tracked)
+    monkeypatch.setattr(network, "live_edges", live_edges)
+    for workers in (1, 2):
+        built.clear(), alive.clear()
+        result, _ = twin_result(0.5, samples=120, workers=workers)
+        assert alive == [("live", 0), ("portals", 0)] * 2
+        assert len(built) == 2 and all(ref() is None for ref in built)
+        assert all(hres.score_table.shape == (2, 2) for hres in result.horizons.values())
 
 
 def test_each_horizon_table_holds_only_its_own_networks(storm1_run):
