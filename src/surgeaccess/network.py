@@ -16,13 +16,13 @@ parallel edges need no collapsing, since the search keeps each node's
 least candidate, and its minutes are Dijkstra's, bit for bit. Binary
 2SFCA needs only which pairs lie within d0 (reachable); the minutes are
 kept only by travel_time_table. Searches start from the side with fewer
-distinct snapped nodes; a scenario run passes live_edges and
-PortalDistances its distinct demand and supply nodes, not its sites.
-live_edges finds the edges that lie on no within-d0 path, whose closure
-cannot change reachability. Networks that differ only in which of a few
-closure units are open share the searches of PortalDistances, through
-those units' end nodes; each network then takes, per contested pair, the
-least of the few portal legs that lie within d0 with every unit open.
+distinct snapped nodes; a scenario run passes PortalDistances its
+distinct demand and supply nodes, not its sites. Networks that differ
+only in which of a few closure units are open share the searches of
+PortalDistances, through those units' end nodes. It keeps only the units
+some within-d0 path between sites can cross; each network then takes,
+per contested pair, the least of the few portal legs that lie within d0
+with every unit open.
 """
 
 from __future__ import annotations
@@ -403,10 +403,9 @@ def reachable(graph: RoadGraph, closed, demand_nodes, supply_nodes, d0_minutes: 
     return _site_minutes(graph, closed, demand_nodes, supply_nodes, d0_minutes) <= d0_minutes
 
 
-def dijkstra(arcs, *, indices, limit: float, min_only: bool = False) -> np.ndarray:
+def dijkstra(arcs, *, indices, limit: float) -> np.ndarray:
     """Least minutes over arcs (as RoadGraph._adjacency returns them) from
-    each source node in indices to every node, inf past limit: one row per
-    source, or with min_only their minimum as one row.
+    each source node in indices (a row each) to every node, inf past limit.
 
     Each round relaxes the arcs out of the nodes whose minutes fell in the
     last round and keeps a candidate only within limit. Float + and min are
@@ -416,8 +415,8 @@ def dijkstra(arcs, *, indices, limit: float, min_only: bool = False) -> np.ndarr
     indptr, heads, minutes = arcs
     n, degree = indptr.size - 1, np.diff(indptr)
     sources = np.asarray(indices, dtype=np.int64).ravel()
-    front = np.unique(sources, return_index=True)[0] if min_only else np.arange(sources.size) * n + sources
-    dist = np.full(n if min_only else sources.size * n, np.inf)  # flat, row r at r * n
+    front = np.arange(sources.size) * n + sources
+    dist = np.full(sources.size * n, np.inf)  # flat, row r at r * n
     dist[front], owner = 0.0, np.empty(dist.size, dtype=np.int32)  # a round holds under 2**31 candidates
     bound = np.nextafter(limit, np.inf)
     while front.size:
@@ -436,7 +435,7 @@ def dijkstra(arcs, *, indices, limit: float, min_only: bool = False) -> np.ndarr
         # The next front: each improved node once, as the candidate the owner write kept for it.
         owner[target] = better
         front = target[owner[target] == better]
-    return dist if min_only else dist.reshape(sources.size, n)
+    return dist.reshape(sources.size, n)
 
 
 # Sources per dijkstra call in _site_minutes, so a search holds at most 64 rows of minutes to every node;
@@ -467,22 +466,6 @@ def _site_minutes(graph, closed, demand_nodes, supply_nodes, d0_minutes) -> np.n
     return pair_minutes.T if transposed else pair_minutes
 
 
-def live_edges(graph: RoadGraph, closed, demand_nodes, supply_nodes, d0_minutes: float) -> np.ndarray:
-    """Per edge: can it lie on a within-d0 path between sites?
-
-    One multi-source Dijkstra runs, from the side _site_minutes searches
-    from (fewer distinct nodes), on the network without the closed edges.
-    An edge is live when its nearer end plus its own minutes is within d0.
-    Closing edges only lengthens paths and float addition is monotone, so
-    closing edges that are not live, on top of `closed`, leaves
-    reachable() as it is.
-    """
-    d_nodes, s_nodes = (np.unique(nodes, return_index=True)[0] for nodes in (demand_nodes, supply_nodes))
-    src = s_nodes if d_nodes.size > s_nodes.size else d_nodes
-    dist = dijkstra(graph._adjacency(closed), indices=src, limit=d0_minutes, min_only=True)
-    return np.minimum(dist[graph._edge_u], dist[graph._edge_v]) + graph._edge_minutes <= d0_minutes
-
-
 class PortalDistances:
     """Searches shared by the networks that close some `toggled` closure
     units (ids into units, the closure_units labels for these sites) on
@@ -493,6 +476,18 @@ class PortalDistances:
     portals out to d0 plus reachable()'s margin, so no leg of a path within
     d0 is cut off. Pairs unreachable on H that may be reachable with all
     toggled units open are contested.
+
+    A toggled unit is live (in `live`) when, with every toggled unit open,
+    some demand node and some supply node each reach one of its chain's
+    ends and cross the whole chain within d0 plus the margin. A path
+    between sites crosses a unit end to end, so a path through chain c
+    within d0 bounds both its demand's minutes to c's entry end plus c's
+    minutes and c's minutes plus its exit end's minutes to its supply; as
+    for reachable()'s legs, each sum, rounded as the min-plus forms it,
+    lies within d0 plus the margin. So opening or closing a dead unit
+    changes no pair. Dead chains, and the portals only they use, are
+    dropped before the legs are formed; dead units stay closed on H and in
+    `toggled`, so the fallback, which opens them, stays exact.
 
     Leg q of a contested pair is its demand's minutes to portal q through
     the open chains and H, plus portal q's minutes to its supply on H.
@@ -516,30 +511,39 @@ class PortalDistances:
         self.chain_minutes = np.bincount(units[edges], weights=graph._edge_minutes[edges])[self.chain_units]
 
         self.margin = 4 * n * np.finfo(float).eps * d0_minutes
+        limit = d0_minutes + self.margin
         self.reach = reachable(graph, self.closed, demand_nodes, supply_nodes, d0_minutes)
-        dist = dijkstra(graph._adjacency(self.closed), indices=portals, limit=d0_minutes + self.margin)
+        dist = dijkstra(graph._adjacency(self.closed), indices=portals, limit=limit)
         self.via, self.between, to_supply = dist[:, demand_nodes].T, dist[:, portals], dist[:, supply_nodes]
-        all_open = self._via_open(np.ones(self.chain_units.size, dtype=bool))
+        # With every chain open: demand x portal minutes, and each portal's least minutes to a supply node.
+        opened = self._via_open(np.vstack([self.via, to_supply.min(axis=1, initial=np.inf)]))
+        all_open, nearest = opened[:-1], np.stack([opened[:-1].min(axis=0, initial=np.inf), opened[-1]])
+        live = np.all(nearest[:, self.chain_ends].min(axis=2) + self.chain_minutes <= limit, axis=0)  # both sides
+        kept, chain_ends = np.unique(self.chain_ends[live].ravel(), return_inverse=True)  # the live chains' portals
+        self.chain_ends, self.chain_units = chain_ends.reshape(-1, 2), self.chain_units[live]
+        self.chain_minutes, self.live = self.chain_minutes[live], frozenset(self.chain_units.tolist())
+        self.via, self.between, to_supply, all_open = (
+            self.via[:, kept], self.between[np.ix_(kept, kept)], to_supply[kept], all_open[:, kept])
         # Each portal's kept legs, as flat indices into the demand x supply pairs.
-        cells = [np.flatnonzero(~self.reach & (all_open[:, q, None] + to_supply[q] <= d0_minutes + self.margin))
-                 for q in range(portals.size)]
-        q = np.repeat(np.arange(portals.size), [c.size for c in cells])
+        cells = [np.flatnonzero(~self.reach & (all_open[:, q, None] + to_supply[q] <= limit)) for q in range(kept.size)]
+        q = np.repeat(np.arange(kept.size), [c.size for c in cells])
         self.pairs, self.pair = np.unique(np.concatenate([np.zeros(0, dtype=np.int64), *cells]), return_inverse=True)
         self.rows, self.cols = np.divmod(self.pairs, len(supply_nodes))
         # Kept leg i: its contested pair, a flat index into a demand x portal
         # array, and its portal-to-supply minutes.
-        self.flat, self.leg = self.rows[self.pair] * portals.size + q, to_supply[q, self.cols[self.pair]]
+        self.flat, self.leg = self.rows[self.pair] * kept.size + q, to_supply[q, self.cols[self.pair]]
 
-    def _via_open(self, chains: np.ndarray) -> np.ndarray:
-        """Demand x portal minutes on H with the selected chains open (Floyd-Warshall over the portals)."""
+    def _via_open(self, via: np.ndarray, chains: np.ndarray | slice = slice(None)) -> np.ndarray:
+        """Minutes to each portal from the rows of via (minutes to each portal on H), on H with the selected
+        chains open, every chain by default (Floyd-Warshall over the portals)."""
         closure = self.between.copy()
         ends = self.chain_ends[chains]
         np.minimum.at(closure, (ends.ravel(), ends[:, ::-1].ravel()), np.repeat(self.chain_minutes[chains], 2))
         for k in range(closure.shape[0]):
             np.minimum(closure, closure[:, k, None] + closure[None, k, :], out=closure)
-        out = np.full(self.via.shape, np.inf)
+        out = np.full(via.shape, np.inf)
         for p in range(closure.shape[0]):
-            np.minimum(out, self.via[:, p, None] + closure[p], out=out)
+            np.minimum(out, via[:, p, None] + closure[p], out=out)
         return out
 
     def _minutes(self, via: np.ndarray) -> np.ndarray:
@@ -560,14 +564,11 @@ class PortalDistances:
         eps / 2 of the exact length, relative to it, so near d0 they differ
         by under 4 * n * eps * d0. Pairs farther than that margin from d0 are
         decided from the sum; if any is not, the network falls back to
-        reachable(). Either way the matrix equals reachable()'s exactly.
-        The sum runs over the kept legs only: where the minimum over all
-        legs is within d0 plus the margin, a kept leg attains it, and where
-        it is not, the kept minimum is not either, so neither the matrix nor
-        the fallback changes."""
+        reachable(). Either way the matrix equals reachable()'s exactly; the
+        kept legs and live chains change neither (see the class docstring)."""
         # Every chain's unit is toggled, so a chain is open when its unit is not in closed_units.
         chains = np.array([u not in closed_units for u in self.chain_units.tolist()], dtype=bool)
-        minutes = self._minutes(self._via_open(chains))
+        minutes = self._minutes(self._via_open(self.via, chains))
         if np.any(np.abs(minutes - self.d0_minutes) <= self.margin):
             opened = self.toggled[~isin_ids(self.toggled, list(closed_units))]
             return reachable(self.graph, self.closed & ~isin_ids(self.units, opened), *self.sites, self.d0_minutes)

@@ -340,17 +340,17 @@ def _config_from_raw(
     if errors[before:]:
         return None, crs
 
-    surge = None
+    blame = SURGE_FILE
     try:
-        surge = SurgeField(
-            *np.reshape(surge_rows, (-1, len(_SURGE_COLUMNS))).T,
-            datum_label=settings.pop("datum", "unspecified"),
-            coverage_radius_m=settings.pop("coverage_radius_m", None),
-        )
+        samples = np.reshape(surge_rows, (-1, len(_SURGE_COLUMNS))).T
+        SurgeField(*samples)  # the samples alone; past them, the bad value came from the config file
+        blame = source
+        surge = SurgeField(*samples, datum_label=settings.pop("datum", "unspecified"),
+                           coverage_radius_m=settings.pop("coverage_radius_m", None))
         thresholds = ExposureThresholds(**{k: settings.pop(k) for k in _THRESHOLD_KEYS if k in settings})
         config = ScenarioConfig(surge=surge, thresholds=thresholds, **settings)
-    except InvalidInputError as exc:  # past the surge field, the bad value came from the config file
-        errors.append(str(exc) if surge is None else f"{source}: {exc}")
+    except InvalidInputError as exc:
+        errors.append(f"{blame}: {exc}")
         return None, crs
     return config, crs
 

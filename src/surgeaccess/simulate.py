@@ -18,12 +18,11 @@ the drawn bridges are grouped by the units they touch and each sample
 draws one outcome per group: whether any member fails, hashing the
 members likeliest first and stopping at the first failure. Each horizon
 is keyed, evaluated and aggregated on its own. Its samples are keyed on
-closure units: samples whose closed edges touch the same units
-share one network evaluation, evaluated on the canonical closed set that
-takes every edge of each touched unit. Units that lie on no within-d0
-path on the horizon's base network are left out of its keys (see
-network.live_edges). Each horizon costs three bounded Dijkstra searches,
-and each network a min-plus closure (network.PortalDistances), all on the
+closure units: samples whose closed edges touch the same units share one
+network evaluation, evaluated on the canonical closed set that takes
+every edge of each touched unit, less the units no within-d0 path between
+sites can cross. Each horizon costs two bounded Dijkstra searches and
+each network a min-plus closure (network.PortalDistances), all on the
 distinct nodes the sites snap to; access.two_step sums once per node, as
 masked reductions, and gathers the sums back per site. Each horizon's
 networks are scored by one map, on the calling thread and workers - 1
@@ -311,22 +310,22 @@ def run_scenario(
     close in each horizon's base network (closure_mask's structural rule)
     and bridges with p = 0 never do; only the rest are sampled, in
     groups that touch the same closure units, and each sample is keyed
-    on its pattern of failed groups. Each pattern maps, per horizon, to
-    the closure units its failed groups touch beyond the horizon's base
-    set, less the units no demand can reach within d0 on the base
-    network (see network.live_edges). Each horizon evaluates each of its
-    distinct closed-unit keys once, from its own network.PortalDistances,
-    with one _thread_map per horizon: the calling thread and
-    config.workers - 1 helper threads share the portals and site arrays,
-    and the numpy kernels release the GIL; --workers 1 starts no thread.
-    Only the horizon's score table and sample index outlive its map, so
-    its searches are dropped before the next horizon's are built, and
-    aggregation runs once every horizon is scored. Each network's
-    scores are a pure function of its key, so any worker count gives
-    the same bits. Each horizon's K x D score table (K networks, D
-    demands) is indexed per sample and aggregated in gathered row
-    blocks. Subgroups with zero total weight are left out of the group
-    averages.
+    on its pattern of failed groups. Each horizon's network.PortalDistances
+    toggles every at-risk unit its base leaves open and keeps the live ones:
+    those some demand node and some supply node each reach, crossing the
+    whole unit, within d0 plus the rounding margin with every unit open.
+    Each pattern maps, per horizon, to the live units its failed groups
+    touch. Each horizon evaluates each of its distinct closed-unit keys
+    once, from its own PortalDistances, with one _thread_map: the calling
+    thread and config.workers - 1 helper threads share the portals and
+    site arrays, and the numpy kernels release the GIL; --workers 1 starts
+    no thread. Only the horizon's score table and sample index outlive its
+    map, so its searches are dropped before the next horizon's are built,
+    and aggregation runs once every horizon is scored. Each network's
+    scores are a pure function of its key, so any worker count gives the
+    same bits. Each horizon's K x D score table (K networks, D demands) is
+    indexed per sample and aggregated in gathered row blocks. Subgroups
+    with zero total weight are left out of the group averages.
     """
     if not sum(d.population for d in demands) > 0.0:
         raise InvalidInputError("scenario needs demand locations with a total population above zero")
@@ -383,10 +382,8 @@ def run_scenario(
         base_mask = network.closure_mask(graph, exposures, config.thresholds, certain, horizon)
         base = set(units[graph.edge_flags(base_mask.provenance)].tolist())
         base_closed = network.isin_ids(units, sorted(base))
-        live_units = frozenset(units[network.live_edges(graph, base_closed, *nodes, config.d0_minutes)].tolist())
-        live_risk = [(u & live_units) - base for u in groups]
-        toggled = frozenset().union(*live_risk)
-        portals = network.PortalDistances(graph, base_closed, units, toggled, *nodes, config.d0_minutes)
+        portals = network.PortalDistances(graph, base_closed, units, set().union(*groups), *nodes, config.d0_minutes)
+        live_risk = [u & portals.live for u in groups]
         keys: dict[frozenset[int], int] = {}
         per_pattern = [keys.setdefault(frozenset().union(*compress(live_risk, p)), len(keys)) for p in patterns]
         scores = np.stack(_thread_map(network_scores, list(keys), config.workers))

@@ -204,11 +204,9 @@ def test_dijkstra_and_components_match_scipy_bit_for_bit():
         reached = unlimited[np.isfinite(unlimited)]
         for limit in (np.inf, float(rng.uniform(0.0, 5.0)), float(rng.choice(reached))):
             at_limit += int(np.sum(unlimited == limit))
-            for min_only in (False, True):
-                got = network.dijkstra(graph._adjacency(closed), indices=sources, limit=limit, min_only=min_only)
-                oracle = scipy_dijkstra(scipy_adjacency(graph, closed), directed=False, indices=sources,
-                                        limit=limit, min_only=min_only)
-                assert got.shape == oracle.shape and got.tobytes() == oracle.tobytes()
+            got = network.dijkstra(graph._adjacency(closed), indices=sources, limit=limit)
+            oracle = scipy_dijkstra(scipy_adjacency(graph, closed), directed=False, indices=sources, limit=limit)
+            assert got.shape == oracle.shape and got.tobytes() == oracle.tobytes()
     assert at_limit > 300
 
 
@@ -645,13 +643,12 @@ def test_reachable_matches_table_support_and_floyd_warshall(monkeypatch):
 
 
 def test_storm2_searches_at_most_a_block_of_sources(storm2_bundle, monkeypatch):
-    # Only the min_only searches take every source at once; the others hold a block of all-node minutes.
+    # Every search holds at most a block of all-node minutes.
     sizes, search = [], network.dijkstra
 
-    def recording(arcs, *, indices, limit, min_only=False):
-        if not min_only:
-            sizes.append(len(indices))
-        return search(arcs, indices=indices, limit=limit, min_only=min_only)
+    def recording(arcs, *, indices, limit):
+        sizes.append(len(indices))
+        return search(arcs, indices=indices, limit=limit)
 
     monkeypatch.setattr(network, "dijkstra", recording)
     bundle = storm2_bundle
@@ -676,35 +673,6 @@ def test_reachable_boundary_and_empty_sides(monkeypatch):
     assert network.reachable(graph, None, none, np.array([1]), 5.0).shape == (0, 1)
 
 
-def test_closing_dead_edges_leaves_reachability_unchanged():
-    rng = np.random.default_rng(8080)
-    dead_seen = 0
-    for trial in range(60):
-        graph, demands, supplies, d_idx, s_idx = random_sited_graph(rng)
-        d_nodes, s_nodes = np.array(d_idx), np.array(s_idx)
-        base = rng.random(len(graph.edge_ids)) < rng.choice([0.0, 0.1, 0.3])
-        d0 = float(rng.integers(3, 60))
-        live = network.live_edges(graph, base, d_nodes, s_nodes, d0)
-        dead = ~live & ~base
-        dead_seen += int(dead.sum())
-        want = network.reachable(graph, base, d_nodes, s_nodes, d0)
-        for _ in range(4):
-            closed = base | (dead & (rng.random(dead.size) < rng.choice([0.3, 1.0])))
-            assert np.array_equal(network.reachable(graph, closed, d_nodes, s_nodes, d0), want)
-        # any live edge whose closure changes reachability really is live
-        for e in np.flatnonzero(~base):
-            closed = base.copy()
-            closed[e] = True
-            if not np.array_equal(network.reachable(graph, closed, d_nodes, s_nodes, d0), want):
-                assert live[e]
-        # the multi-source search is the row minimum of scipy's per-source one
-        sources = np.unique(np.concatenate([d_nodes, s_nodes]))
-        per_source = scipy_dijkstra(scipy_adjacency(graph, base), directed=False, indices=sources, limit=d0)
-        multi = network.dijkstra(graph._adjacency(base), indices=sources, limit=d0, min_only=True)
-        assert np.array_equal(multi, per_source.min(axis=0))
-    assert dead_seen > 0
-
-
 def portal_graph(rng):
     """chained_sited_graph plus parallel copies of a few edges, as
     (graph, snapped demand nodes, snapped supply nodes, closure units)."""
@@ -716,6 +684,36 @@ def portal_graph(rng):
     graph = network.build_graph(node_records(graph), edges, [])
     d_nodes, s_nodes = network.snap_sites(graph, demands), network.snap_sites(graph, supplies)
     return graph, d_nodes, s_nodes, network.closure_units(graph, np.concatenate([d_nodes, s_nodes]))
+
+
+def test_closing_units_portals_call_dead_leaves_reachability_unchanged():
+    # A dead unit is a toggled unit outside portals.live. Closing every dead unit, on top of any subset of the
+    # toggled units, changes no pair. Every live unit is also live by the edge-level rule: some edge's nearer
+    # end, from the side with fewer distinct nodes on the base, plus the edge's own minutes lies within d0.
+    rng = np.random.default_rng(8080)
+    dead_seen = live_seen = 0
+    for trial in range(60):
+        graph, d_nodes, s_nodes, units = portal_graph(rng)
+        base = rng.random(len(graph.edge_ids)) < rng.choice([0.0, 0.1, 0.3])
+        unit_ids = np.unique(units)
+        toggled = sorted(rng.choice(unit_ids, size=min(unit_ids.size, int(rng.integers(1, 7))), replace=False).tolist())
+        d0 = float(rng.uniform(3.0, 60.0))
+        portals = network.PortalDistances(graph, base, units, toggled, d_nodes, s_nodes, d0)
+        dead = set(toggled) - portals.live - set(units[base].tolist())
+        for size in range(len(toggled) + 1):
+            for subset in itertools.combinations(toggled, size):
+                closed = base | np.isin(units, subset)
+                want = network.reachable(graph, closed, d_nodes, s_nodes, d0)
+                assert np.array_equal(network.reachable(graph, closed | np.isin(units, sorted(dead)), d_nodes,
+                                                        s_nodes, d0), want)
+        sources = s_nodes if np.unique(d_nodes).size > np.unique(s_nodes).size else d_nodes
+        per_source = scipy_dijkstra(scipy_adjacency(graph, base), directed=False, indices=np.unique(sources), limit=d0)
+        nearest = per_source.min(axis=0)
+        edge_live = np.minimum(nearest[graph._edge_u], nearest[graph._edge_v]) + graph._edge_minutes <= d0
+        assert portals.live <= set(toggled) & set(units[edge_live].tolist())
+        dead_seen += len(dead)
+        live_seen += len(portals.live)
+    assert dead_seen > 0 and live_seen > 0
 
 
 def unit_kind(graph, units, unit):
@@ -784,7 +782,7 @@ def test_portal_legs_keep_every_minimum_that_can_decide():
         unit_ids = np.unique(units)
         toggled = sorted(rng.choice(unit_ids, size=min(unit_ids.size, int(rng.integers(1, 5))), replace=False).tolist())
         closed_h = base | np.isin(units, toggled)
-        # Portals: the nodes an odd number of an openable toggled unit's edges touch, in node order.
+        # Skip trials with no portal: no node an odd number of an openable toggled unit's edges touch.
         portal_nodes = set()
         for unit in toggled:
             if not base[units == unit].any():
@@ -793,24 +791,33 @@ def test_portal_legs_keep_every_minimum_that_can_decide():
         if not portal_nodes:
             continue
         h_graph = scipy_adjacency(graph, closed_h)
-        to_supply = scipy_dijkstra(h_graph, directed=False, indices=sorted(portal_nodes))[:, s_nodes]
+
+        def live_portals(portals):
+            """The nodes an odd number of a live unit's edges touch, in node order, and their minutes to each supply
+            on H; then the demand x portal minutes with every live chain open."""
+            nodes = set()
+            for unit in portals.live:
+                ends = np.r_[graph._edge_u[units == unit], graph._edge_v[units == unit]]
+                nodes.update(np.flatnonzero(np.bincount(ends) % 2).tolist())
+            to_supply = scipy_dijkstra(h_graph, directed=False, indices=sorted(nodes))[:, s_nodes]
+            return nodes, to_supply, portals._via_open(portals.via)
 
         d0 = float(rng.uniform(3.0, 60.0))
         portals = network.PortalDistances(graph, base, units, toggled, d_nodes, s_nodes, d0)
         if portals.rows.size and rng.random() < 0.5:
-            all_open = portals._via_open(np.ones(portals.chain_units.size, dtype=bool))
+            _, to_supply, all_open = live_portals(portals)
             nearest = np.min(all_open[portals.rows] + to_supply[:, portals.cols].T, axis=1)
             d0 = float(np.nextafter(nearest[int(rng.integers(0, nearest.size))], 0.0))
             portals = network.PortalDistances(graph, base, units, toggled, d_nodes, s_nodes, d0)
         limit = d0 + portals.margin
-        all_open = portals._via_open(np.ones(portals.chain_units.size, dtype=bool))
+        portal_nodes, to_supply, all_open = live_portals(portals)
         on_h = network.reachable(graph, closed_h, d_nodes, s_nodes, d0)
-        nearest = np.min(all_open[:, :, None] + to_supply[None], axis=1)
+        nearest = np.min(all_open[:, :, None] + to_supply[None], axis=1, initial=np.inf)
         contested = set(zip(*np.nonzero(~on_h & (nearest <= limit))))
         assert set(zip(portals.rows, portals.cols)) == contested
         for size in range(len(toggled) + 1):
             for subset in itertools.combinations(toggled, size):
-                via = portals._via_open(np.isin(portals.chain_units, sorted(set(toggled) - set(subset))))
+                via = portals._via_open(portals.via, np.isin(portals.chain_units, sorted(set(toggled) - set(subset))))
                 assert np.all(via >= all_open)
                 got = portals._minutes(via)
                 want = np.min(via[portals.rows] + to_supply[:, portals.cols].T, axis=1, initial=np.inf)

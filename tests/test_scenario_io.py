@@ -415,12 +415,21 @@ def test_surge_csv_errors(twin_dir):
             "surge.csv:3: bad surge row (could not convert string to float: 'oops')",
         ),
         ("x,y,h_st,h_s\n0,0,1,0\n5,0,1\n", "surge.csv:3: bad surge row (missing h_s)"),
-        ("x,y,h_st,h_s\n0,0,1,0\n0,0,2,0\n", "surge field contains duplicate sample locations"),
+        ("x,y,h_st,h_s\n0,0,1,0\n0,0,2,0\n", "surge.csv: surge field contains duplicate sample locations"),
+        ("x,y,h_st,h_s\n0,0,1,0\n5,0,1,-0.5\n", "surge.csv: significant wave heights must be >= 0"),
     ):
         surge.write_text(text)
         with pytest.raises(ValidationError) as err:
             scenario_io.load_bundle(twin_dir)
         assert err.value.errors == [message]
+    # Valid samples with a bad coverage radius: the radius is the config file's.
+    surge.write_text("x,y,h_st,h_s\n0,0,1,0\n")
+    cfg = twin_dir / scenario_io.CONFIG_FILE
+    lines = [line for line in cfg.read_text().splitlines() if not line.startswith("coverage_radius_m")]
+    cfg.write_text("\n".join(lines + ["coverage_radius_m = -5"]) + "\n")
+    with pytest.raises(ValidationError) as err:
+        scenario_io.load_bundle(twin_dir)
+    assert err.value.errors == ["scenario.cfg: coverage radius must be finite and >= 0, got -5.0"]
 
 
 def test_unknown_horizon_reported_once(twin_dir):

@@ -797,18 +797,29 @@ def test_each_horizons_searches_are_freed_before_the_next_horizons_are_built(mon
             super().__init__(*args)
             built.append(weakref.ref(self))
 
-    def live_edges(*args, _real=network.live_edges):
-        alive.append(("live", sum(ref() is not None for ref in built)))
-        return _real(*args)
-
     monkeypatch.setattr(network, "PortalDistances", Tracked)
-    monkeypatch.setattr(network, "live_edges", live_edges)
     for workers in (1, 2):
         built.clear(), alive.clear()
         result, _ = twin_result(0.5, samples=120, workers=workers)
-        assert alive == [("live", 0), ("portals", 0)] * 2
+        assert alive == [("portals", 0)] * 2
         assert len(built) == 2 and all(ref() is None for ref in built)
         assert all(hres.score_table.shape == (2, 2) for hres in result.horizons.values())
+
+
+def test_short_horizon_keys_only_the_units_a_trip_within_d0_can_cross(tmp_path):
+    # Here the short horizon's floods leave no within-d0 trip between sites that an at-risk bridge could carry,
+    # so all its samples share one network; a one-sided, edge-level test on the base network kept 37.
+    spec = scenario_io.SyntheticFixtureSpec(
+        seed=2, scenario_seed=2, storm="storm-2-like", grid_width=40, grid_height=12, bridge_count=30,
+        spans_per_corridor=3, demand_count=25, supply_count=60, samples=400,
+    )
+    scenario_io.generate_fixture(spec, tmp_path)
+    bundle = scenario_io.load_bundle(tmp_path)
+    result = simulate.run_scenario(bundle.config, bundle.graph, bundle.bridges, bundle.supplies, bundle.demands)
+    short = result.horizons["short"]
+    assert short.score_table.shape[0] == 1
+    reference = raw_key_sample_scores(result, bundle.config, bundle.graph, bundle.supplies, bundle.demands, "short")
+    assert np.array_equal(short.sample_scores, reference)
 
 
 def test_each_horizon_table_holds_only_its_own_networks(storm1_run):
@@ -837,7 +848,7 @@ def test_run_scenario_reaches_stage_functions_through_module_attributes(monkeypa
     twin_result(0.5, samples=120)
     assert calls == {
         "sample_failures": 120, "group_names": 1, "convergence_report": 2, "evaluate_exposures": 1,
-        "uplift_probability": 1, "closure_mask": 2, "snap_sites": 2, "dijkstra": 6,
+        "uplift_probability": 1, "closure_mask": 2, "snap_sites": 2, "dijkstra": 4,
     }
 
 
